@@ -4,15 +4,15 @@ Library layout:
 
 - :mod:`drdga.graph` — directed graph sequences and column-stochastic mixing
 - :mod:`drdga.problem` — coupled problems (rate allocation, random quadratic)
-- :mod:`drdga.localsolve` — per-agent inner minimization and dual gradients
-- :mod:`drdga.engine` — the push-sum dual gradient round loop
+- :mod:`drdga.localsolve` — per-agent inner minimization
+- :mod:`drdga.engine` — the round kernel and run loop of both algorithms
 - :mod:`drdga.baseline` — dual-decomposition baseline on doubly stochastic mixing
 - :mod:`drdga.reference` — centralized solver used as the gap oracle
 - :mod:`drdga.metrics` — per-round observables, rate-bound evaluators, rate fits
 - :mod:`drdga.config`, :mod:`drdga.cli` — experiment files and the command line
 """
 
-from .baseline import CddaState, cdda_advance_round, cdda_init, cdda_run_until, metropolis_matrix
+from .baseline import cdda_run_until, metropolis_matrix
 from .config import Experiment, parse_config
 from .engine import (
     RunConfig,
@@ -38,7 +38,7 @@ from .graph import (
     parse_edge_list,
     verify_window_connectivity,
 )
-from .localsolve import dual_gradient, solve_local
+from .localsolve import solve_local
 from .metrics import (
     BoundConstants,
     MetricsRow,
@@ -53,7 +53,6 @@ from .problem import (
     AgentProblem,
     CoupledProblem,
     DiagonalQuadratic,
-    GeneralSmooth,
     LogUtility,
     compute_G_bound,
     make_num_problem,
@@ -66,12 +65,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentProblem",
     "BoundConstants",
-    "CddaState",
     "ConfigError",
     "CoupledProblem",
     "DiagonalQuadratic",
     "Experiment",
-    "GeneralSmooth",
     "GraphSequence",
     "InfeasibleProblemError",
     "InvalidEdgeError",
@@ -85,12 +82,9 @@ __all__ = [
     "RunState",
     "advance_round",
     "build_weight_matrix",
-    "cdda_advance_round",
-    "cdda_init",
     "cdda_run_until",
     "compute_G_bound",
     "constants_from_run",
-    "dual_gradient",
     "ergodic_average",
     "evaluate_round",
     "generate_graph_sequence",

@@ -1,22 +1,20 @@
 """Consensus dual-decomposition baseline on doubly stochastic mixing.
 
-The baseline mixes the multipliers themselves with a doubly stochastic matrix
-(so it needs balanced communication), solves the same inner problems at the
-mixed multiplier, and takes an unregularized subgradient step with the same
-q/t schedule. Doubly stochastic matrices come from Metropolis weights on the
-undirected version of each round's graph.
+The baseline is the engine's round with push-sum off: it mixes the
+multipliers themselves with a doubly stochastic matrix (so it needs balanced
+communication), solves the same inner problems at the mixed multiplier, and
+takes an unregularized subgradient step with the same q/t schedule. Doubly
+stochastic matrices come from Metropolis weights on the undirected version of
+each round's graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .engine import RunConfig, STOP_CONVERGED, STOP_T_MAX, stopping_residuals
+from .engine import RunConfig, run_rounds
 from .errors import InvalidInputError
 from .graph import GraphSequence
-from .localsolve import solve_local
 from .problem import CoupledProblem
 
 _STOCHASTIC_TOL = 1e-12
@@ -53,71 +51,24 @@ def _check_doubly_stochastic(mixing: np.ndarray, m: int) -> np.ndarray:
     return mixing
 
 
-@dataclass(frozen=True)
-class CddaState:
-    """Baseline iterates after round t: per-agent multipliers and primal points."""
-
-    t: int
-    lam: np.ndarray
-    x: tuple[np.ndarray, ...]
-    ergodic_sum: tuple[np.ndarray, ...]
-    config: RunConfig
-
-
-def cdda_init(problem: CoupledProblem, config: RunConfig) -> CddaState:
-    return CddaState(
-        t=0,
-        lam=np.zeros((problem.m, problem.p)),
-        x=tuple(np.zeros(a.dim) for a in problem.agents),
-        ergodic_sum=tuple(np.zeros(a.dim) for a in problem.agents),
-        config=config,
-    )
-
-
-def cdda_advance_round(
-    state: CddaState, problem: CoupledProblem, mixing: np.ndarray
-) -> CddaState:
-    """One baseline round: mix multipliers, solve locally, unregularized dual step."""
-    mixing = _check_doubly_stochastic(mixing, problem.m)
-    t_next = state.t + 1
-    beta = state.config.beta(t_next)
-    mixed = mixing @ state.lam
-    xs = []
-    lam = np.empty_like(mixed)
-    ergodic = []
-    for i, agent in enumerate(problem.agents):
-        x_i = solve_local(agent, mixed[i])
-        lam[i] = mixed[i] + beta * (agent.A @ x_i - agent.b)
-        xs.append(x_i)
-        ergodic.append(state.ergodic_sum[i] + (t_next - 1) * x_i)
-    return replace(
-        state, t=t_next, lam=lam, x=tuple(xs), ergodic_sum=tuple(ergodic)
-    )
-
-
 def cdda_run_until(
     problem: CoupledProblem,
     seq: GraphSequence,
     config: RunConfig,
     f_star: float | None = None,
 ):
-    """Baseline counterpart of the main run loop, with the same stop criteria.
+    """Run the baseline: the engine's round and stop criteria with push-sum off.
 
-    Mixing matrices are rebuilt per round from the undirected version of the
-    sequence's edges, so a fixed (problem, seq, config) triple gives a
-    deterministic run. Returns (final state, metrics rows, stop reason).
+    Each pool entry's Metropolis matrix is built and checked once. The
+    reported multiplier (state.lam, and the disagreement and max_lambda
+    columns) is the post-step one. Returns (final state, metrics rows, stop
+    reason).
     """
-    from .metrics import evaluate_round
-
-    state = cdda_init(problem, config)
-    rows = []
-    reason = STOP_T_MAX
-    while state.t < config.t_max:
-        prev = state
-        mixing = metropolis_matrix(seq.edges(state.t), problem.m)
-        state = cdda_advance_round(state, problem, mixing)
-        rows.append(evaluate_round(state, problem, f_star=f_star))
-        if all(r <= config.epsilon for r in stopping_residuals(prev, state, problem)):
-            reason = STOP_CONVERGED
-            break
-    return state, rows, reason
+    return run_rounds(
+        problem,
+        seq,
+        config,
+        f_star,
+        lambda edges, m: _check_doubly_stochastic(metropolis_matrix(edges, m), m),
+        push_sum=False,
+    )

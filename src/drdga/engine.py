@@ -1,9 +1,16 @@
 """Synchronous-round execution of the distributed regularized dual gradient method.
 
-Each round every agent mixes the received dual surrogates (theta) and push-sum
-weights (rho) with a column-stochastic matrix, recovers its multiplier
-estimate lambda = u / rho, solves its inner problem at that multiplier, and
-takes a regularized dual ascent step with the decaying step size beta[t] = q/t.
+Each round every agent mixes the received dual surrogates (theta) with the
+round's mixing matrix W, recovers its multiplier estimate, solves its inner
+problem at that multiplier, and takes a dual ascent step with the decaying
+step size beta[t] = q/t.
+
+The same round runs both algorithms. With push-sum on (DRDGA) W is
+column-stochastic, the push-sum weights rho are mixed alongside theta, the
+multiplier is lambda = u / rho, and the step carries the regularization term
+-gamma_i lambda_i. With push-sum off (the CDDA baseline in
+:mod:`drdga.baseline`) W is doubly stochastic, rho stays exactly 1 so that
+lambda = u, and the step is unregularized.
 
 States are immutable snapshots: advance_round reads one round and returns the
 next, so a snapshot can be handed to other threads (metrics, probes) while the
@@ -12,7 +19,9 @@ single writer advances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -38,12 +47,14 @@ class RunConfig:
     theta0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ConfigError(f"q must be positive, got {self.q}")
+        if not self.q > 0 or not math.isfinite(self.q):
+            raise ConfigError(f"q must be positive and finite, got {self.q}")
         if self.t_max < 2:
             raise ConfigError(f"t_max must be at least 2, got {self.t_max}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.theta0 is not None and not np.all(np.isfinite(self.theta0)):
+            raise ConfigError("theta0 must be finite")
 
     def validate_for(self, problem: CoupledProblem) -> None:
         """Enforce the step-size rule q * gamma_total / m >= 4."""
@@ -67,6 +78,8 @@ class RunState:
     theta, u, lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
     per-agent vectors of each agent's own dimension. ergodic_sum_i holds
     sum_{s<=t} (s-1) x_i[s], the numerator of the weighted running average.
+    With push_sum off, lam is the post-step multiplier theta, not the mixed
+    one the agents solved at.
     """
 
     t: int
@@ -77,11 +90,16 @@ class RunState:
     x: tuple[np.ndarray, ...]
     ergodic_sum: tuple[np.ndarray, ...]
     config: RunConfig
+    push_sum: bool
 
 
-def init_state(problem: CoupledProblem, config: RunConfig) -> RunState:
-    """Round-0 state: rho = 1, everything else zero unless theta0 is given."""
-    config.validate_for(problem)
+def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
+    """Round-0 state: rho = 1, everything else zero unless theta0 is given.
+
+    The step-size rule applies to the push-sum (regularized) method only.
+    """
+    if push_sum:
+        config.validate_for(problem)
     m, p = problem.m, problem.p
     if config.theta0 is None:
         theta = np.zeros((m, p))
@@ -98,27 +116,33 @@ def init_state(problem: CoupledProblem, config: RunConfig) -> RunState:
         x=tuple(np.zeros(a.dim) for a in problem.agents),
         ergodic_sum=tuple(np.zeros(a.dim) for a in problem.agents),
         config=config,
+        push_sum=push_sum,
     )
 
 
-def advance_round(state: RunState, problem: CoupledProblem, seq: GraphSequence) -> RunState:
-    """One synchronous round: mix, normalize, solve locally, ascend the dual."""
-    W = build_weight_matrix(seq.edges(state.t), problem.m)
+def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> RunState:
+    """One synchronous round on mixing matrix W: mix, normalize, solve locally, ascend the dual."""
     t_next = state.t + 1
     beta = state.config.beta(t_next)
 
     u = W @ state.theta
-    rho = W @ state.rho
-    if np.any(rho <= 0):
-        raise InvariantError(f"push-sum weight became non-positive at round {t_next}")
-    lam = u / rho[:, None]
+    if state.push_sum:
+        rho = W @ state.rho
+        if np.any(rho <= 0):
+            raise InvariantError(f"push-sum weight became non-positive at round {t_next}")
+        lam = u / rho[:, None]
+    else:
+        rho, lam = state.rho, u
 
     xs = []
     theta = np.empty_like(u)
     ergodic = []
     for i, agent in enumerate(problem.agents):
         x_i = solve_local(agent, lam[i])
-        theta[i] = u[i] + beta * (agent.A @ x_i - agent.b - agent.gamma * lam[i])
+        step = agent.A @ x_i - agent.b
+        if state.push_sum:
+            step = step - agent.gamma * lam[i]
+        theta[i] = u[i] + beta * step
         xs.append(x_i)
         ergodic.append(state.ergodic_sum[i] + (t_next - 1) * x_i)
 
@@ -128,7 +152,7 @@ def advance_round(state: RunState, problem: CoupledProblem, seq: GraphSequence) 
         theta=theta,
         rho=rho,
         u=u,
-        lam=lam,
+        lam=lam if state.push_sum else theta,
         x=tuple(xs),
         ergodic_sum=tuple(ergodic),
     )
@@ -147,11 +171,14 @@ def ergodic_average(state: RunState) -> list[np.ndarray]:
 
 
 def stopping_residuals(
-    prev: RunState, state: RunState, problem: CoupledProblem
+    prev: RunState, state: RunState, problem: CoupledProblem, violation: float
 ) -> tuple[float, float, float]:
-    """The three stop measures: dual movement, coupling violation, relative objective change."""
+    """The three stop measures: dual movement, coupling violation, relative objective change.
+
+    ``violation`` is the norm of the coupling residual of ``state.x``, which
+    the round's metrics row already holds as ``violation_inst``.
+    """
     dual_move = float(np.max(np.abs(state.lam - prev.lam)))
-    violation = float(np.linalg.norm(problem.coupling_residual(state.x)))
     rel_change = 0.0
     for agent, x_new, x_old in zip(problem.agents, state.x, prev.x):
         f_new = agent.objective.value(x_new)
@@ -162,28 +189,48 @@ def stopping_residuals(
     return dual_move, violation, rel_change
 
 
+def run_rounds(
+    problem: CoupledProblem,
+    seq: GraphSequence,
+    config: RunConfig,
+    f_star: float | None,
+    mixing: Callable[..., np.ndarray],
+    push_sum: bool,
+):
+    """The run loop of both algorithms: rounds until the three stop criteria
+    all fall below epsilon, or t_max.
+
+    ``mixing(edges, m)`` builds one round's matrix; it is called once per
+    entry of the sequence's periodic pool. Returns (final state, metrics rows,
+    stop reason). The gap column of the metrics is filled only when the
+    centralized optimum f_star is supplied.
+    """
+    from .metrics import evaluate_round
+
+    state = init_state(problem, config, push_sum)
+    pool = [mixing(edges, problem.m) for edges in seq.rounds]
+    rows = []
+    reason = STOP_T_MAX
+    while state.t < config.t_max:
+        prev = state
+        state = advance_round(state, problem, pool[state.t % len(pool)])
+        row = evaluate_round(state, problem, f_star=f_star)
+        rows.append(row)
+        residuals = stopping_residuals(prev, state, problem, row.violation_inst)
+        if all(r <= config.epsilon for r in residuals):
+            reason = STOP_CONVERGED
+            break
+    return state, rows, reason
+
+
 def run_until(
     problem: CoupledProblem,
     seq: GraphSequence,
     config: RunConfig,
     f_star: float | None = None,
 ):
-    """Run rounds until the three stop criteria all fall below epsilon, or t_max.
+    """Run DRDGA: push-sum rounds on the column-stochastic matrices of ``seq``.
 
-    Returns (final state, metrics rows, stop reason). The gap column of the
-    metrics is filled only when the centralized optimum f_star is supplied.
+    Returns (final state, metrics rows, stop reason); see :func:`run_rounds`.
     """
-    from .metrics import evaluate_round
-
-    state = init_state(problem, config)
-    rows = []
-    reason = STOP_T_MAX
-    while state.t < config.t_max:
-        prev = state
-        state = advance_round(state, problem, seq)
-        rows.append(evaluate_round(state, problem, f_star=f_star))
-        residuals = stopping_residuals(prev, state, problem)
-        if all(r <= config.epsilon for r in residuals):
-            reason = STOP_CONVERGED
-            break
-    return state, rows, reason
+    return run_rounds(problem, seq, config, f_star, build_weight_matrix, push_sum=True)

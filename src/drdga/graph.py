@@ -43,7 +43,6 @@ class GraphSequence:
     m: int
     rounds: tuple[frozenset[Edge], ...]
     window: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1:
@@ -111,7 +110,7 @@ def generate_graph_sequence(
                     if i != j and mask[i, j]:
                         edges.add((i + 1, j + 1))
         rounds.append(frozenset(edges))
-    return GraphSequence(m=m, rounds=tuple(rounds), window=window, seed=seed)
+    return GraphSequence(m=m, rounds=tuple(rounds), window=window)
 
 
 def _strongly_connected(edges, m: int) -> bool:
@@ -141,7 +140,7 @@ def verify_window_connectivity(seq: GraphSequence, horizon: int) -> bool:
     return True
 
 
-def parse_edge_list(text: str, m: int, window: int, seed: int = 0) -> GraphSequence:
+def parse_edge_list(text: str, m: int, window: int) -> GraphSequence:
     """Parse a plain-text edge-list schedule: one line per round, "i>j" pairs separated by ";".
 
     Agent indices are 1-based. A blank line is a round with no cross edges.
@@ -169,7 +168,7 @@ def parse_edge_list(text: str, m: int, window: int, seed: int = 0) -> GraphSeque
         rounds.append(frozenset(edges))
     if not rounds:
         raise InvalidEdgeError("edge-list file is empty")
-    return GraphSequence(m=m, rounds=tuple(rounds), window=window, seed=seed)
+    return GraphSequence(m=m, rounds=tuple(rounds), window=window)
 
 
 def load_edge_list(path, m: int, window: int) -> GraphSequence:

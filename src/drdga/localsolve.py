@@ -1,9 +1,8 @@
-"""Per-agent inner minimization and the regularized dual gradient.
+"""Per-agent inner minimization.
 
 solve_local minimizes  f_i(x) + lambda^T (A_i x - b_i)  over the agent's box;
 the term of the per-agent Lagrangian that depends only on lambda is constant
-in x and dropped. Closed forms exist for the quadratic and rate-utility
-families; the black-box family uses projected gradient.
+in x and dropped. Both objective families have closed forms.
 """
 
 from __future__ import annotations
@@ -16,13 +15,8 @@ from .problem import (
     RATE_UTILITY_SCALE,
     AgentProblem,
     DiagonalQuadratic,
-    GeneralSmooth,
     LogUtility,
 )
-
-# Inner projected-gradient stopping threshold; far below the outer step sizes.
-_PG_TOL = 1e-10
-_PG_MAX_ITER = 200_000
 
 
 def solve_local(agent: AgentProblem, lam: np.ndarray) -> np.ndarray:
@@ -49,21 +43,4 @@ def solve_local(agent: AgentProblem, lam: np.ndarray) -> np.ndarray:
         x = RATE_UTILITY_SCALE * obj.weight / rho - RATE_UTILITY_OFFSET
         return np.clip(np.array([x]), agent.lower, agent.upper)
 
-    if isinstance(obj, GeneralSmooth):
-        step = 1.0 / obj.lipschitz
-        x = 0.5 * (agent.lower + agent.upper)
-        for _ in range(_PG_MAX_ITER):
-            x_new = np.clip(x - step * (obj.gradient(x) + price), agent.lower, agent.upper)
-            if np.linalg.norm(x_new - x) < _PG_TOL:
-                return x_new
-            x = x_new
-        raise RuntimeError("projected gradient did not reach the inner tolerance")
-
     raise InvalidInputError(f"unknown objective type {type(obj).__name__}")
-
-
-def dual_gradient(agent: AgentProblem, lam: np.ndarray) -> np.ndarray:
-    """Gradient of the agent's regularized dual: A_i x_i(lambda) - b_i - gamma_i lambda."""
-    lam = np.asarray(lam, dtype=float)
-    x = solve_local(agent, lam)
-    return agent.A @ x - agent.b - agent.gamma * lam

@@ -5,7 +5,7 @@ max_i ||lambda_i[t]|| over a run) into the printed rate expressions. With the
 admissible network constants delta = m^(-m*window) and
 eta = (1 - m^(-m*window))^(1/(m*window)) the bounds are extremely loose for
 m >= 3; they are reported for completeness while rate_fit carries the
-empirical rate check.
+empirical rate check. A bound beyond float range evaluates to inf.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ class BoundConstants:
         return (1.0 - self.delta) ** (1.0 / (self.m * self.window))
 
     @property
+    def one_minus_eta(self) -> float:
+        """1 - eta without cancellation: eta itself rounds to 1.0 once delta is tiny."""
+        if self.delta == 1.0:  # m = 1: eta = 0, and log1p(-1) is undefined
+            return 1.0
+        return -math.expm1(math.log1p(-self.delta) / (self.m * self.window))
+
+    @property
     def B_grad(self) -> float:
         return float(np.sqrt(self.p) * np.max(self.G + self.gammas * self.D))
 
@@ -124,11 +131,12 @@ def theorem2_bound(T: int, c: BoundConstants) -> float:
     """Printed upper bound on the ergodic objective gap after T rounds."""
     if T < 1:
         raise ValueError("bound defined for T >= 1")
+    if c.one_minus_eta == 0.0:  # delta or 1 - eta underflowed
+        return math.inf
     s1 = float(np.sum(c.G + c.gammas * c.D))
     s2 = float(np.sum((c.G + c.gammas * c.D) ** 2))
-    eta = c.eta
-    bracket = (eta / (1.0 - eta)) * c.theta0_l1 + (
-        c.q * c.m * c.B_grad / (1.0 - eta)
+    bracket = (c.eta / c.one_minus_eta) * c.theta0_l1 + (
+        c.q * c.m * c.B_grad / c.one_minus_eta
     ) * (1.0 + math.log(T))
     return (32.0 / (T * c.delta)) * s1 * bracket + (c.q / T) * s2
 
@@ -137,11 +145,12 @@ def theorem3_bound(T: int, c: BoundConstants) -> float:
     """Printed upper bound on the squared coupling violation of the ergodic average."""
     if T < 1:
         raise ValueError("bound defined for T >= 1")
+    if c.one_minus_eta == 0.0:  # delta or 1 - eta underflowed
+        return math.inf
     s1 = float(np.sum(c.G + c.gammas * c.D))
     s2 = float(np.sum((c.G + c.gammas * c.D) ** 2))
-    eta = c.eta
-    bracket = (8.0 * eta / (1.0 - eta)) * c.theta0_l1 + (
-        8.0 * c.q * c.m * c.B_grad / (1.0 - eta)
+    bracket = (8.0 * c.eta / c.one_minus_eta) * c.theta0_l1 + (
+        8.0 * c.q * c.m * c.B_grad / c.one_minus_eta
     ) * (1.0 + math.log(T))
     return (c.gamma_total / (T * c.delta)) * s1 * bracket + (
         c.q * c.gamma_total / (4.0 * T)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -74,25 +74,7 @@ class LogUtility:
         return -RATE_UTILITY_SCALE * self.weight / (x + RATE_UTILITY_OFFSET)
 
 
-@dataclass(frozen=True)
-class GeneralSmooth:
-    """Black-box smooth strongly convex objective given by value/gradient oracles.
-
-    ``lipschitz`` bounds the gradient's Lipschitz constant; the inner solver
-    uses projected gradient steps of size 1/lipschitz.
-    """
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    modulus: float
-    lipschitz: float
-
-    def __post_init__(self):
-        if self.modulus <= 0 or self.lipschitz <= 0:
-            raise InvalidProblemError("modulus and lipschitz must be positive")
-
-
-Objective = Union[DiagonalQuadratic, LogUtility, GeneralSmooth]
+Objective = Union[DiagonalQuadratic, LogUtility]
 
 
 @dataclass(frozen=True)
@@ -187,10 +169,10 @@ def make_num_problem(routing, capacities, gammas) -> CoupledProblem:
     n_links, n_sources = R.shape
     if not np.all((R == 0) | (R == 1)):
         raise InvalidProblemError("routing entries must be 0 or 1")
-    if c.shape != (n_links,) or np.any(c <= 0):
-        raise InvalidProblemError("capacities must be positive, one per link")
-    if g.shape != (n_sources,) or np.any(g <= 0):
-        raise InvalidProblemError("gammas must be positive, one per source")
+    if c.shape != (n_links,) or not np.all((c > 0) & np.isfinite(c)):
+        raise InvalidProblemError("capacities must be positive and finite, one per link")
+    if g.shape != (n_sources,) or not np.all((g > 0) & np.isfinite(g)):
+        raise InvalidProblemError("gammas must be positive and finite, one per source")
     used = R.sum(axis=0)
     if np.any(used == 0):
         idx = int(np.argmin(used)) + 1
@@ -229,8 +211,8 @@ def make_quadratic_problem(
     """
     if m < 1 or p < 1:
         raise InvalidProblemError("need m >= 1 and p >= 1")
-    if tau_min <= 0:
-        raise InvalidProblemError("tau_min must be positive")
+    if not tau_min > 0 or not np.isfinite(tau_min):
+        raise InvalidProblemError("tau_min must be positive and finite")
     if np.isscalar(dims):
         dims = [int(dims)] * m
     dims = [int(n) for n in dims]

@@ -73,7 +73,7 @@ def pushsum_run():
     state = init_state(problem, RunConfig(q=4.0, t_max=5001, epsilon=1e-300))
     mass_dev, rho_min, lam_max = 0.0, np.inf, []
     for _ in range(5000):
-        state = advance_round(state, problem, seq)
+        state = advance_round(state, problem, build_weight_matrix(seq.edges(state.t), problem.m))
         mass_dev = max(mass_dev, abs(float(state.rho.sum()) - 5.0))
         rho_min = min(rho_min, float(state.rho.min()))
         lam_max.append(float(np.sqrt((state.lam * state.lam).sum(axis=1)).max()))
@@ -221,7 +221,8 @@ def test_criterion_9_descent_inequality_residuals():
     config = RunConfig(q=4.0, t_max=51, epsilon=1e-300)
     states = [init_state(problem, config)]
     for _ in range(50):
-        states.append(advance_round(states[-1], problem, seq))
+        W = build_weight_matrix(seq.edges(states[-1].t), problem.m)
+        states.append(advance_round(states[-1], problem, W))
     rows = [evaluate_round(s, problem) for s in states[1:]]
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from drdga import (
+    GraphSequence,
     InvalidInputError,
     RunConfig,
-    cdda_advance_round,
-    cdda_init,
+    advance_round,
     cdda_run_until,
     generate_graph_sequence,
+    init_state,
     make_quadratic_problem,
     metropolis_matrix,
     solve_local,
 )
+from drdga import baseline
 
 
 def test_metropolis_is_doubly_stochastic_and_symmetric():
@@ -25,26 +27,39 @@ def test_metropolis_is_doubly_stochastic_and_symmetric():
             assert np.all(W >= 0)
 
 
-def test_rejects_non_doubly_stochastic_mixing():
+def test_rejects_non_doubly_stochastic_mixing(monkeypatch):
     prob = make_quadratic_problem(m=2, p=1, dims=1, seed=0, tau_min=1.0, gamma=4.0)
-    state = cdda_init(prob, RunConfig(q=4.0, t_max=10, epsilon=0.01))
-    bad = np.array([[0.9, 0.2], [0.1, 0.8]])
-    with pytest.raises(InvalidInputError):
-        cdda_advance_round(state, prob, bad)
-    with pytest.raises(InvalidInputError):
-        cdda_advance_round(state, prob, np.eye(3))
+    seq = generate_graph_sequence(2, 1, seed=0)
+    config = RunConfig(q=4.0, t_max=10, epsilon=0.01)
+    for bad in (np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(3)):
+        monkeypatch.setattr(baseline, "metropolis_matrix", lambda edges, m, bad=bad: bad)
+        with pytest.raises(InvalidInputError):
+            cdda_run_until(prob, seq, config)
 
 
 def test_single_agent_is_plain_dual_subgradient():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     agent = prob.agents[0]
-    state = cdda_init(prob, RunConfig(q=1.0, t_max=50, epsilon=1e-300))
+    state = init_state(prob, RunConfig(q=1.0, t_max=50, epsilon=1e-300), push_sum=False)
     lam = np.zeros(2)
     for t in range(1, 31):
-        state = cdda_advance_round(state, prob, np.array([[1.0]]))
+        state = advance_round(state, prob, np.array([[1.0]]))
         x = solve_local(agent, lam)
         lam = lam + (1.0 / t) * (agent.A @ x - agent.b)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
+
+
+def test_cdda_run_starts_from_theta0():
+    prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
+    agent = prob.agents[0]
+    seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
+    theta0 = np.array([[0.75, -1.5]])
+    config = RunConfig(q=1.0, t_max=5, epsilon=1e-300, theta0=theta0)
+    state, _, _ = cdda_run_until(prob, seq, config)
+    lam = theta0[0]
+    for t in range(1, 6):
+        lam = lam + (1.0 / t) * (agent.A @ solve_local(agent, lam) - agent.b)
+    assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
 
 
 def test_pure_mixing_preserves_multiplier_sum():

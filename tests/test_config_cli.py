@@ -116,11 +116,33 @@ def test_overrides_apply(tmp_path):
     exp = parse_config(path, algorithm="cdda", seed=99, t_max=7, epsilon=0.125)
     assert exp.algorithm == "cdda"
     assert exp.run.t_max == 7 and exp.run.epsilon == 0.125
-    assert exp.seq.seed == 99
     # on a larger network the seed override produces a different pool
     base = parse_config(QUAD_CFG)
     reseeded = parse_config(QUAD_CFG, seed=99)
     assert base.seq.rounds != reseeded.seq.rounds
+
+
+@pytest.mark.parametrize(
+    "base, old, new, field",
+    [
+        ("fig7", "q = 4", "q = nan", "run: q must be"),
+        ("fig7", "q = 4", "q = inf", "run: q must be"),
+        ("fig7", "capacities = 1 1", "capacities = 1 nan", "problem: capacities"),
+        ("fig7", "capacities = 1 1", "capacities = inf 1", "problem: capacities"),
+        ("fig7", "gammas = 1 1 1", "gammas = 1 nan 1", "problem: gammas"),
+        ("quad", "tau_min = 1.0", "tau_min = nan", "problem: tau_min"),
+        ("quad", "epsilon = 0.5", "epsilon = 0.5\ntheta0 =\n    nan\n    0.5", "run: theta0"),
+    ],
+    ids=["q-nan", "q-inf", "capacities-nan", "capacities-inf", "gammas-nan", "tau_min-nan",
+         "theta0-nan"],
+)
+def test_non_finite_numbers_rejected_at_load(tmp_path, capsys, base, old, new, field):
+    text = Path(FIG7_CFG).read_text() if base == "fig7" else MINIMAL_QUAD
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, new))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_theta0_parsing(tmp_path):

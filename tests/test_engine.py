@@ -15,11 +15,17 @@ from drdga import (
     run_until,
     solve_local,
 )
+from drdga import baseline, engine
 from drdga.engine import STOP_CONVERGED, STOP_T_MAX
 
 
 def fig7():
     return make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
+
+
+def step(state, prob, seq):
+    """One round on the column-stochastic matrix of the sequence's current graph."""
+    return advance_round(state, prob, build_weight_matrix(seq.edges(state.t), prob.m))
 
 
 def single_agent_setup(gamma=9.0):
@@ -55,7 +61,7 @@ def test_initial_state_and_first_round_lambda():
     assert np.all(state.rho == 1.0)
     assert np.all(state.theta == 0.0)
     # mixing zeros keeps the first multipliers at zero
-    state = advance_round(state, prob, seq)
+    state = step(state, prob, seq)
     assert np.all(state.lam == 0.0)
     assert state.t == 1
 
@@ -76,7 +82,7 @@ def test_single_agent_matches_centralized_recursion():
     state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300))
     theta = np.zeros(2)
     for t in range(1, 51):
-        state = advance_round(state, prob, seq)
+        state = step(state, prob, seq)
         lam = theta.copy()
         x = solve_local(agent, lam)
         theta = lam + (1.0 / t) * (agent.A @ x - agent.b - agent.gamma * lam)
@@ -91,7 +97,7 @@ def test_mass_conservation_and_positivity():
     state = init_state(prob, RunConfig(q=4.0, t_max=600, epsilon=1e-300))
     floor = 5.0 ** (-5 * 3)
     for _ in range(500):
-        state = advance_round(state, prob, seq)
+        state = step(state, prob, seq)
         assert abs(state.rho.sum() - 5.0) <= 1e-9
         assert state.rho.min() >= floor - 1e-15
 
@@ -100,9 +106,9 @@ def test_ergodic_average_formulas():
     prob = make_quadratic_problem(m=2, p=2, dims=1, seed=1, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(2, 1, seed=0)
     s0 = init_state(prob, RunConfig(q=2.0, t_max=10, epsilon=1e-300))
-    s1 = advance_round(s0, prob, seq)
-    s2 = advance_round(s1, prob, seq)
-    s3 = advance_round(s2, prob, seq)
+    s1 = step(s0, prob, seq)
+    s2 = step(s1, prob, seq)
+    s3 = step(s2, prob, seq)
     with pytest.raises(ValueError):
         ergodic_average(s1)
     for avg, x in zip(ergodic_average(s2), s2.x):
@@ -121,7 +127,7 @@ def test_ergodic_average_of_constant_iterates():
     seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
     state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
     for _ in range(10):
-        state = advance_round(state, prob, seq)
+        state = step(state, prob, seq)
     c = solve_local(frozen, np.zeros(1))
     for avg in ergodic_average(state):
         assert np.allclose(avg, c, atol=1e-12)
@@ -132,6 +138,28 @@ def test_run_until_stops_immediately_with_infinite_epsilon():
     state, rows, reason = run_until(prob, seq, RunConfig(q=1.0, t_max=50, epsilon=float("inf")))
     assert reason == STOP_CONVERGED
     assert state.t == 1 and len(rows) == 1
+
+
+@pytest.mark.parametrize(
+    "module, builder, loop",
+    [(engine, "build_weight_matrix", run_until),
+     (baseline, "metropolis_matrix", baseline.cdda_run_until)],
+    ids=["drdga", "cdda"],
+)
+def test_mixing_built_once_per_pool_entry(monkeypatch, module, builder, loop):
+    calls = []
+    real = getattr(module, builder)
+
+    def counting(edges, m):
+        calls.append(edges)
+        return real(edges, m)
+
+    monkeypatch.setattr(module, builder, counting)
+    prob = make_quadratic_problem(m=3, p=2, dims=1, seed=2, tau_min=1.0, gamma=4.0)
+    seq = generate_graph_sequence(3, 1, seed=9, pool_size=7)
+    _, rows, _ = loop(prob, seq, RunConfig(q=4.0, t_max=50, epsilon=1e-300))
+    assert len(rows) == 50
+    assert calls == list(seq.rounds)
 
 
 def test_run_until_hits_round_cap():

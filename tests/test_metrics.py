@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from drdga import (
     MetricsRow,
     RunConfig,
     advance_round,
+    build_weight_matrix,
     constants_from_run,
     evaluate_round,
     generate_graph_sequence,
@@ -77,6 +79,24 @@ def test_bound_decreases_beyond_small_T():
         assert theorem3_bound(2 * T, c) < theorem3_bound(T, c)
 
 
+@pytest.mark.parametrize("m", [20, 100])
+@pytest.mark.parametrize("window", [1, 2])
+def test_bounds_survive_eta_rounding_to_one(m, window):
+    # eta = (1 - delta)^(1/(m window)) rounds to exactly 1.0 here, so 1 - eta
+    # must come from delta; bounds past float range are inf, never an error.
+    c = BoundConstants(m=m, p=2, window=window, q=4.0, D=1.0, G=np.ones(m),
+                       gammas=np.ones(m), theta0_l1=1.0)
+    assert c.eta == 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1000
+        delta = decimal.Decimal(m) ** (-m * window)
+        exact = 1 - (1 - delta) ** (decimal.Decimal(1) / (m * window))
+    assert math.isclose(c.one_minus_eta, float(exact), rel_tol=1e-12)
+    for bound in (theorem2_bound(100, c), theorem3_bound(100, c)):
+        assert bound > 0
+        assert math.isinf(bound) == (m == 100)
+
+
 def test_bound_rejects_bad_T():
     c = BoundConstants(**CONSTANT_SETS[0])
     with pytest.raises(ValueError):
@@ -92,7 +112,8 @@ def quad_run(rounds=12, m=3, seed=2):
     state = init_state(prob, cfg)
     states = [state]
     for _ in range(rounds):
-        states.append(advance_round(states[-1], prob, seq))
+        W = build_weight_matrix(seq.edges(states[-1].t), prob.m)
+        states.append(advance_round(states[-1], prob, W))
     rows = [evaluate_round(s, prob) for s in states[1:]]
     return prob, seq, states, rows
 
@@ -114,7 +135,8 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
     states = [init_state(prob, cfg)]
     for _ in range(6):
-        states.append(advance_round(states[-1], prob, seq))
+        W = build_weight_matrix(seq.edges(states[-1].t), prob.m)
+        states.append(advance_round(states[-1], prob, W))
     rows = [evaluate_round(s, prob) for s in states[1:]]
     c = constants_from_run(prob, seq.window, 1.0, rows)
     agent = prob.agents[0]
