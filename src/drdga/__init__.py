@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`drdga.graph` — directed graph sequences and column-stochastic mixing
-- :mod:`drdga.problem` — coupled problems (rate allocation, random quadratic)
-- :mod:`drdga.localsolve` — per-agent inner minimization
+- :mod:`drdga.problem` — coupled problems (rate allocation, random quadratic),
+  stacked into arrays, and the vectorized inner minimization of all agents
 - :mod:`drdga.engine` — the round kernel and run loop of both algorithms
 - :mod:`drdga.baseline` — dual-decomposition baseline on doubly stochastic mixing
 - :mod:`drdga.reference` — centralized solver used as the gap oracle
@@ -34,11 +34,9 @@ from .graph import (
     GraphSequence,
     build_weight_matrix,
     generate_graph_sequence,
-    load_edge_list,
     parse_edge_list,
     verify_window_connectivity,
 )
-from .localsolve import solve_local
 from .metrics import (
     BoundConstants,
     MetricsRow,
@@ -57,6 +55,7 @@ from .problem import (
     compute_G_bound,
     make_num_problem,
     make_quadratic_problem,
+    solve_local,
 )
 from .reference import ReferenceSolution, solve_centralized
 
@@ -90,7 +89,6 @@ __all__ = [
     "generate_graph_sequence",
     "init_state",
     "lemma2_residual",
-    "load_edge_list",
     "make_num_problem",
     "make_quadratic_problem",
     "metropolis_matrix",

@@ -31,11 +31,7 @@ def metropolis_matrix(edges, m: int) -> np.ndarray:
         adjacent[i - 1, j - 1] = True
         adjacent[j - 1, i - 1] = True
     deg = adjacent.sum(axis=1)
-    W = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adjacent[i, j]:
-                W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    W = np.where(adjacent, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 

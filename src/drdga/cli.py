@@ -19,6 +19,8 @@ from .reference import solve_centralized
 _REFERENCE_TOL = 1e-6
 
 CSV_HEADER = "t,objective,gap,violation,violation_inst,disagreement,max_lambda,beta"
+# Every column after t names a float field of metrics.MetricsRow.
+_FLOAT_COLUMNS = CSV_HEADER.split(",")[1:]
 
 
 def _fmt(value: float) -> str:
@@ -29,23 +31,7 @@ def write_csv(rows, path) -> None:
     """Serialize metric rows, one line per round, floats at 12 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.t)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.objective,
-                        r.gap,
-                        r.violation,
-                        r.violation_inst,
-                        r.disagreement,
-                        r.max_lambda,
-                        r.beta,
-                    )
-                ]
-            )
-        )
+        lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in _FLOAT_COLUMNS]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -110,8 +96,8 @@ def _cmd_reference(args) -> int:
     exp = parse_config(args.config)
     solution = solve_centralized(exp.problem, tol=args.tol)
     np.set_printoptions(precision=10)
-    for i, x in enumerate(solution.x, start=1):
-        print(f"x*[{i}] = {x}")
+    for i, (x, n) in enumerate(zip(solution.x, exp.problem.dims), start=1):
+        print(f"x*[{i}] = {x[:n]}")
     print(f"F* = {_fmt(solution.objective)}")
     print(f"lambda* = {solution.multiplier}")
     print(f"violation = {_fmt(solution.violation)}")

@@ -8,6 +8,7 @@ drdga/configs/ for complete examples of both problem families.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,12 @@ import numpy as np
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .graph import GraphSequence, generate_graph_sequence, load_edge_list
+from .graph import (
+    GraphSequence,
+    generate_graph_sequence,
+    parse_edge_list,
+    verify_window_connectivity,
+)
 from .problem import CoupledProblem, make_num_problem, make_quadratic_problem
 
 ALGORITHMS = ("drdga", "cdda")
@@ -145,13 +151,21 @@ def _build_graph(section: _Section, problem: CoupledProblem, base_dir: Path) -> 
         if not path.exists():
             raise ConfigError(f"graph.path: no such file {path}")
         try:
-            return load_edge_list(path, m=m, window=window)
+            seq = parse_edge_list(path.read_text(encoding="utf-8"), m=m, window=window)
         except ValueError as exc:
             raise ConfigError(f"graph.path: {exc}") from None
+        # The schedule repeats, so one period of aligned windows covers every round.
+        if not verify_window_connectivity(seq, math.lcm(len(seq.rounds), window)):
+            raise ConfigError(
+                f"graph.path: the schedule in {path} is not strongly connected "
+                f"over every window of {window} rounds"
+            )
+        return seq
     raise ConfigError(f"graph.mode: unknown mode {mode!r} (choose random-pool or file)")
 
 
-def _build_run(section: _Section, problem: CoupledProblem) -> RunConfig:
+def _build_run(section: _Section, problem: CoupledProblem, algorithm: str) -> RunConfig:
+    """Run settings; the step-size rule q*gamma/m >= 4 binds DRDGA only."""
     q = section.parse("q", float, "a number", required=True)
     t_max = section.parse("t_max", int, "an integer", default=5000)
     epsilon = section.parse("epsilon", float, "a number", default=0.01)
@@ -163,7 +177,8 @@ def _build_run(section: _Section, problem: CoupledProblem) -> RunConfig:
         )
     try:
         config = RunConfig(q=q, t_max=t_max, epsilon=epsilon, theta0=theta0)
-        config.validate_for(problem)
+        if algorithm == "drdga":
+            config.validate_for(problem)
     except ConfigError as exc:
         raise ConfigError(f"run: {exc}") from None
     return config
@@ -222,6 +237,6 @@ def parse_config(
     if epsilon is not None:
         run_section.raw = dict(run_section.raw)
         run_section.raw["epsilon"] = str(epsilon)
-    run = _build_run(run_section, problem)
+    run = _build_run(run_section, problem, chosen)
 
     return Experiment(problem=problem, seq=seq, run=run, algorithm=chosen)

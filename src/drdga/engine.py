@@ -12,6 +12,9 @@ multiplier is lambda = u / rho, and the step carries the regularization term
 :mod:`drdga.baseline`) W is doubly stochastic, rho stays exactly 1 so that
 lambda = u, and the step is unregularized.
 
+Every step acts on all agents at once, in the stacked layout of
+:class:`drdga.problem.CoupledProblem`.
+
 States are immutable snapshots: advance_round reads one round and returns the
 next, so a snapshot can be handed to other threads (metrics, probes) while the
 single writer advances.
@@ -27,8 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
-from .localsolve import solve_local
-from .problem import CoupledProblem
+from .problem import CoupledProblem, solve_local
 
 STOP_CONVERGED = "converged"
 STOP_T_MAX = "t_max"
@@ -75,9 +77,9 @@ class RunConfig:
 class RunState:
     """All per-agent iterates after round t, plus running ergodic sums.
 
-    theta, u, lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
-    per-agent vectors of each agent's own dimension. ergodic_sum_i holds
-    sum_{s<=t} (s-1) x_i[s], the numerator of the weighted running average.
+    theta and lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
+    (m, n_max), padded like the problem's arrays. ergodic_sum holds
+    sum_{s<=t} (s-1) x[s], the numerator of the weighted running average.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
     one the agents solved at.
     """
@@ -85,10 +87,9 @@ class RunState:
     t: int
     theta: np.ndarray
     rho: np.ndarray
-    u: np.ndarray
     lam: np.ndarray
-    x: tuple[np.ndarray, ...]
-    ergodic_sum: tuple[np.ndarray, ...]
+    x: np.ndarray
+    ergodic_sum: np.ndarray
     config: RunConfig
     push_sum: bool
 
@@ -111,10 +112,9 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         t=0,
         theta=theta,
         rho=np.ones(m),
-        u=np.zeros((m, p)),
         lam=np.zeros((m, p)),
-        x=tuple(np.zeros(a.dim) for a in problem.agents),
-        ergodic_sum=tuple(np.zeros(a.dim) for a in problem.agents),
+        x=np.zeros(problem.lower.shape),
+        ergodic_sum=np.zeros(problem.lower.shape),
         config=config,
         push_sum=push_sum,
     )
@@ -134,59 +134,49 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
     else:
         rho, lam = state.rho, u
 
-    xs = []
-    theta = np.empty_like(u)
-    ergodic = []
-    for i, agent in enumerate(problem.agents):
-        x_i = solve_local(agent, lam[i])
-        step = agent.A @ x_i - agent.b
-        if state.push_sum:
-            step = step - agent.gamma * lam[i]
-        theta[i] = u[i] + beta * step
-        xs.append(x_i)
-        ergodic.append(state.ergodic_sum[i] + (t_next - 1) * x_i)
+    x = solve_local(problem, lam)
+    step = problem.coupling_terms(x)
+    if state.push_sum:
+        step = step - problem.gammas[:, None] * lam
+    theta = u + beta * step
 
     return replace(
         state,
         t=t_next,
         theta=theta,
         rho=rho,
-        u=u,
         lam=lam if state.push_sum else theta,
-        x=tuple(xs),
-        ergodic_sum=tuple(ergodic),
+        x=x,
+        ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
     )
 
 
-def ergodic_average(state: RunState) -> list[np.ndarray]:
+def ergodic_average(state: RunState) -> np.ndarray:
     """Weighted running average of the primal iterates, defined for t >= 2.
 
-    Returns, per agent, sum_{s<=t} (s-1) x_i[s] divided by t(t-1)/2. Each
-    average lies in the agent's box (convex combination of feasible points).
+    Returns sum_{s<=t} (s-1) x[s] divided by t(t-1)/2, one row per agent.
+    Each row lies in its agent's box (convex combination of feasible points).
     """
     if state.t < 2:
         raise ValueError(f"ergodic average undefined before round 2 (t = {state.t})")
     denom = state.t * (state.t - 1) / 2.0
-    return [s / denom for s in state.ergodic_sum]
+    return state.ergodic_sum / denom
 
 
 def stopping_residuals(
-    prev: RunState, state: RunState, problem: CoupledProblem, violation: float
+    prev: RunState, state: RunState, f_old: np.ndarray, f_new: np.ndarray, violation: float
 ) -> tuple[float, float, float]:
     """The three stop measures: dual movement, coupling violation, relative objective change.
 
-    ``violation`` is the norm of the coupling residual of ``state.x``, which
-    the round's metrics row already holds as ``violation_inst``.
+    ``f_old`` and ``f_new`` are the per-agent objective values of ``prev.x``
+    and ``state.x``; ``violation`` is the norm of the coupling residual of
+    ``state.x``, which the round's metrics row already holds as
+    ``violation_inst``.
     """
     dual_move = float(np.max(np.abs(state.lam - prev.lam)))
-    rel_change = 0.0
-    for agent, x_new, x_old in zip(problem.agents, state.x, prev.x):
-        f_new = agent.objective.value(x_new)
-        f_old = agent.objective.value(x_old)
-        if abs(f_old) < _RATIO_GUARD:
-            continue
-        rel_change = max(rel_change, abs((f_new - f_old) / f_old))
-    return dual_move, violation, rel_change
+    kept = np.abs(f_old) >= _RATIO_GUARD
+    rel = np.abs((f_new[kept] - f_old[kept]) / f_old[kept])
+    return dual_move, violation, float(rel.max(initial=0.0))
 
 
 def run_rounds(
@@ -209,14 +199,16 @@ def run_rounds(
 
     state = init_state(problem, config, push_sum)
     pool = [mixing(edges, problem.m) for edges in seq.rounds]
+    values = problem.agent_values(state.x)
     rows = []
     reason = STOP_T_MAX
     while state.t < config.t_max:
-        prev = state
+        prev, prev_values = state, values
         state = advance_round(state, problem, pool[state.t % len(pool)])
         row = evaluate_round(state, problem, f_star=f_star)
         rows.append(row)
-        residuals = stopping_residuals(prev, state, problem, row.violation_inst)
+        values = problem.agent_values(state.x)
+        residuals = stopping_residuals(prev, state, prev_values, values, row.violation_inst)
         if all(r <= config.epsilon for r in residuals):
             reason = STOP_CONVERGED
             break

@@ -90,12 +90,8 @@ def generate_graph_sequence(
     Every pool entry embeds a randomly oriented Hamiltonian cycle, so each
     single round is already strongly connected and every window union is too.
     Extra directed edges are added independently with ``extra_edge_prob``.
-    Deterministic in ``seed``.
+    Deterministic in ``seed``. GraphSequence validates m and window.
     """
-    if m < 1:
-        raise InvalidEdgeError("agent count m must be >= 1")
-    if window < 1:
-        raise InvalidEdgeError("connectivity window must be >= 1")
     rng = np.random.default_rng(seed)
     rounds = []
     for _ in range(pool_size):
@@ -105,10 +101,9 @@ def generate_graph_sequence(
             for k in range(m):
                 edges.add((int(order[k]), int(order[(k + 1) % m])))
             mask = rng.random((m, m)) < extra_edge_prob
-            for i in range(m):
-                for j in range(m):
-                    if i != j and mask[i, j]:
-                        edges.add((i + 1, j + 1))
+            np.fill_diagonal(mask, False)
+            senders, receivers = np.nonzero(mask)
+            edges.update(zip((senders + 1).tolist(), (receivers + 1).tolist()))
         rounds.append(frozenset(edges))
     return GraphSequence(m=m, rounds=tuple(rounds), window=window)
 
@@ -169,9 +164,3 @@ def parse_edge_list(text: str, m: int, window: int) -> GraphSequence:
     if not rounds:
         raise InvalidEdgeError("edge-list file is empty")
     return GraphSequence(m=m, rounds=tuple(rounds), window=window)
-
-
-def load_edge_list(path, m: int, window: int) -> GraphSequence:
-    """Load an edge-list schedule from a file (see :func:`parse_edge_list`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), m=m, window=window)

@@ -38,7 +38,7 @@ def evaluate_round(
 ) -> MetricsRow:
     """Observables after a completed round. At t = 1 the ergodic average is
     not yet defined and the instantaneous iterate stands in for it."""
-    xs_avg = ergodic_average(state) if state.t >= 2 else list(state.x)
+    xs_avg = ergodic_average(state) if state.t >= 2 else state.x
     objective = problem.objective_value(xs_avg)
     gap = objective - f_star if f_star is not None else math.nan
     violation = float(np.linalg.norm(problem.coupling_residual(xs_avg)))
@@ -122,7 +122,7 @@ def constants_from_run(
         q=q,
         D=D,
         G=np.array([compute_G_bound(a) for a in problem.agents]),
-        gammas=np.array([a.gamma for a in problem.agents]),
+        gammas=problem.gammas,
         theta0_l1=theta0_l1,
     )
 
@@ -179,29 +179,23 @@ def lemma2_residual(
     theta_bar_t = state_t.theta.mean(axis=0)
     theta_bar_t1 = state_t1.theta.mean(axis=0)
 
-    def lagrangian(xs, mult):
-        total = 0.0
-        quad = float(mult @ mult)
-        for agent, x in zip(problem.agents, xs):
-            total += agent.objective.value(x)
-            total += float(mult @ (agent.A @ x - agent.b))
-            total -= 0.5 * agent.gamma * quad
-        return total
+    values = problem.agent_values(state_t1.x)
+    terms = problem.coupling_terms(state_t1.x)
+
+    def lagrangian(mult):
+        return float(np.sum(values + terms @ mult - 0.5 * problem.gammas * float(mult @ mult)))
 
     lhs = float(np.sum((theta_bar_t1 - lam_probe) ** 2))
     rhs = float(np.sum((theta_bar_t - lam_probe) ** 2))
     coeffs = c.G + c.gammas * c.D
-    for i, agent in enumerate(problem.agents):
-        rhs += (4.0 * beta / m) * coeffs[i] * float(
-            np.linalg.norm(state_t1.lam[i] - theta_bar_t)
-        )
-        rhs -= (beta / m) * agent.gamma * float(
-            np.sum((state_t1.lam[i] - lam_probe) ** 2)
-        )
-        rhs += (beta**2 / m) * coeffs[i] ** 2
-    rhs -= (2.0 * beta / m) * (
-        lagrangian(state_t1.x, lam_probe) - lagrangian(state_t1.x, theta_bar_t)
+    rhs += (4.0 * beta / m) * float(
+        np.sum(coeffs * np.linalg.norm(state_t1.lam - theta_bar_t, axis=1))
     )
+    rhs -= (beta / m) * float(
+        np.sum(problem.gammas * np.sum((state_t1.lam - lam_probe) ** 2, axis=1))
+    )
+    rhs += (beta**2 / m) * float(np.sum(coeffs**2))
+    rhs -= (2.0 * beta / m) * (lagrangian(lam_probe) - lagrangian(theta_bar_t))
     return rhs - lhs
 
 

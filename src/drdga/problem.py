@@ -1,20 +1,28 @@
-"""Coupled constrained problems: per-agent objectives, box sets, and coupling data.
+"""Coupled constrained problems, stacked into arrays, and their per-family closed forms.
 
 The global problem is  min sum_i f_i(x_i)  over box sets  X_i = [lower_i, upper_i],
 subject to the coupling equality  sum_i (A_i x_i - b_i) = 0.  Each f_i is
 tau_i-strongly convex on its box and carries a regularization weight gamma_i
 used by the dual algorithm.
+
+AgentProblem and the objective records validate one agent's input. A
+CoupledProblem stacks its agents into arrays once, at construction: A is
+(m, p, n_max), b is (m, p), the boxes are (m, n_max), and the family's
+parameters are diag/lin (m, n_max) or weights (m,). An agent with fewer than
+n_max variables is padded with degenerate coordinates (box [0, 0], zero A
+columns, diag 1, lin 0), so its padded coordinates solve to exactly 0.
+Iterates x use the same (m, n_max) layout; agent_values and solve_local
+evaluate and minimize every agent at once, one closed form per family.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import InvalidProblemError
+from .errors import InvalidInputError, InvalidProblemError
 
 # Disutility scale and offset of the rate-utility family: f(x) = -SCALE*w*log(x + OFFSET).
 RATE_UTILITY_SCALE = 20.0
@@ -40,12 +48,6 @@ class DiagonalQuadratic:
     def modulus(self) -> float:
         return float(self.diag.min())
 
-    def value(self, x: np.ndarray) -> float:
-        return float(0.5 * self.diag @ (x * x) + self.lin @ x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.diag * x + self.lin
-
 
 @dataclass(frozen=True)
 class LogUtility:
@@ -65,23 +67,12 @@ class LogUtility:
     def modulus(self) -> float:
         return RATE_UTILITY_SCALE * self.weight / (1.0 + RATE_UTILITY_OFFSET) ** 2
 
-    def value(self, x) -> float:
-        x = float(np.asarray(x).reshape(()))
-        return -RATE_UTILITY_SCALE * self.weight * np.log(x + RATE_UTILITY_OFFSET)
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(1)
-        return -RATE_UTILITY_SCALE * self.weight / (x + RATE_UTILITY_OFFSET)
-
-
-Objective = Union[DiagonalQuadratic, LogUtility]
-
 
 @dataclass(frozen=True)
 class AgentProblem:
     """One agent: objective, box set, coupling rows, and dual regularization weight."""
 
-    objective: Objective
+    objective: DiagonalQuadratic | LogUtility
     lower: np.ndarray
     upper: np.ndarray
     A: np.ndarray
@@ -106,10 +97,16 @@ class AgentProblem:
             raise InvalidProblemError("strong-convexity modulus tau must be positive")
         if self.gamma <= 0:
             raise InvalidProblemError("regularization weight gamma must be positive")
-        declared = getattr(self.objective, "modulus", None)
-        if declared is not None and declared < self.tau - 1e-12:
+        if not isinstance(self.objective, (DiagonalQuadratic, LogUtility)):
+            raise InvalidProblemError(f"unsupported objective {type(self.objective).__name__}")
+        n_obj = self.objective.diag.size if isinstance(self.objective, DiagonalQuadratic) else 1
+        if n_obj != self.lower.size:
             raise InvalidProblemError(
-                f"objective modulus {declared} is below the declared tau {self.tau}"
+                f"objective has {n_obj} variables but the box has {self.lower.size}"
+            )
+        if self.objective.modulus < self.tau - 1e-12:
+            raise InvalidProblemError(
+                f"objective modulus {self.objective.modulus} is below the declared tau {self.tau}"
             )
 
     @property
@@ -117,22 +114,68 @@ class AgentProblem:
         return self.lower.size
 
 
+def _sum_agents(values: np.ndarray) -> np.ndarray:
+    """Sum over the agent axis strictly left to right.
+
+    numpy's pairwise summation rounds differently once there are 8 or more
+    agents; a running sum keeps the order of a plain loop over agents.
+    """
+    return np.add.accumulate(values, axis=0)[-1]
+
+
+def _stack_padded(rows, n: int, fill: float = 0.0) -> np.ndarray:
+    """Stack per-agent arrays, padding the last (variable) axis to n with fill."""
+    out = np.full((len(rows),) + rows[0].shape[:-1] + (n,), fill)
+    for i, r in enumerate(rows):
+        out[i, ..., : r.shape[-1]] = r
+    return out
+
+
 @dataclass(frozen=True)
 class CoupledProblem:
-    """The m agents of one experiment plus the shared coupling dimension p."""
+    """The m agents of one experiment, all of one objective family, plus the
+    shared coupling dimension p.
+
+    Construction adds the stacked arrays of the module docstring as the
+    attributes A, b, lower, upper, gammas, and diag, lin (DiagonalQuadratic)
+    or weights (LogUtility), the other family's being None; ``family`` is the
+    objective class and ``dims`` the agents' own dimensions.
+    """
 
     agents: tuple[AgentProblem, ...]
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if not self.agents:
+        agents = tuple(self.agents)
+        if not agents:
             raise InvalidProblemError("a coupled problem needs at least one agent")
-        for k, agent in enumerate(self.agents):
+        for k, agent in enumerate(agents):
             if agent.A.shape[0] != self.p:
                 raise InvalidProblemError(
                     f"agent {k + 1}: A has {agent.A.shape[0]} rows, expected p = {self.p}"
                 )
+        objectives = [a.objective for a in agents]
+        families = {type(o) for o in objectives}
+        if len(families) > 1:
+            names = ", ".join(sorted(f.__name__ for f in families))
+            raise InvalidProblemError(f"agents mix objective families ({names})")
+        family = families.pop()
+        quadratic = family is DiagonalQuadratic
+        n = max(a.dim for a in agents)
+        for name, value in (
+            ("agents", agents),
+            ("family", family),
+            ("dims", tuple(a.dim for a in agents)),
+            ("A", _stack_padded([a.A for a in agents], n)),
+            ("b", np.stack([a.b for a in agents])),
+            ("lower", _stack_padded([a.lower for a in agents], n)),
+            ("upper", _stack_padded([a.upper for a in agents], n)),
+            ("gammas", np.array([a.gamma for a in agents])),
+            ("diag", _stack_padded([o.diag for o in objectives], n, 1.0) if quadratic else None),
+            ("lin", _stack_padded([o.lin for o in objectives], n) if quadratic else None),
+            ("weights", None if quadratic else np.array([o.weight for o in objectives])),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -140,17 +183,60 @@ class CoupledProblem:
 
     @property
     def gamma_total(self) -> float:
-        return float(sum(a.gamma for a in self.agents))
+        return float(_sum_agents(self.gammas))
 
-    def objective_value(self, xs) -> float:
-        return float(sum(a.objective.value(x) for a, x in zip(self.agents, xs)))
+    def agent_values(self, x) -> np.ndarray:
+        """Per-agent objective values f_i(x_i) of stacked iterates x, shape (m,)."""
+        x = np.asarray(x, dtype=float)
+        if self.family is LogUtility:
+            return -RATE_UTILITY_SCALE * self.weights * np.log(x[:, 0] + RATE_UTILITY_OFFSET)
+        quad = np.matmul((0.5 * self.diag)[:, None, :], (x * x)[:, :, None])
+        lin = np.matmul(self.lin[:, None, :], x[:, :, None])
+        return (quad + lin)[:, 0, 0]
 
-    def coupling_residual(self, xs) -> np.ndarray:
+    def objective_value(self, x) -> float:
+        return float(_sum_agents(self.agent_values(x)))
+
+    def coupling_terms(self, x) -> np.ndarray:
+        """Per-agent coupling terms A_i x_i - b_i of stacked iterates x, shape (m, p)."""
+        x = np.asarray(x, dtype=float)
+        return np.matmul(self.A, x[:, :, None])[:, :, 0] - self.b
+
+    def coupling_residual(self, x) -> np.ndarray:
         """sum_i (A_i x_i - b_i); zero exactly on coupling-feasible points."""
-        r = np.zeros(self.p)
-        for a, x in zip(self.agents, xs):
-            r += a.A @ np.asarray(x, dtype=float) - a.b
-        return r
+        return _sum_agents(self.coupling_terms(x))
+
+
+def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
+    """Row i is the unique minimizer of f_i(x) + lambda_i^T (A_i x - b_i) over
+    agent i's box; ``lam`` is (m, p), the result (m, n_max).
+
+    The term of agent i's Lagrangian that depends only on lambda_i is
+    constant in x and dropped.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (problem.m, problem.p):
+        raise InvalidInputError(
+            f"lambda has shape {lam.shape}, expected ({problem.m}, {problem.p})"
+        )
+    if not np.all(np.isfinite(lam)):
+        raise InvalidInputError("lambda must be finite")
+    # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
+    price = np.matmul(problem.A.swapaxes(1, 2), lam[:, :, None])[:, :, 0]
+    if problem.family is DiagonalQuadratic:
+        # Stationarity diag*x + lin + price = 0, clipped to the box.
+        x = (-problem.lin - price) / problem.diag
+    else:
+        # Stationarity 20 w / (x + 0.1) = price. A non-positive price leaves
+        # the inner objective decreasing on the box: x sits at the upper bound.
+        positive = price > 0
+        x = np.where(
+            positive,
+            RATE_UTILITY_SCALE * problem.weights[:, None] / np.where(positive, price, 1.0)
+            - RATE_UTILITY_OFFSET,
+            problem.upper,
+        )
+    return np.clip(x, problem.lower, problem.upper)
 
 
 def make_num_problem(routing, capacities, gammas) -> CoupledProblem:

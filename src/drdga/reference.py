@@ -14,17 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleProblemError
-from .localsolve import solve_local
-from .problem import CoupledProblem
+from .problem import CoupledProblem, solve_local
 
 _DIVERGENCE_NORM = 1e9
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Primal solution, its objective value, and the multiplier that produced it."""
+    """Primal solution (m, n_max), its objective value, and the multiplier that produced it."""
 
-    x: tuple[np.ndarray, ...]
+    x: np.ndarray
     objective: float
     multiplier: np.ndarray
     violation: float
@@ -37,36 +36,24 @@ def solve_centralized(
     residual norm falls below tol.
 
     L = sum_i ||A_i||^2 / tau_i bounds the dual gradient's Lipschitz constant.
-    Raises when the iteration cap is hit or the multiplier norm blows past
-    1e9, both of which indicate an unsatisfiable or ill-posed coupling.
+    When every A_i is zero (L = 0) the coupling is constant in x, and the
+    first iterate, at lambda = 0, decides. Raises when the iteration cap is
+    hit or the multiplier norm blows past 1e9, both of which indicate an
+    unsatisfiable or ill-posed coupling.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lipschitz = sum(
-        np.linalg.norm(a.A, 2) ** 2 / a.tau for a in problem.agents
-    )
-    if lipschitz == 0.0:
-        # All A_i zero: the coupling is constant in x, feasible iff sum b_i = 0.
-        xs = tuple(solve_local(a, np.zeros(problem.p)) for a in problem.agents)
-        residual = problem.coupling_residual(xs)
-        if np.linalg.norm(residual) > tol:
-            raise InfeasibleProblemError("coupling constraint unsatisfiable: all A_i are zero")
-        return ReferenceSolution(
-            x=xs,
-            objective=problem.objective_value(xs),
-            multiplier=np.zeros(problem.p),
-            violation=float(np.linalg.norm(residual)),
-        )
-    step = 1.0 / lipschitz
+    lipschitz = sum(np.linalg.norm(a.A, 2) ** 2 / a.tau for a in problem.agents)
+    step = 1.0 / lipschitz if lipschitz else 0.0
     lam = np.zeros(problem.p)
-    for _ in range(max_iter):
-        xs = tuple(solve_local(a, lam) for a in problem.agents)
-        residual = problem.coupling_residual(xs)
+    for _ in range(max_iter if lipschitz else 1):
+        x = solve_local(problem, np.broadcast_to(lam, (problem.m, problem.p)))
+        residual = problem.coupling_residual(x)
         gap_norm = float(np.linalg.norm(residual))
         if gap_norm <= tol:
             return ReferenceSolution(
-                x=xs,
-                objective=problem.objective_value(xs),
+                x=x,
+                objective=problem.objective_value(x),
                 multiplier=lam,
                 violation=gap_norm,
             )

@@ -14,6 +14,7 @@ import pytest
 from drdga import (
     AgentProblem,
     BoundConstants,
+    CoupledProblem,
     DiagonalQuadratic,
     LogUtility,
     RunConfig,
@@ -252,6 +253,10 @@ def test_criterion_10_local_solver_oracle_equivalence():
             out[k] = xs[np.argmin(vals)]
         return out
 
+    def solve_one(agent, lam):
+        prob = CoupledProblem(agents=(agent,), p=agent.A.shape[0])
+        return solve_local(prob, lam[None])[0]
+
     quad = AgentProblem(
         objective=DiagonalQuadratic(np.array([2.0, 3.5]), np.array([0.5, -0.25])),
         lower=-np.ones(2), upper=np.ones(2),
@@ -266,9 +271,9 @@ def test_criterion_10_local_solver_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         lam = rng.normal(size=3) * 3.0
-        worst = max(worst, float(np.abs(solve_local(quad, lam) - grid_argmin(quad, lam)).max()))
+        worst = max(worst, float(np.abs(solve_one(quad, lam) - grid_argmin(quad, lam)).max()))
         lam = rng.normal(size=2) * 20.0
-        worst = max(worst, float(np.abs(solve_local(log, lam) - grid_argmin(log, lam)).max()))
+        worst = max(worst, float(np.abs(solve_one(log, lam) - grid_argmin(log, lam)).max()))
     record(10, "local-solver oracle equivalence", worst <= 1e-3,
            f"100 multipliers per family, worst deviation from grid {worst:.2e}")
 

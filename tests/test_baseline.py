@@ -44,7 +44,7 @@ def test_single_agent_is_plain_dual_subgradient():
     lam = np.zeros(2)
     for t in range(1, 31):
         state = advance_round(state, prob, np.array([[1.0]]))
-        x = solve_local(agent, lam)
+        x = solve_local(prob, lam[None])[0]
         lam = lam + (1.0 / t) * (agent.A @ x - agent.b)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
 
@@ -58,7 +58,7 @@ def test_cdda_run_starts_from_theta0():
     state, _, _ = cdda_run_until(prob, seq, config)
     lam = theta0[0]
     for t in range(1, 6):
-        lam = lam + (1.0 / t) * (agent.A @ solve_local(agent, lam) - agent.b)
+        lam = lam + (1.0 / t) * (agent.A @ solve_local(prob, lam[None])[0] - agent.b)
     assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
 
 

@@ -57,6 +57,10 @@ def test_small_q_rejected_with_minimum(tmp_path):
     path = write_cfg(tmp_path, text, name="fig7_q1.cfg")
     with pytest.raises(ConfigError, match="minimum q = 4"):
         parse_config(path)
+    # The step-size rule binds DRDGA only: CDDA parses and runs with q = 1.
+    assert parse_config(path, algorithm="cdda").run.q == 1.0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "c.csv"),
+                 "--algorithm", "cdda", "--tmax", "20"]) == 0
 
 
 def test_q_rule_rejected_for_quadratic_family(tmp_path):
@@ -103,6 +107,38 @@ def test_graph_file_mode(tmp_path):
     assert exp.seq.edges(0) == frozenset({(1, 2)})
     assert exp.seq.edges(3) == frozenset({(2, 1)})
     assert exp.seq.window == 2
+
+
+THREE_AGENT_FILE = MINIMAL_QUAD.replace("m = 2", "m = 3").replace(
+    "dims = 1 1", "dims = 1 1 1"
+).replace("[graph]\nseed = 1", "[graph]\nmode = file\npath = edges.txt\nwindow = {window}")
+
+
+def test_graph_file_mode_connected_schedule_accepted(tmp_path):
+    # Period 3, window 2: the aligned windows cycle through the pool pairs
+    # (0, 1), (2, 0), (1, 2), and each union is strongly connected, although
+    # pool entries 1 and 2 are not on their own.
+    (tmp_path / "edges.txt").write_text("1>2;2>3;3>1\n1>2;2>3\n3>1\n")
+    path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=2))
+    exp = parse_config(path)
+    assert len(exp.seq.rounds) == 3 and exp.seq.window == 2
+
+
+@pytest.mark.parametrize(
+    "schedule, window",
+    [("1>2\n2>3\n", 1),  # never strongly connected
+     ("1>2\n2>3\n", 2),  # the union 1>2, 2>3 never returns to agent 1
+     ("1>2;2>3\n3>1\n3>1\n", 2)],  # only the third window, rounds 4-5, fails
+    ids=["window-1", "window-2", "third-window"],
+)
+def test_graph_file_mode_disconnected_schedule_rejected(tmp_path, capsys, schedule, window):
+    (tmp_path / "edges.txt").write_text(schedule)
+    path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=window))
+    with pytest.raises(ConfigError, match="graph.path: .*not strongly connected"):
+        parse_config(path)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "graph.path" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_graph_m_mismatch_rejected(tmp_path):

@@ -84,7 +84,7 @@ def test_single_agent_matches_centralized_recursion():
     for t in range(1, 51):
         state = step(state, prob, seq)
         lam = theta.copy()
-        x = solve_local(agent, lam)
+        x = solve_local(prob, lam[None])[0]
         theta = lam + (1.0 / t) * (agent.A @ x - agent.b - agent.gamma * lam)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
         assert np.max(np.abs(state.theta[0] - theta)) <= 1e-12
@@ -128,7 +128,7 @@ def test_ergodic_average_of_constant_iterates():
     state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
     for _ in range(10):
         state = step(state, prob, seq)
-    c = solve_local(frozen, np.zeros(1))
+    c = solve_local(prob, np.zeros((1, 1)))[0]
     for avg in ergodic_average(state):
         assert np.allclose(avg, c, atol=1e-12)
 
@@ -188,8 +188,9 @@ def test_average_iterate_stays_in_box():
     prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=4)
     state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=80, epsilon=1e-300))
-    for avg, agent in zip(ergodic_average(state), prob.agents):
-        assert np.all(avg >= agent.lower - 1e-12) and np.all(avg <= agent.upper + 1e-12)
+    # The padded coordinate of agent 2 sits in its box [0, 0].
+    avg = ergodic_average(state)
+    assert np.all(avg >= prob.lower - 1e-12) and np.all(avg <= prob.upper + 1e-12)
 
 
 def test_dual_norms_stay_bounded():
@@ -200,3 +201,21 @@ def test_dual_norms_stay_bounded():
     n = len(norms)
     first, last = max(norms[: n // 4]), max(norms[3 * n // 4 :])
     assert last <= max(1.1 * first, 1.0)
+
+
+def test_stop_check_evaluates_each_iterate_once(monkeypatch):
+    # The previous round's per-agent values are carried, not recomputed:
+    # one evaluation of x[0], then one at x[t] and one at the average per round.
+    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
+    seq = generate_graph_sequence(3, 1, seed=4)
+    calls = []
+    real = type(prob).agent_values
+
+    def counting(self, x):
+        calls.append(np.array(x))
+        return real(self, x)
+
+    monkeypatch.setattr(type(prob), "agent_values", counting)
+    state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=30, epsilon=1e-300))
+    assert len(calls) == 1 + 2 * len(rows)
+    assert np.array_equal(calls[-1], state.x)

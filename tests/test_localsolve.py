@@ -3,6 +3,7 @@ import pytest
 
 from drdga import (
     AgentProblem,
+    CoupledProblem,
     DiagonalQuadratic,
     InvalidInputError,
     LogUtility,
@@ -28,9 +29,15 @@ def quad_agent(diag, lin, A, lower=-1.0, upper=1.0, gamma=1.0):
     )
 
 
+def solve_one(agent, lam):
+    """solve_local on the one-agent problem of ``agent``."""
+    prob = CoupledProblem(agents=(agent,), p=agent.A.shape[0])
+    return solve_local(prob, np.asarray(lam, dtype=float)[None])[0]
+
+
 def dual_gradient(agent, lam):
     """Gradient of the agent's regularized dual: A_i x_i(lambda) - b_i - gamma_i lambda."""
-    return agent.A @ solve_local(agent, lam) - agent.b - agent.gamma * lam
+    return agent.A @ solve_one(agent, lam) - agent.b - agent.gamma * lam
 
 
 def grid_argmin(agent, lam, res=1e-4):
@@ -52,21 +59,21 @@ def grid_argmin(agent, lam, res=1e-4):
 
 def test_log_zero_price_returns_upper():
     agent = log_agent()
-    assert solve_local(agent, np.zeros(2)) == pytest.approx([1.0])
-    assert solve_local(agent, np.array([-5.0, 2.0])) == pytest.approx([1.0])
+    assert solve_one(agent, np.zeros(2)) == pytest.approx([1.0])
+    assert solve_one(agent, np.array([-5.0, 2.0])) == pytest.approx([1.0])
 
 
 def test_log_stationary_point():
     # price 20 balances the marginal utility at x + 0.1 = 1.
     agent = log_agent(w=1.0)
-    x = solve_local(agent, np.array([10.0, 10.0]))
+    x = solve_one(agent, np.array([10.0, 10.0]))
     assert x == pytest.approx([0.9])
     assert abs(float(x[0]) - grid_argmin(agent, np.array([10.0, 10.0]))[0]) < 1e-3
 
 
 def test_quadratic_scalar_example():
     agent = quad_agent([2.0], [0.0], [[1.0]])
-    x = solve_local(agent, np.array([1.0]))
+    x = solve_one(agent, np.array([1.0]))
     assert x == pytest.approx([-0.5])
     assert abs(float(x[0]) - grid_argmin(agent, np.array([1.0]))[0]) < 1e-3
 
@@ -77,16 +84,16 @@ def test_closed_forms_match_grid_search():
     agent_l = log_agent(w=0.5)
     for _ in range(100):
         lam_q = rng.normal(size=3) * 3.0
-        assert np.max(np.abs(solve_local(agent_q, lam_q) - grid_argmin(agent_q, lam_q))) < 1e-3
+        assert np.max(np.abs(solve_one(agent_q, lam_q) - grid_argmin(agent_q, lam_q))) < 1e-3
         lam_l = rng.normal(size=2) * 20.0
-        assert np.max(np.abs(solve_local(agent_l, lam_l) - grid_argmin(agent_l, lam_l))) < 1e-3
+        assert np.max(np.abs(solve_one(agent_l, lam_l) - grid_argmin(agent_l, lam_l))) < 1e-3
 
 
 def test_minimizer_always_inside_box():
     rng = np.random.default_rng(5)
     agent = quad_agent([1.0, 1.0], [5.0, -5.0], rng.uniform(-1, 1, (2, 2)))
     for _ in range(50):
-        x = solve_local(agent, rng.normal(size=2) * 10)
+        x = solve_one(agent, rng.normal(size=2) * 10)
         assert np.all(x >= agent.lower) and np.all(x <= agent.upper)
 
 
@@ -95,8 +102,8 @@ def test_optimality_certificate():
     agent = quad_agent([2.0, 4.0], [0.3, -0.6], rng.uniform(-1, 1, (2, 2)))
     for _ in range(50):
         lam = rng.normal(size=2) * 4
-        x = solve_local(agent, lam)
-        grad = agent.objective.gradient(x) + agent.A.T @ lam
+        x = solve_one(agent, lam)
+        grad = agent.objective.diag * x + agent.objective.lin + agent.A.T @ lam
         for k in range(agent.dim):
             if agent.lower[k] < x[k] < agent.upper[k]:
                 assert abs(grad[k]) <= 1e-8
@@ -137,10 +144,12 @@ def test_dual_gradient_lipschitz():
 
 
 def test_rejects_bad_lambda():
-    agent = quad_agent([1.0], [0.0], [[1.0]])
+    prob = CoupledProblem(agents=(quad_agent([1.0], [0.0], [[1.0]]),), p=1)
     with pytest.raises(InvalidInputError):
-        solve_local(agent, np.array([np.nan]))
+        solve_local(prob, np.array([[np.nan]]))
     with pytest.raises(InvalidInputError):
-        solve_local(agent, np.array([np.inf]))
+        solve_local(prob, np.array([[np.inf]]))
     with pytest.raises(InvalidInputError):
-        solve_local(agent, np.array([1.0, 2.0]))
+        solve_local(prob, np.array([[1.0, 2.0]]))
+    with pytest.raises(InvalidInputError):
+        solve_local(prob, np.array([1.0]))

@@ -148,7 +148,7 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
         th0, th1 = s0.theta[0], s1.theta[0]
         lam1, x1 = s1.lam[0], s1.x[0]
         coeff = c.G[0] + agent.gamma * c.D
-        lag = lambda mult: (agent.objective.value(x1)
+        lag = lambda mult: (float(prob.agent_values(x1[None])[0])
                             + float(mult @ (agent.A @ x1 - agent.b))
                             - 0.5 * agent.gamma * float(mult @ mult))
         rhs = (float(th0 @ th0)

@@ -137,9 +137,14 @@ def test_log_utility_strong_convexity_probe():
     for w in (0.25, 0.5, 1.0):
         f = LogUtility(w)
         tau = f.modulus
+        agent = AgentProblem(objective=f, lower=np.zeros(1), upper=np.ones(1),
+                             A=np.ones((1, 1)), b=np.zeros(1), tau=tau, gamma=1.0)
+        prob = CoupledProblem(agents=(agent,), p=1)
+        value = lambda v: float(prob.agent_values([[v]])[0])
         for _ in range(200):
             x, y = rng.uniform(0.0, 1.0, size=2)
-            lhs = f.value(x) - f.value(y) - float(f.gradient(y)[0]) * (x - y)
+            gradient = -20.0 * w / (y + 0.1)
+            lhs = value(x) - value(y) - gradient * (x - y)
             assert lhs >= 0.5 * tau * (x - y) ** 2 - 1e-9
 
 
@@ -181,3 +186,69 @@ def test_quadratic_family_admits_feasible_point():
     prob = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     sol = solve_centralized(prob, tol=1e-6)
     assert sol.violation <= 1e-6
+
+
+def test_ragged_dims_are_padded_with_degenerate_coordinates():
+    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=1.0)
+    assert prob.dims == (1, 3, 2)
+    assert prob.A.shape == (3, 2, 3) and prob.b.shape == (3, 2)
+    assert prob.lower.shape == prob.upper.shape == prob.diag.shape == (3, 3)
+    for i, agent in enumerate(prob.agents):
+        n = agent.dim
+        assert np.array_equal(prob.A[i, :, :n], agent.A) and not prob.A[i, :, n:].any()
+        assert np.array_equal(prob.diag[i, :n], agent.objective.diag)
+        assert np.all(prob.diag[i, n:] == 1.0) and not prob.lin[i, n:].any()
+        assert not prob.lower[i, n:].any() and not prob.upper[i, n:].any()
+    assert prob.weights is None
+
+
+def test_stacked_values_and_coupling_match_direct_sums():
+    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=1.0)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(prob.lower, prob.upper)
+    direct = [0.5 * a.objective.diag @ (x[i, :a.dim] ** 2) + a.objective.lin @ x[i, :a.dim]
+              for i, a in enumerate(prob.agents)]
+    assert np.allclose(prob.agent_values(x), direct, rtol=1e-14, atol=1e-14)
+    assert prob.objective_value(x) == pytest.approx(sum(direct), rel=1e-14)
+    residual = sum(a.A @ x[i, :a.dim] - a.b for i, a in enumerate(prob.agents))
+    assert np.allclose(prob.coupling_residual(x), residual, rtol=1e-14, atol=1e-14)
+
+    num = fig7_problem()
+    assert np.array_equal(num.weights, [1.0, 1.0, 0.5]) and num.diag is None
+    rates = np.array([[0.5], [0.25], [1.0]])
+    expected = [-20.0 * w * np.log(r + 0.1) for w, r in zip([1.0, 1.0, 0.5], rates[:, 0])]
+    assert np.allclose(num.agent_values(rates), expected, rtol=1e-14)
+
+
+def test_mixed_families_and_mismatched_dimensions_rejected():
+    quad = AgentProblem(objective=DiagonalQuadratic(np.ones(1), np.zeros(1)),
+                        lower=np.zeros(1), upper=np.ones(1),
+                        A=np.ones((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
+    log = make_num_problem([[1]], capacities=[1.0], gammas=[1.0]).agents[0]
+    with pytest.raises(InvalidProblemError, match="mix objective families"):
+        CoupledProblem(agents=(quad, log), p=1)
+    with pytest.raises(InvalidProblemError, match="2 variables"):
+        AgentProblem(objective=DiagonalQuadratic(np.ones(2), np.zeros(2)),
+                     lower=np.zeros(1), upper=np.ones(1),
+                     A=np.ones((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
+    with pytest.raises(InvalidProblemError, match="1 variables"):
+        AgentProblem(objective=LogUtility(1.0), lower=np.zeros(2), upper=np.ones(2),
+                     A=np.ones((1, 2)), b=np.zeros(1), tau=1.0, gamma=1.0)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_sums_over_agents_run_left_to_right(p):
+    # numpy's pairwise sum rounds differently from m = 8 on; the stacked sums
+    # must repeat a plain loop over agents bit for bit.
+    prob = make_quadratic_problem(m=64, p=p, dims=2, seed=12, tau_min=1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = rng.uniform(prob.lower, prob.upper)
+        total = 0.0
+        for value in prob.agent_values(x).tolist():
+            total += value
+        assert prob.objective_value(x) == total
+        residual = np.zeros(p)
+        for term in prob.coupling_terms(x):
+            residual = residual + term
+        assert np.array_equal(prob.coupling_residual(x), residual)
