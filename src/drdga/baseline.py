@@ -20,16 +20,13 @@ from .problem import CoupledProblem
 _STOCHASTIC_TOL = 1e-12
 
 
-def metropolis_matrix(edges, m: int) -> np.ndarray:
-    """Symmetric doubly stochastic matrix from the undirected version of an edge set.
+def metropolis_matrix(adj: np.ndarray) -> np.ndarray:
+    """Symmetric doubly stochastic matrix from the undirected version of one round's adjacency.
 
     Off-diagonal weight 1 / (1 + max(deg_i, deg_j)) for every undirected
     neighbor pair, diagonal set to make each row (hence column) sum to 1.
     """
-    adjacent = np.zeros((m, m), dtype=bool)
-    for i, j in edges:
-        adjacent[i - 1, j - 1] = True
-        adjacent[j - 1, i - 1] = True
+    adjacent = adj | adj.T
     deg = adjacent.sum(axis=1)
     W = np.where(adjacent, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
@@ -65,6 +62,6 @@ def cdda_run_until(
         seq,
         config,
         f_star,
-        lambda edges, m: _check_doubly_stochastic(metropolis_matrix(edges, m), m),
+        lambda adj: _check_doubly_stochastic(metropolis_matrix(adj), len(adj)),
         push_sum=False,
     )

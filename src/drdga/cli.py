@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -27,12 +28,25 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a failed write leaves neither a partial file nor the temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(rows, path) -> None:
     """Serialize metric rows, one line per round, floats at 12 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in _FLOAT_COLUMNS]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> None:
@@ -50,8 +64,7 @@ def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> N
         ("theorem2_bound", _fmt(metrics.theorem2_bound(last.t, constants))),
         ("theorem3_bound", _fmt(metrics.theorem3_bound(last.t, constants))),
     ]
-    text = "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    _write_atomic(path, "\n".join(f"{k} = {v}" for k, v in pairs) + "\n")
 
 
 def run_experiment(exp: Experiment, out_path) -> tuple[str, list]:

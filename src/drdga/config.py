@@ -155,7 +155,7 @@ def _build_graph(section: _Section, problem: CoupledProblem, base_dir: Path) -> 
         except ValueError as exc:
             raise ConfigError(f"graph.path: {exc}") from None
         # The schedule repeats, so one period of aligned windows covers every round.
-        if not verify_window_connectivity(seq, math.lcm(len(seq.rounds), window)):
+        if not verify_window_connectivity(seq, math.lcm(len(seq.adj), window)):
             raise ConfigError(
                 f"graph.path: the schedule in {path} is not strongly connected "
                 f"over every window of {window} rounds"

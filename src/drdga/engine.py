@@ -78,7 +78,8 @@ class RunState:
     """All per-agent iterates after round t, plus running ergodic sums.
 
     theta and lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
-    (m, n_max), padded like the problem's arrays. ergodic_sum holds
+    (m, n_max), padded like the problem's arrays. terms holds the coupling
+    terms A_i x_i - b_i of x, (m, p). ergodic_sum holds
     sum_{s<=t} (s-1) x[s], the numerator of the weighted running average.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
     one the agents solved at.
@@ -89,6 +90,7 @@ class RunState:
     rho: np.ndarray
     lam: np.ndarray
     x: np.ndarray
+    terms: np.ndarray
     ergodic_sum: np.ndarray
     config: RunConfig
     push_sum: bool
@@ -108,12 +110,14 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         theta = np.array(config.theta0, dtype=float)
         if theta.shape != (m, p):
             raise ConfigError(f"theta0 has shape {theta.shape}, expected ({m}, {p})")
+    x = np.zeros(problem.lower.shape)
     return RunState(
         t=0,
         theta=theta,
         rho=np.ones(m),
         lam=np.zeros((m, p)),
-        x=np.zeros(problem.lower.shape),
+        x=x,
+        terms=problem.coupling_terms(x),
         ergodic_sum=np.zeros(problem.lower.shape),
         config=config,
         push_sum=push_sum,
@@ -135,9 +139,8 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
         rho, lam = state.rho, u
 
     x = solve_local(problem, lam)
-    step = problem.coupling_terms(x)
-    if state.push_sum:
-        step = step - problem.gammas[:, None] * lam
+    terms = problem.coupling_terms(x)
+    step = terms - problem.gammas[:, None] * lam if state.push_sum else terms
     theta = u + beta * step
 
     return replace(
@@ -147,6 +150,7 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
         rho=rho,
         lam=lam if state.push_sum else theta,
         x=x,
+        terms=terms,
         ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
     )
 
@@ -190,15 +194,15 @@ def run_rounds(
     """The run loop of both algorithms: rounds until the three stop criteria
     all fall below epsilon, or t_max.
 
-    ``mixing(edges, m)`` builds one round's matrix; it is called once per
-    entry of the sequence's periodic pool. Returns (final state, metrics rows,
-    stop reason). The gap column of the metrics is filled only when the
-    centralized optimum f_star is supplied.
+    ``mixing(adj)`` builds one round's matrix from its (m, m) adjacency; it
+    is called once per entry of the sequence's periodic pool. Returns (final
+    state, metrics rows, stop reason). The gap column of the metrics is
+    filled only when the centralized optimum f_star is supplied.
     """
     from .metrics import evaluate_round
 
     state = init_state(problem, config, push_sum)
-    pool = [mixing(edges, problem.m) for edges in seq.rounds]
+    pool = [mixing(adj) for adj in seq.adj]
     values = problem.agent_values(state.x)
     rows = []
     reason = STOP_T_MAX

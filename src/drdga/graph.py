@@ -1,8 +1,9 @@
 """Time-varying directed communication graphs and their column-stochastic mixing matrices.
 
-Agents are numbered 1..m. An edge (i, j) means "i sends to j". Self-loops are
-implicit: every agent always receives its own broadcast, so they are never
-stored in an edge set and the out-degree d_i counts the agent itself once.
+Agents are numbered 1..m. A round's graph is an (m, m) bool adjacency array
+whose entry [i-1, j-1] means "i sends to j". Self-loops are implicit: every
+agent always receives its own broadcast, so the diagonal stays empty and the
+out-degree d_i counts the agent itself once.
 """
 
 from __future__ import annotations
@@ -10,38 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidEdgeError, InvalidInputError
-
-Edge = tuple[int, int]
-
-
-def _check_edges(edges, m: int) -> frozenset[Edge]:
-    clean = set()
-    for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise InvalidEdgeError(f"edge ({i}, {j}) references an agent outside [1, {m}]")
-        if i == j:
-            raise InvalidEdgeError(f"self-loop ({i}, {i}) is implicit and must not be stored")
-        clean.add((i, j))
-    return frozenset(clean)
 
 
 @dataclass(frozen=True)
 class GraphSequence:
-    """A deterministic periodic sequence of directed edge sets.
+    """A deterministic periodic sequence of directed graphs.
 
-    ``rounds`` is the generating pool; round t uses ``rounds[t % len(rounds)]``.
-    ``window`` declares the connectivity window: the edge union over every
-    block of ``window`` consecutive rounds is expected to be strongly
-    connected (checked by :func:`verify_window_connectivity`).
+    ``adj`` is the generating pool, a read-only (pool, m, m) bool array;
+    round t uses ``adj[t % pool]``. ``window`` declares the connectivity
+    window: the edge union over every block of ``window`` consecutive rounds
+    is expected to be strongly connected (checked by
+    :func:`verify_window_connectivity`).
     """
 
     m: int
-    rounds: tuple[frozenset[Edge], ...]
+    adj: np.ndarray
     window: int
 
     def __post_init__(self):
@@ -49,33 +35,49 @@ class GraphSequence:
             raise InvalidEdgeError("agent count m must be >= 1")
         if self.window < 1:
             raise InvalidEdgeError("connectivity window must be >= 1")
-        if not self.rounds:
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 3 or adj.shape[1:] != (self.m, self.m):
+            raise InvalidEdgeError(
+                f"adjacency has shape {adj.shape}, expected (pool, {self.m}, {self.m})"
+            )
+        if len(adj) == 0:
             raise InvalidEdgeError("graph sequence needs at least one round")
-        object.__setattr__(
-            self, "rounds", tuple(_check_edges(r, self.m) for r in self.rounds)
-        )
+        loops = np.flatnonzero(np.diagonal(adj, axis1=1, axis2=2).any(axis=0))
+        if loops.size:
+            i = int(loops[0]) + 1
+            raise InvalidEdgeError(f"self-loop ({i}, {i}) is implicit and must not be stored")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
 
-    def edges(self, t: int) -> frozenset[Edge]:
-        """Edge set active at round t (t >= 0)."""
-        return self.rounds[t % len(self.rounds)]
+    @classmethod
+    def from_edges(cls, m: int, rounds, window: int) -> GraphSequence:
+        """Sequence from one collection of 1-based (i, j) edges per round."""
+        adj = np.zeros((len(rounds), max(m, 0), max(m, 0)), dtype=bool)
+        for r, edges in enumerate(rounds):
+            for i, j in edges:
+                if not (1 <= i <= m and 1 <= j <= m):
+                    raise InvalidEdgeError(
+                        f"edge ({i}, {j}) references an agent outside [1, {m}]"
+                    )
+                adj[r, i - 1, j - 1] = True
+        return cls(m=m, adj=adj, window=window)
+
+    def adjacency(self, t: int) -> np.ndarray:
+        """Adjacency active at round t (t >= 0)."""
+        return self.adj[t % len(self.adj)]
 
 
-def build_weight_matrix(edges, m: int) -> np.ndarray:
-    """Column-stochastic mixing matrix for one round.
+def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
+    """Column-stochastic mixing matrix of one round's adjacency.
 
     Entry (i, j) is 1/d_j when j is an in-neighbor of i (including j == i),
     where d_j = 1 + out-degree of j. Each column therefore sums to 1: agent j
-    splits its broadcast evenly over itself and its d_j - 1 receivers.
+    splits its broadcast evenly over itself and its d_j - 1 receivers. The
+    result is C-contiguous, so ``W @ theta`` takes the same BLAS path for
+    every pool entry.
     """
-    edge_set = _check_edges(edges, m)
-    out_degree = np.ones(m)
-    for i, _ in edge_set:
-        out_degree[i - 1] += 1.0
-    W = np.zeros((m, m))
-    W[np.arange(m), np.arange(m)] = 1.0 / out_degree
-    for i, j in edge_set:
-        W[j - 1, i - 1] = 1.0 / out_degree[i - 1]
-    return W
+    reach = adj | np.eye(len(adj), dtype=bool)
+    return np.ascontiguousarray(reach.T * (1 / (1 + adj.sum(axis=1)))[None, :])
 
 
 def generate_graph_sequence(
@@ -93,29 +95,28 @@ def generate_graph_sequence(
     Deterministic in ``seed``. GraphSequence validates m and window.
     """
     rng = np.random.default_rng(seed)
-    rounds = []
-    for _ in range(pool_size):
-        edges = set()
-        if m >= 2:
-            order = rng.permutation(m) + 1
-            for k in range(m):
-                edges.add((int(order[k]), int(order[(k + 1) % m])))
-            mask = rng.random((m, m)) < extra_edge_prob
-            np.fill_diagonal(mask, False)
-            senders, receivers = np.nonzero(mask)
-            edges.update(zip((senders + 1).tolist(), (receivers + 1).tolist()))
-        rounds.append(frozenset(edges))
-    return GraphSequence(m=m, rounds=tuple(rounds), window=window)
+    adj = np.zeros((pool_size, max(m, 0), max(m, 0)), dtype=bool)
+    if m >= 2:
+        for entry in adj:
+            order = rng.permutation(m)
+            entry[order, np.roll(order, -1)] = True
+            entry |= rng.random((m, m)) < extra_edge_prob
+            np.fill_diagonal(entry, False)
+    return GraphSequence(m=m, adj=adj, window=window)
 
 
-def _strongly_connected(edges, m: int) -> bool:
-    if m == 1:
-        return True
-    senders = [i - 1 for i, _ in edges]
-    receivers = [j - 1 for _, j in edges]
-    adj = csr_matrix((np.ones(len(senders)), (senders, receivers)), shape=(m, m))
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """True iff agent 1 reaches every agent and every agent reaches agent 1."""
+    for step in (adj, adj.T):
+        seen = np.zeros(len(adj), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = step[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def verify_window_connectivity(seq: GraphSequence, horizon: int) -> bool:
@@ -124,14 +125,10 @@ def verify_window_connectivity(seq: GraphSequence, horizon: int) -> bool:
         raise InvalidInputError(
             f"horizon {horizon} shorter than the connectivity window {seq.window}"
         )
-    k = 0
-    while (k + 1) * seq.window <= horizon:
-        union = set()
-        for t in range(k * seq.window, (k + 1) * seq.window):
-            union |= seq.edges(t)
-        if not _strongly_connected(union, seq.m):
+    for k in range(horizon // seq.window):
+        rounds = np.arange(k * seq.window, (k + 1) * seq.window) % len(seq.adj)
+        if not _strongly_connected(seq.adj[rounds].any(axis=0)):
             return False
-        k += 1
     return True
 
 
@@ -143,24 +140,21 @@ def parse_edge_list(text: str, m: int, window: int) -> GraphSequence:
     """
     rounds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        edges = set()
-        if line:
-            for token in line.split(";"):
-                token = token.strip()
-                if not token:
-                    continue
-                parts = token.split(">")
-                if len(parts) != 2:
-                    raise InvalidEdgeError(f"line {lineno}: expected 'i>j', got {token!r}")
-                try:
-                    i, j = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise InvalidEdgeError(
-                        f"line {lineno}: non-integer agent index in {token!r}"
-                    ) from None
-                edges.add((i, j))
-        rounds.append(frozenset(edges))
+        edges = []
+        for token in raw.split(";"):
+            token = token.strip()
+            if not token:
+                continue
+            parts = token.split(">")
+            if len(parts) != 2:
+                raise InvalidEdgeError(f"line {lineno}: expected 'i>j', got {token!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise InvalidEdgeError(
+                    f"line {lineno}: non-integer agent index in {token!r}"
+                ) from None
+        rounds.append(edges)
     if not rounds:
         raise InvalidEdgeError("edge-list file is empty")
-    return GraphSequence(m=m, rounds=tuple(rounds), window=window)
+    return GraphSequence.from_edges(m, rounds, window)

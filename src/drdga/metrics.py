@@ -10,13 +10,14 @@ empirical rate check. A bound beyond float range evaluates to inf.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import RunState, ergodic_average
-from .problem import CoupledProblem, compute_G_bound
+from .problem import CoupledProblem, _sum_agents, compute_G_bound
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,14 @@ class MetricsRow:
     beta: float
 
 
+@functools.lru_cache(maxsize=8)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the agent pairs i < j."""
+    first, second = np.triu_indices(m, k=1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def evaluate_round(
     state: RunState, problem: CoupledProblem, f_star: float | None = None
 ) -> MetricsRow:
@@ -42,9 +51,13 @@ def evaluate_round(
     objective = problem.objective_value(xs_avg)
     gap = objective - f_star if f_star is not None else math.nan
     violation = float(np.linalg.norm(problem.coupling_residual(xs_avg)))
-    violation_inst = float(np.linalg.norm(problem.coupling_residual(state.x)))
-    diffs = state.lam[:, None, :] - state.lam[None, :, :]
-    disagreement = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+    violation_inst = float(np.linalg.norm(_sum_agents(state.terms)))
+    # Largest pairwise distance; sqrt is monotone, so it is taken once.
+    first, second = _pairs(problem.m)
+    diffs = state.lam.take(first, axis=0)
+    diffs -= state.lam.take(second, axis=0)
+    diffs *= diffs
+    disagreement = float(np.sqrt(diffs.sum(axis=1).max(initial=0.0)))
     max_lambda = float(np.sqrt((state.lam * state.lam).sum(axis=1)).max())
     return MetricsRow(
         t=state.t,

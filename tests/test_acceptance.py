@@ -74,7 +74,7 @@ def pushsum_run():
     state = init_state(problem, RunConfig(q=4.0, t_max=5001, epsilon=1e-300))
     mass_dev, rho_min, lam_max = 0.0, np.inf, []
     for _ in range(5000):
-        state = advance_round(state, problem, build_weight_matrix(seq.edges(state.t), problem.m))
+        state = advance_round(state, problem, build_weight_matrix(seq.adjacency(state.t)))
         mass_dev = max(mass_dev, abs(float(state.rho.sum()) - 5.0))
         rho_min = min(rho_min, float(state.rho.min()))
         lam_max.append(float(np.sqrt((state.lam * state.lam).sum(axis=1)).max()))
@@ -88,8 +88,9 @@ def test_criterion_1_weight_matrix_law():
         for seed in range(5):
             seq = generate_graph_sequence(m=m, window=1, seed=seed, pool_size=20)
             for t in range(20):
-                edges = seq.edges(t)
-                W = build_weight_matrix(edges, m)
+                adj = seq.adjacency(t)
+                W = build_weight_matrix(adj)
+                edges = {(i + 1, j + 1) for i, j in zip(*np.nonzero(adj))}
                 worst_col = max(worst_col, float(np.abs(W.sum(axis=0) - 1.0).max()))
                 for j in range(m):
                     col = W[:, j]
@@ -222,7 +223,7 @@ def test_criterion_9_descent_inequality_residuals():
     config = RunConfig(q=4.0, t_max=51, epsilon=1e-300)
     states = [init_state(problem, config)]
     for _ in range(50):
-        W = build_weight_matrix(seq.edges(states[-1].t), problem.m)
+        W = build_weight_matrix(seq.adjacency(states[-1].t))
         states.append(advance_round(states[-1], problem, W))
     rows = [evaluate_round(s, problem) for s in states[1:]]
     c = constants_from_run(problem, seq.window, 4.0, rows)

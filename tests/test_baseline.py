@@ -20,7 +20,7 @@ def test_metropolis_is_doubly_stochastic_and_symmetric():
     for seed in range(5):
         seq = generate_graph_sequence(m=6, window=1, seed=seed)
         for t in range(5):
-            W = metropolis_matrix(seq.edges(t), 6)
+            W = metropolis_matrix(seq.adjacency(t))
             assert np.allclose(W, W.T)
             assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
             assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
@@ -32,7 +32,7 @@ def test_rejects_non_doubly_stochastic_mixing(monkeypatch):
     seq = generate_graph_sequence(2, 1, seed=0)
     config = RunConfig(q=4.0, t_max=10, epsilon=0.01)
     for bad in (np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(3)):
-        monkeypatch.setattr(baseline, "metropolis_matrix", lambda edges, m, bad=bad: bad)
+        monkeypatch.setattr(baseline, "metropolis_matrix", lambda adj, bad=bad: bad)
         with pytest.raises(InvalidInputError):
             cdda_run_until(prob, seq, config)
 
@@ -52,7 +52,7 @@ def test_single_agent_is_plain_dual_subgradient():
 def test_cdda_run_starts_from_theta0():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     agent = prob.agents[0]
-    seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
+    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     theta0 = np.array([[0.75, -1.5]])
     config = RunConfig(q=1.0, t_max=5, epsilon=1e-300, theta0=theta0)
     state, _, _ = cdda_run_until(prob, seq, config)
@@ -69,7 +69,7 @@ def test_pure_mixing_preserves_multiplier_sum():
     lam = rng.normal(size=(5, 3))
     total = lam.sum(axis=0).copy()
     for t in range(50):
-        lam = metropolis_matrix(seq.edges(t), 5) @ lam
+        lam = metropolis_matrix(seq.adjacency(t)) @ lam
         assert np.max(np.abs(lam.sum(axis=0) - total)) <= 1e-9
 
 

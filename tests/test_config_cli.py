@@ -1,3 +1,4 @@
+import os
 from importlib.resources import files
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_bundled_fig7_parses_to_paper_settings():
     assert [a.objective.weight for a in exp.problem.agents] == [1.0, 1.0, 0.5]
     assert all(a.gamma == 1.0 for a in exp.problem.agents)
     assert exp.run.q == 4.0 and exp.run.epsilon == 0.01 and exp.run.t_max == 5000
-    assert exp.seq.m == 3 and exp.seq.window == 1 and len(exp.seq.rounds) == 20
+    assert exp.seq.m == 3 and exp.seq.window == 1 and len(exp.seq.adj) == 20
 
 
 def test_bundled_quadratic_parses():
@@ -104,8 +105,8 @@ def test_graph_file_mode(tmp_path):
     cfg = MINIMAL_QUAD.replace("[graph]\nseed = 1", f"[graph]\nmode = file\npath = {edges.name}\nwindow = 2")
     path = write_cfg(tmp_path, cfg)
     exp = parse_config(path)
-    assert exp.seq.edges(0) == frozenset({(1, 2)})
-    assert exp.seq.edges(3) == frozenset({(2, 1)})
+    assert np.array_equal(exp.seq.adjacency(0), [[False, True], [False, False]])
+    assert np.array_equal(exp.seq.adjacency(3), [[False, False], [True, False]])
     assert exp.seq.window == 2
 
 
@@ -121,7 +122,7 @@ def test_graph_file_mode_connected_schedule_accepted(tmp_path):
     (tmp_path / "edges.txt").write_text("1>2;2>3;3>1\n1>2;2>3\n3>1\n")
     path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=2))
     exp = parse_config(path)
-    assert len(exp.seq.rounds) == 3 and exp.seq.window == 2
+    assert len(exp.seq.adj) == 3 and exp.seq.window == 2
 
 
 @pytest.mark.parametrize(
@@ -141,6 +142,22 @@ def test_graph_file_mode_disconnected_schedule_rejected(tmp_path, capsys, schedu
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),
+     ("1>2;2>3;3>1\n2>2\n", r"self-loop \(2, 2\) is implicit"),
+     ("1>2;2>3;3>1\n1-2\n", "line 2: expected 'i>j'")],
+    ids=["out-of-range", "self-loop", "malformed"],
+)
+def test_graph_file_mode_bad_edge_rejected(tmp_path, capsys, schedule, message):
+    (tmp_path / "edges.txt").write_text(schedule)
+    path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=1))
+    with pytest.raises(ConfigError, match="graph.path: " + message):
+        parse_config(path)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "graph.path" in capsys.readouterr().err
+
+
 def test_graph_m_mismatch_rejected(tmp_path):
     path = write_cfg(tmp_path, MINIMAL_QUAD.replace("[graph]\nseed = 1", "[graph]\nm = 5"))
     with pytest.raises(ConfigError, match="graph.m"):
@@ -155,7 +172,7 @@ def test_overrides_apply(tmp_path):
     # on a larger network the seed override produces a different pool
     base = parse_config(QUAD_CFG)
     reseeded = parse_config(QUAD_CFG, seed=99)
-    assert base.seq.rounds != reseeded.seq.rounds
+    assert not np.array_equal(base.seq.adj, reseeded.seq.adj)
 
 
 @pytest.mark.parametrize(
@@ -259,3 +276,69 @@ def test_cli_reference_prints_solution(capsys):
     out = capsys.readouterr().out
     assert "F* = 43.4587583412" in out
     assert "violation = " in out
+
+
+# num_s20 is left out: its oracle alone runs several seconds (about 7 s on a
+# 2-vCPU VM) before it fails, until the certified oracle replaces it.
+SMOKE_CASES = {
+    "fig7": (FIG7_CFG, []),
+    "quadratic_m5": (QUAD_CFG, []),
+    "quadratic_m5-cdda": (QUAD_CFG, ["--algorithm", "cdda"]),
+    "file-schedule": (None, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMOKE_CASES))
+def test_cli_smoke_run_writes_csv_and_summary(tmp_path, capsys, case):
+    config, extra = SMOKE_CASES[case]
+    if config is None:
+        (tmp_path / "edges.txt").write_text("1>2;2>3;3>1\n1>2;2>3\n3>1\n")
+        config = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=2))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", config, "--out", str(out), "--tmax", "20", *extra]) == 0
+    assert "-> " in capsys.readouterr().out
+    rows = out.read_text().splitlines()[1:]
+    assert 1 <= len(rows) <= 20
+    summary = Path(str(out) + ".summary").read_text()
+    assert f"terminal_round = {len(rows)}" in summary
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("run")) == [
+        "run.csv", "run.csv.summary"]
+
+
+def _fail_summary_write(monkeypatch, stage):
+    """Make the summary's write die halfway, or its rename fail."""
+    real_write, real_replace = Path.write_text, os.replace
+
+    def write_text(self, text, *args, **kwargs):
+        if stage == "write" and ".summary." in self.name:
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return real_write(self, text, *args, **kwargs)
+
+    def replace(src, dst):
+        if stage == "replace" and str(dst).endswith(".summary"):
+            raise OSError("rename refused")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_summary_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, stage):
+    out = tmp_path / "run.csv"
+    _fail_summary_write(monkeypatch, stage)
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 2
+    assert "error: " in capsys.readouterr().err
+    # The CSV is complete; no summary and no temporary file is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert len(out.read_text().splitlines()) == 6
+
+    # A summary from an earlier run survives a failed rewrite unchanged.
+    monkeypatch.undo()
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "4"]) == 0
+    earlier = Path(str(out) + ".summary").read_bytes()
+    _fail_summary_write(monkeypatch, stage)
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 2
+    assert Path(str(out) + ".summary").read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.summary"]

@@ -25,12 +25,12 @@ def fig7():
 
 def step(state, prob, seq):
     """One round on the column-stochastic matrix of the sequence's current graph."""
-    return advance_round(state, prob, build_weight_matrix(seq.edges(state.t), prob.m))
+    return advance_round(state, prob, build_weight_matrix(seq.adjacency(state.t)))
 
 
 def single_agent_setup(gamma=9.0):
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=gamma)
-    seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
+    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     return prob, seq
 
 
@@ -124,7 +124,7 @@ def test_ergodic_average_of_constant_iterates():
     frozen = type(agent)(objective=agent.objective, lower=agent.lower, upper=agent.upper,
                          A=np.zeros_like(agent.A), b=np.zeros(1), tau=agent.tau, gamma=agent.gamma)
     prob = type(prob)(agents=(frozen,), p=1)
-    seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
+    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
     for _ in range(10):
         state = step(state, prob, seq)
@@ -150,16 +150,16 @@ def test_mixing_built_once_per_pool_entry(monkeypatch, module, builder, loop):
     calls = []
     real = getattr(module, builder)
 
-    def counting(edges, m):
-        calls.append(edges)
-        return real(edges, m)
+    def counting(adj):
+        calls.append(adj)
+        return real(adj)
 
     monkeypatch.setattr(module, builder, counting)
     prob = make_quadratic_problem(m=3, p=2, dims=1, seed=2, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=9, pool_size=7)
     _, rows, _ = loop(prob, seq, RunConfig(q=4.0, t_max=50, epsilon=1e-300))
     assert len(rows) == 50
-    assert calls == list(seq.rounds)
+    assert np.array_equal(calls, seq.adj)
 
 
 def test_run_until_hits_round_cap():
@@ -172,7 +172,7 @@ def test_run_until_hits_round_cap():
 def test_pure_mixing_consensus_on_complete_graph():
     # Frozen gradients: repeated mixing alone must contract the multipliers.
     m, p = 4, 3
-    W = build_weight_matrix({(i, j) for i in range(1, 5) for j in range(1, 5) if i != j}, m)
+    W = build_weight_matrix(~np.eye(m, dtype=bool))
     rng = np.random.default_rng(8)
     theta = rng.normal(size=(m, p))
     rho = np.ones(m)

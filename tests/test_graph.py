@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,22 +14,27 @@ from drdga import (
 )
 
 
+def adjacency(m, edges):
+    """(m, m) adjacency of 1-based (i, j) edges, "i sends to j"."""
+    return GraphSequence.from_edges(m, [edges], window=1).adj[0]
+
+
 def complete_edges(m):
     return {(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j}
 
 
 def test_weight_matrix_two_agents_bidirectional():
-    W = build_weight_matrix({(1, 2), (2, 1)}, 2)
+    W = build_weight_matrix(adjacency(2, {(1, 2), (2, 1)}))
     assert np.array_equal(W, np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
 def test_weight_matrix_lone_agent():
-    assert np.array_equal(build_weight_matrix(set(), 1), np.array([[1.0]]))
+    assert np.array_equal(build_weight_matrix(np.zeros((1, 1), dtype=bool)), np.array([[1.0]]))
 
 
 def test_weight_matrix_directed_ring():
     # Each sender splits evenly over itself and its ring successor.
-    W = build_weight_matrix({(1, 2), (2, 3), (3, 1)}, 3)
+    W = build_weight_matrix(adjacency(3, {(1, 2), (2, 3), (3, 1)}))
     expected = np.array([
         [0.5, 0.0, 0.5],
         [0.5, 0.5, 0.0],
@@ -37,41 +44,57 @@ def test_weight_matrix_directed_ring():
 
 
 def test_weight_matrix_rejects_out_of_range_and_self_loops():
-    with pytest.raises(InvalidEdgeError):
-        build_weight_matrix({(1, 4)}, 3)
-    with pytest.raises(InvalidEdgeError):
-        build_weight_matrix({(0, 1)}, 3)
-    with pytest.raises(InvalidEdgeError):
-        build_weight_matrix({(2, 2)}, 3)
+    # Edges are checked once, when the sequence is built.
+    with pytest.raises(InvalidEdgeError, match=r"edge \(1, 4\) references an agent outside \[1, 3\]"):
+        GraphSequence.from_edges(3, [{(1, 4)}], window=1)
+    with pytest.raises(InvalidEdgeError, match="outside"):
+        GraphSequence.from_edges(3, [{(0, 1)}], window=1)
+    with pytest.raises(InvalidEdgeError, match=r"self-loop \(2, 2\) is implicit"):
+        GraphSequence.from_edges(3, [set(), {(2, 2)}], window=1)
 
 
 def test_weight_matrix_column_law_random():
     for seed in range(5):
         seq = generate_graph_sequence(m=6, window=2, seed=seed)
-        for t in range(len(seq.rounds)):
-            edges = seq.edges(t)
-            W = build_weight_matrix(edges, 6)
+        for t in range(len(seq.adj)):
+            adj = seq.adjacency(t)
+            W = build_weight_matrix(adj)
             assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
             for j in range(6):
                 col = W[:, j]
                 nz = col[col != 0]
                 assert np.all(nz == 1.0 / nz.size)
-            # nonzero pattern is exactly edges plus self-loops
-            pattern = {(j + 1, i + 1) for i in range(6) for j in range(6) if W[i, j] != 0}
-            assert pattern == set(edges) | {(k, k) for k in range(1, 7)}
+            # nonzero pattern is exactly the edges plus self-loops
+            assert np.array_equal(W.T != 0, adj | np.eye(6, dtype=bool))
 
 
 def test_generator_is_deterministic():
     a = generate_graph_sequence(m=5, window=3, seed=42)
     b = generate_graph_sequence(m=5, window=3, seed=42)
-    assert a.rounds == b.rounds
+    assert np.array_equal(a.adj, b.adj)
     c = generate_graph_sequence(m=5, window=3, seed=43)
-    assert a.rounds != c.rounds
+    assert not np.array_equal(a.adj, c.adj)
+
+
+# sha256 of the (20, m, m) bool pools generated with window 1 and seed 3,
+# recorded from the edge-set generator the array one replaced: the random
+# stream and the pools it yields must not move.
+POOL_SHA256 = {
+    5: "eacd3435f965b98f581dcb48880dbccc5350be2cc8128e675204629aeb38f54c",
+    100: "84d75bf2b3ad132c2b1bd7d1909f8cb93290955eaa7298c8a383a9803b3c1d75",
+}
+
+
+@pytest.mark.parametrize("m", sorted(POOL_SHA256))
+def test_generated_pool_is_pinned(m):
+    adj = generate_graph_sequence(m=m, window=1, seed=3).adj
+    assert adj.shape == (20, m, m) and adj.dtype == bool and adj.flags.c_contiguous
+    assert hashlib.sha256(adj.tobytes()).hexdigest() == POOL_SHA256[m]
 
 
 def test_generator_single_agent():
     seq = generate_graph_sequence(m=1, window=4, seed=0)
-    assert all(r == frozenset() for r in seq.rounds)
+    assert seq.adj.shape == (20, 1, 1) and not seq.adj.any()
     assert verify_window_connectivity(seq, horizon=40)
 
 
@@ -84,49 +107,53 @@ def test_generator_window_connectivity():
 
 
 def test_connectivity_complete_graph_true():
-    seq = GraphSequence(m=4, rounds=(frozenset(complete_edges(4)),), window=1)
+    seq = GraphSequence.from_edges(4, [complete_edges(4)], window=1)
     assert verify_window_connectivity(seq, horizon=10)
 
 
 def test_connectivity_empty_graph_false():
-    seq = GraphSequence(m=2, rounds=(frozenset(),), window=1)
+    seq = GraphSequence(m=2, adj=np.zeros((1, 2, 2), dtype=bool), window=1)
     assert not verify_window_connectivity(seq, horizon=5)
 
 
 def test_connectivity_alternating_rounds():
     # Rounds alternate between {1->2, 2->3} and {3->1}: only the two-round
     # union closes the cycle.
-    rounds = (frozenset({(1, 2), (2, 3)}), frozenset({(3, 1)}))
-    seq2 = GraphSequence(m=3, rounds=rounds, window=2)
+    rounds = [{(1, 2), (2, 3)}, {(3, 1)}]
+    seq2 = GraphSequence.from_edges(3, rounds, window=2)
     assert verify_window_connectivity(seq2, horizon=8)
-    seq1 = GraphSequence(m=3, rounds=rounds, window=1)
+    seq1 = GraphSequence.from_edges(3, rounds, window=1)
     assert not verify_window_connectivity(seq1, horizon=8)
 
 
 def test_connectivity_requires_full_window():
-    seq = GraphSequence(m=2, rounds=(frozenset({(1, 2), (2, 1)}),), window=3)
+    seq = GraphSequence.from_edges(2, [{(1, 2), (2, 1)}], window=3)
     with pytest.raises(InvalidInputError):
         verify_window_connectivity(seq, horizon=2)
 
 
 def test_sequence_cycles_and_validates():
-    rounds = (frozenset({(1, 2)}), frozenset({(2, 1)}))
-    seq = GraphSequence(m=2, rounds=rounds, window=2)
-    assert seq.edges(0) == rounds[0]
-    assert seq.edges(5) == rounds[1]
+    seq = GraphSequence.from_edges(2, [{(1, 2)}, {(2, 1)}], window=2)
+    assert np.array_equal(seq.adjacency(0), adjacency(2, {(1, 2)}))
+    assert np.array_equal(seq.adjacency(5), adjacency(2, {(2, 1)}))
+    assert not seq.adj.flags.writeable
     with pytest.raises(InvalidEdgeError):
-        GraphSequence(m=2, rounds=(frozenset({(1, 3)}),), window=1)
+        GraphSequence.from_edges(2, [{(1, 3)}], window=1)
     with pytest.raises(InvalidEdgeError):
-        GraphSequence(m=2, rounds=(), window=1)
+        GraphSequence.from_edges(2, [], window=1)
+    with pytest.raises(InvalidEdgeError, match="shape"):
+        GraphSequence(m=2, adj=np.zeros((1, 3, 3), dtype=bool), window=1)
+    with pytest.raises(InvalidEdgeError, match=r"self-loop \(1, 1\)"):
+        GraphSequence(m=2, adj=np.eye(2, dtype=bool)[None], window=1)
 
 
 def test_edge_list_parsing():
     text = "1>2; 2>3\n\n3>1\n"
     seq = parse_edge_list(text, m=3, window=2)
-    assert seq.edges(0) == frozenset({(1, 2), (2, 3)})
-    assert seq.edges(1) == frozenset()
-    assert seq.edges(2) == frozenset({(3, 1)})
-    assert seq.edges(3) == frozenset({(1, 2), (2, 3)})
+    assert np.array_equal(seq.adjacency(0), adjacency(3, {(1, 2), (2, 3)}))
+    assert not seq.adjacency(1).any()
+    assert np.array_equal(seq.adjacency(2), adjacency(3, {(3, 1)}))
+    assert np.array_equal(seq.adjacency(3), seq.adjacency(0))
 
 
 def test_edge_list_rejects_malformed_lines():
@@ -136,3 +163,7 @@ def test_edge_list_rejects_malformed_lines():
         parse_edge_list("1>x", m=3, window=1)
     with pytest.raises(InvalidEdgeError):
         parse_edge_list("", m=3, window=1)
+    with pytest.raises(InvalidEdgeError, match=r"edge \(3, 4\) references an agent outside"):
+        parse_edge_list("1>2\n3>4", m=3, window=1)
+    with pytest.raises(InvalidEdgeError, match=r"self-loop \(2, 2\) is implicit"):
+        parse_edge_list("1>2\n2>2", m=3, window=1)

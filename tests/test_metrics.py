@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -112,7 +113,7 @@ def quad_run(rounds=12, m=3, seed=2):
     state = init_state(prob, cfg)
     states = [state]
     for _ in range(rounds):
-        W = build_weight_matrix(seq.edges(states[-1].t), prob.m)
+        W = build_weight_matrix(seq.adjacency(states[-1].t))
         states.append(advance_round(states[-1], prob, W))
     rows = [evaluate_round(s, prob) for s in states[1:]]
     return prob, seq, states, rows
@@ -131,11 +132,11 @@ def test_lemma2_residual_nonnegative_on_run():
 
 def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
-    seq = GraphSequence(m=1, rounds=(frozenset(),), window=1)
+    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
     states = [init_state(prob, cfg)]
     for _ in range(6):
-        W = build_weight_matrix(seq.edges(states[-1].t), prob.m)
+        W = build_weight_matrix(seq.adjacency(states[-1].t))
         states.append(advance_round(states[-1], prob, W))
     rows = [evaluate_round(s, prob) for s in states[1:]]
     c = constants_from_run(prob, seq.window, 1.0, rows)
@@ -231,6 +232,28 @@ def test_metrics_rows_sane_on_run():
         assert row.disagreement >= 0 and row.max_lambda >= 0
         assert math.isnan(row.gap)  # no reference supplied
         assert math.isfinite(row.objective)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 100])
+def test_disagreement_matches_full_pairwise_broadcast(m):
+    # The i < j pairs give the same bits as every ordered pair, diagonal included.
+    prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
+    state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
+    rng = np.random.default_rng(m)
+    for scale in (1e-8, 1.0, 1e6):
+        lam = scale * rng.normal(size=(m, prob.p))
+        row = evaluate_round(dataclasses.replace(state, t=1, lam=lam), prob)
+        diffs = lam[:, None, :] - lam[None, :, :]
+        assert row.disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+        if m == 1:
+            assert row.disagreement == 0.0
+
+
+def test_round_carries_coupling_terms_of_its_iterate():
+    prob, seq, states, rows = quad_run(rounds=6)
+    for state, row in zip(states[1:], rows):
+        assert np.array_equal(state.terms, prob.coupling_terms(state.x))
+        assert row.violation_inst == float(np.linalg.norm(prob.coupling_residual(state.x)))
 
 
 def test_empirical_values_stay_under_bounds():

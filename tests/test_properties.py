@@ -6,9 +6,12 @@ The examples are derandomized, so every run checks the same cases.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from drdga import (
     CoupledProblem,
+    GraphSequence,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -21,6 +24,7 @@ from drdga import (
     metropolis_matrix,
     run_until,
     solve_local,
+    verify_window_connectivity,
 )
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
@@ -97,23 +101,82 @@ def test_ergodic_average_stays_in_each_box(prob, seed, t_max, window, loop):
 
 
 @st.composite
-def edge_pools(draw):
+def adjacency_pools(draw):
+    """A (pool, m, m) bool pool with an empty diagonal."""
     m = draw(st.integers(1, 8))
-    pairs = st.tuples(st.integers(1, m), st.integers(1, m)).filter(lambda e: e[0] != e[1])
-    pool = draw(st.lists(st.sets(pairs, max_size=m * (m - 1)), min_size=1, max_size=5))
-    return m, pool
+    pool = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.booleans(), min_size=pool * m * m, max_size=pool * m * m))
+    adj = np.array(cells, dtype=bool).reshape(pool, m, m)
+    adj[:, np.arange(m), np.arange(m)] = False
+    return adj
 
 
-@given(edge_pools(), seeds)
-def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(m_pool, seed):
-    m, edge_sets = m_pool
-    for edges in edge_sets:
-        W = build_weight_matrix(edges, m)
+def reference_weight_matrix(adj):
+    """Column-stochastic W built edge by edge."""
+    m = len(adj)
+    edges = list(zip(*np.nonzero(adj)))
+    out_degree = np.ones(m)
+    for i, _ in edges:
+        out_degree[i] += 1.0
+    W = np.zeros((m, m))
+    for k in range(m):
+        W[k, k] = 1.0 / out_degree[k]
+    for i, j in edges:
+        W[j, i] = 1.0 / out_degree[i]
+    return W
+
+
+def reference_metropolis_matrix(adj):
+    """Metropolis weights built neighbor pair by neighbor pair."""
+    m = len(adj)
+    neighbors = [set() for _ in range(m)]
+    for i, j in zip(*np.nonzero(adj)):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    W = np.zeros((m, m))
+    for i in range(m):
+        for j in neighbors[i]:
+            W[i, j] = 1.0 / (1.0 + max(len(neighbors[i]), len(neighbors[j])))
+    for i in range(m):
+        W[i, i] = 1.0 - W[i].sum()
+    return W
+
+
+@given(adjacency_pools())
+def test_mixing_matrices_match_edge_by_edge_reference(adj):
+    for entry in adj:
+        W = build_weight_matrix(entry)
+        assert W.flags.c_contiguous
+        assert np.array_equal(W, reference_weight_matrix(entry))
+        M = metropolis_matrix(entry)
+        assert M.flags.c_contiguous
+        assert np.array_equal(M, reference_metropolis_matrix(entry))
+
+
+@given(adjacency_pools(), st.integers(1, 3))
+def test_window_connectivity_matches_strong_components(adj, window):
+    seq = GraphSequence(m=adj.shape[1], adj=adj, window=window)
+    horizon = len(adj) * window
+    expected = all(
+        connected_components(
+            csr_matrix(adj[np.arange(k * window, (k + 1) * window) % len(adj)].any(axis=0)),
+            directed=True, connection="strong",
+        )[0] == 1
+        for k in range(len(adj))
+    )
+    assert verify_window_connectivity(seq, horizon) == expected
+
+
+@given(adjacency_pools(), seeds)
+def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(adj, seed):
+    m = adj.shape[1]
+    for entry in adj:
+        W = build_weight_matrix(entry)
         assert np.all(W >= 0.0)
         assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
     # The run needs strongly connected rounds, or some rho decays to 0.
-    ring = {(i, i % m + 1) for i in range(1, m + 1)} if m > 1 else set()
-    pool = [build_weight_matrix(edges | ring, m) for edges in edge_sets]
+    ring = np.roll(np.eye(m, dtype=bool), 1, axis=1) & ~np.eye(m, dtype=bool)
+    pool = [build_weight_matrix(entry | ring) for entry in adj]
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
     state = init_state(prob, RunConfig(q=4.0, t_max=100, epsilon=1e-300))
     for _ in range(40):
@@ -127,5 +190,5 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=4)
     state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300), push_sum=False)
     for _ in range(30):
-        state = advance_round(state, prob, metropolis_matrix(seq.edges(state.t), prob.m))
+        state = advance_round(state, prob, metropolis_matrix(seq.adjacency(state.t)))
         assert np.all(state.rho == 1.0)
