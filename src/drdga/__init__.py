@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`drdga.graph` — directed graph sequences and column-stochastic mixing
-- :mod:`drdga.problem` — coupled problems (rate allocation, random quadratic),
-  stacked into arrays, and the vectorized inner minimization of all agents
+- :mod:`drdga.problem` — coupled problems as stacked ``(m, ...)`` arrays, the
+  vectorized inner minimization, and ``compute_G_bound(problem)`` for all agents
 - :mod:`drdga.engine` — the round kernel and run loop of both algorithms
 - :mod:`drdga.baseline` — dual-decomposition baseline on doubly stochastic mixing
 - :mod:`drdga.reference` — centralized solver used as the gap oracle
@@ -48,7 +48,6 @@ from .metrics import (
     theorem3_bound,
 )
 from .problem import (
-    AgentProblem,
     CoupledProblem,
     DiagonalQuadratic,
     LogUtility,
@@ -62,7 +61,6 @@ from .reference import ReferenceSolution, solve_centralized
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentProblem",
     "BoundConstants",
     "ConfigError",
     "CoupledProblem",

@@ -96,7 +96,7 @@ class BoundConstants:
 
     @property
     def gamma_total(self) -> float:
-        return float(self.gammas.sum())
+        return float(_sum_agents(self.gammas))
 
     @property
     def delta(self) -> float:
@@ -134,40 +134,38 @@ def constants_from_run(
         window=window,
         q=q,
         D=D,
-        G=np.array([compute_G_bound(a) for a in problem.agents]),
+        G=compute_G_bound(problem),
         gammas=problem.gammas,
         theta0_l1=theta0_l1,
     )
 
 
-def theorem2_bound(T: int, c: BoundConstants) -> float:
-    """Printed upper bound on the ergodic objective gap after T rounds."""
+def _rate_bound(T: int, c: BoundConstants, lead: float, k: float, tail: float) -> float:
+    """lead/(T delta) s1 [k eta/(1-eta) theta0_l1 + k q m B_grad/(1-eta) (1 + ln T)] + tail/T s2,
+    the shape of both printed rate bounds, with s1 = sum_i (G_i + gamma_i D)
+    and s2 = sum_i (G_i + gamma_i D)^2; infinite once delta or 1 - eta underflowed.
+    """
     if T < 1:
         raise ValueError("bound defined for T >= 1")
-    if c.one_minus_eta == 0.0:  # delta or 1 - eta underflowed
+    if c.one_minus_eta == 0.0:
         return math.inf
-    s1 = float(np.sum(c.G + c.gammas * c.D))
-    s2 = float(np.sum((c.G + c.gammas * c.D) ** 2))
-    bracket = (c.eta / c.one_minus_eta) * c.theta0_l1 + (
-        c.q * c.m * c.B_grad / c.one_minus_eta
+    coeffs = c.G + c.gammas * c.D
+    s1 = float(np.sum(coeffs))
+    s2 = float(np.sum(coeffs**2))
+    bracket = (k * c.eta / c.one_minus_eta) * c.theta0_l1 + (
+        k * c.q * c.m * c.B_grad / c.one_minus_eta
     ) * (1.0 + math.log(T))
-    return (32.0 / (T * c.delta)) * s1 * bracket + (c.q / T) * s2
+    return (lead / (T * c.delta)) * s1 * bracket + (tail / T) * s2
+
+
+def theorem2_bound(T: int, c: BoundConstants) -> float:
+    """Printed upper bound on the ergodic objective gap after T rounds."""
+    return _rate_bound(T, c, lead=32.0, k=1.0, tail=c.q)
 
 
 def theorem3_bound(T: int, c: BoundConstants) -> float:
     """Printed upper bound on the squared coupling violation of the ergodic average."""
-    if T < 1:
-        raise ValueError("bound defined for T >= 1")
-    if c.one_minus_eta == 0.0:  # delta or 1 - eta underflowed
-        return math.inf
-    s1 = float(np.sum(c.G + c.gammas * c.D))
-    s2 = float(np.sum((c.G + c.gammas * c.D) ** 2))
-    bracket = (8.0 * c.eta / c.one_minus_eta) * c.theta0_l1 + (
-        8.0 * c.q * c.m * c.B_grad / c.one_minus_eta
-    ) * (1.0 + math.log(T))
-    return (c.gamma_total / (T * c.delta)) * s1 * bracket + (
-        c.q * c.gamma_total / (4.0 * T)
-    ) * s2
+    return _rate_bound(T, c, lead=c.gamma_total, k=8.0, tail=c.q * c.gamma_total / 4.0)
 
 
 def lemma2_residual(

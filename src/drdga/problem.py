@@ -1,23 +1,22 @@
-"""Coupled constrained problems, stacked into arrays, and their per-family closed forms.
+"""Coupled constrained problems as stacked arrays, and their per-family closed forms.
 
 The global problem is  min sum_i f_i(x_i)  over box sets  X_i = [lower_i, upper_i],
 subject to the coupling equality  sum_i (A_i x_i - b_i) = 0.  Each f_i is
 tau_i-strongly convex on its box and carries a regularization weight gamma_i
 used by the dual algorithm.
 
-AgentProblem and the objective records validate one agent's input. A
-CoupledProblem stacks its agents into arrays once, at construction: A is
-(m, p, n_max), b is (m, p), the boxes are (m, n_max), and the family's
-parameters are diag/lin (m, n_max) or weights (m,). An agent with fewer than
-n_max variables is padded with degenerate coordinates (box [0, 0], zero A
-columns, diag 1, lin 0), so its padded coordinates solve to exactly 0.
+A CoupledProblem holds its m agents as stacked arrays: A is (m, p, n_max), b
+is (m, p), the boxes are (m, n_max), taus and gammas are (m,), and the
+family's parameters are diag/lin (m, n_max) or weights (m,). An agent with
+fewer than n_max variables is padded with degenerate coordinates (box [0, 0],
+zero A columns, diag 1, lin 0), so its padded coordinates solve to exactly 0.
 Iterates x use the same (m, n_max) layout; agent_values and solve_local
 evaluate and minimize every agent at once, one closed form per family.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,89 +28,16 @@ RATE_UTILITY_SCALE = 20.0
 RATE_UTILITY_OFFSET = 0.1
 
 
-@dataclass(frozen=True)
 class DiagonalQuadratic:
-    """f(x) = 0.5 * sum_k diag_k x_k^2 + sum_k lin_k x_k, with diag > 0."""
-
-    diag: np.ndarray
-    lin: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "lin", np.asarray(self.lin, dtype=float))
-        if self.diag.shape != self.lin.shape or self.diag.ndim != 1:
-            raise InvalidProblemError("diag and lin must be 1-d vectors of equal length")
-        if np.any(self.diag <= 0):
-            raise InvalidProblemError("diagonal curvature entries must be positive")
-
-    @property
-    def modulus(self) -> float:
-        return float(self.diag.min())
+    """Family tag: f_i(x) = 0.5 * sum_k diag_ik x_k^2 + sum_k lin_ik x_k, with diag > 0."""
 
 
-@dataclass(frozen=True)
 class LogUtility:
-    """Scalar rate disutility f(x) = -20 w log(x + 0.1), decreasing on x >= 0.
-
-    Strongly convex on [0, 1] with modulus 20 w / 1.21 (the second derivative
-    20 w / (x + 0.1)^2 is smallest at x = 1).
-    """
-
-    weight: float
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidProblemError("utility weight must be non-negative")
-
-    @property
-    def modulus(self) -> float:
-        return RATE_UTILITY_SCALE * self.weight / (1.0 + RATE_UTILITY_OFFSET) ** 2
+    """Family tag: scalar rate disutility f_i(x) = -20 w_i log(x + 0.1), decreasing on x >= 0."""
 
 
-@dataclass(frozen=True)
-class AgentProblem:
-    """One agent: objective, box set, coupling rows, and dual regularization weight."""
-
-    objective: DiagonalQuadratic | LogUtility
-    lower: np.ndarray
-    upper: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    tau: float
-    gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise InvalidProblemError("box bounds must be 1-d vectors of equal length")
-        if np.any(self.lower > self.upper):
-            raise InvalidProblemError("box is empty: lower > upper somewhere")
-        if self.A.ndim != 2 or self.A.shape[1] != self.lower.size:
-            raise InvalidProblemError("A must be p-by-n for the agent's dimension n")
-        if self.b.shape != (self.A.shape[0],):
-            raise InvalidProblemError("b must be a p-vector matching A's row count")
-        if self.tau <= 0:
-            raise InvalidProblemError("strong-convexity modulus tau must be positive")
-        if self.gamma <= 0:
-            raise InvalidProblemError("regularization weight gamma must be positive")
-        if not isinstance(self.objective, (DiagonalQuadratic, LogUtility)):
-            raise InvalidProblemError(f"unsupported objective {type(self.objective).__name__}")
-        n_obj = self.objective.diag.size if isinstance(self.objective, DiagonalQuadratic) else 1
-        if n_obj != self.lower.size:
-            raise InvalidProblemError(
-                f"objective has {n_obj} variables but the box has {self.lower.size}"
-            )
-        if self.objective.modulus < self.tau - 1e-12:
-            raise InvalidProblemError(
-                f"objective modulus {self.objective.modulus} is below the declared tau {self.tau}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
+def _log_modulus(weights: np.ndarray) -> np.ndarray:
+    return RATE_UTILITY_SCALE * weights / (1.0 + RATE_UTILITY_OFFSET) ** 2
 
 
 def _sum_agents(values: np.ndarray) -> np.ndarray:
@@ -123,63 +49,89 @@ def _sum_agents(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1]
 
 
-def _stack_padded(rows, n: int, fill: float = 0.0) -> np.ndarray:
-    """Stack per-agent arrays, padding the last (variable) axis to n with fill."""
-    out = np.full((len(rows),) + rows[0].shape[:-1] + (n,), fill)
-    for i, r in enumerate(rows):
-        out[i, ..., : r.shape[-1]] = r
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledProblem:
-    """The m agents of one experiment, all of one objective family, plus the
-    shared coupling dimension p.
+    """The m agents of one experiment, all of one objective family, as the
+    stacked arrays of the module docstring.
 
-    Construction adds the stacked arrays of the module docstring as the
-    attributes A, b, lower, upper, gammas, and diag, lin (DiagonalQuadratic)
-    or weights (LogUtility), the other family's being None; ``family`` is the
-    objective class and ``dims`` the agents' own dimensions.
+    Give diag and lin for the DiagonalQuadratic family, or weights for the
+    LogUtility family. ``dims`` lists the agents' own dimensions and defaults
+    to n_max for every agent. Construction derives the attributes ``m``,
+    ``p`` and ``family`` (the family's tag class) from the arrays.
     """
 
-    agents: tuple[AgentProblem, ...]
-    p: int
+    A: np.ndarray
+    b: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    gammas: np.ndarray
+    taus: np.ndarray
+    diag: np.ndarray | None = None
+    lin: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        if not agents:
+        quadratic = self.weights is None
+        if quadratic == (self.diag is None or self.lin is None):
+            raise InvalidProblemError("give either diag and lin, or weights")
+        family_arrays = ("diag", "lin") if quadratic else ("weights",)
+        for name in ("A", "b", "lower", "upper", "gammas", "taus") + family_arrays:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.A.ndim != 3 or self.lower.ndim != 2:
+            raise InvalidProblemError("A must be (m, p, n) and the box bounds (m, n)")
+        m, p = self.A.shape[:2]
+        n = self.lower.shape[1]
+        if m == 0:
             raise InvalidProblemError("a coupled problem needs at least one agent")
-        for k, agent in enumerate(agents):
-            if agent.A.shape[0] != self.p:
+        n_objective = self.diag.shape[-1] if quadratic and self.diag.ndim else 1
+        if n_objective != n:
+            raise InvalidProblemError(f"objective has {n_objective} variables but the box has {n}")
+        shapes = {"A": (m, p, n), "b": (m, p), "lower": (m, n), "upper": (m, n),
+                  "gammas": (m,), "taus": (m,)}
+        shapes.update({"diag": (m, n), "lin": (m, n)} if quadratic else {"weights": (m,)})
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
                 raise InvalidProblemError(
-                    f"agent {k + 1}: A has {agent.A.shape[0]} rows, expected p = {self.p}"
+                    f"{name} has shape {getattr(self, name).shape}, expected {shape} "
+                    f"for m = {m} agents, p = {p} coupling rows and n = {n} box columns"
                 )
-        objectives = [a.objective for a in agents]
-        families = {type(o) for o in objectives}
-        if len(families) > 1:
-            names = ", ".join(sorted(f.__name__ for f in families))
-            raise InvalidProblemError(f"agents mix objective families ({names})")
-        family = families.pop()
-        quadratic = family is DiagonalQuadratic
-        n = max(a.dim for a in agents)
-        for name, value in (
-            ("agents", agents),
-            ("family", family),
-            ("dims", tuple(a.dim for a in agents)),
-            ("A", _stack_padded([a.A for a in agents], n)),
-            ("b", np.stack([a.b for a in agents])),
-            ("lower", _stack_padded([a.lower for a in agents], n)),
-            ("upper", _stack_padded([a.upper for a in agents], n)),
-            ("gammas", np.array([a.gamma for a in agents])),
-            ("diag", _stack_padded([o.diag for o in objectives], n, 1.0) if quadratic else None),
-            ("lin", _stack_padded([o.lin for o in objectives], n) if quadratic else None),
-            ("weights", None if quadratic else np.array([o.weight for o in objectives])),
+        dims = (n,) * m if self.dims is None else tuple(int(d) for d in self.dims)
+        if len(dims) != m or not all(1 <= d <= n for d in dims):
+            raise InvalidProblemError(f"dims must list one dimension in [1, {n}] per agent")
+        for bad, message in (
+            (self.lower > self.upper, "box is empty: lower > upper somewhere"),
+            (self.taus <= 0, "strong-convexity modulus tau must be positive"),
+            (self.gammas <= 0, "regularization weight gamma must be positive"),
+            (self.diag <= 0, "diagonal curvature entries must be positive") if quadratic
+            else (self.weights < 0, "utility weight must be non-negative"),
         ):
+            if np.any(bad):
+                raise InvalidProblemError(message)
+        if quadratic:
+            # Each agent's own coordinates only: the padding's diag of 1 is no curvature.
+            own = np.arange(n) < np.array(dims)[:, None]
+            modulus = np.where(own, self.diag, np.inf).min(axis=1)
+        else:
+            modulus = _log_modulus(self.weights)
+        low = modulus < self.taus - 1e-12
+        if low.any():
+            i = int(np.argmax(low))
+            raise InvalidProblemError(
+                f"objective modulus {modulus[i]} is below the declared tau {self.taus[i]}"
+            )
+        family = DiagonalQuadratic if quadratic else LogUtility
+        for name, value in (("dims", dims), ("m", m), ("p", p), ("family", family)):
             object.__setattr__(self, name, value)
 
     @property
-    def m(self) -> int:
-        return len(self.agents)
+    def agents(self) -> tuple[CoupledProblem, ...]:
+        """Agent i alone, as a one-agent problem at the padded width n_max."""
+        fields = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        return tuple(
+            dataclasses.replace(self, **{k: v[i : i + 1] for k, v in fields if v is not None})
+            for i in range(self.m)
+        )
 
     @property
     def gamma_total(self) -> float:
@@ -246,6 +198,8 @@ def make_num_problem(routing, capacities, gammas) -> CoupledProblem:
     log disutility with weight w_s = (links used by s) / (total links), rate
     box [0, 1], coupling column A_s = routing[:, s], and the equal capacity
     split b_s = capacities / m so the per-agent offsets sum to the capacities.
+    tau_s is the modulus 20 w_s / 1.21 of the log disutility on [0, 1]: its
+    second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
     """
     R = np.asarray(routing, dtype=float)
     c = np.asarray(capacities, dtype=float)
@@ -263,22 +217,16 @@ def make_num_problem(routing, capacities, gammas) -> CoupledProblem:
     if np.any(used == 0):
         idx = int(np.argmin(used)) + 1
         raise InvalidProblemError(f"source {idx} uses no link (zero routing column)")
-    agents = []
-    for s in range(n_sources):
-        w = used[s] / n_links
-        objective = LogUtility(weight=w)
-        agents.append(
-            AgentProblem(
-                objective=objective,
-                lower=np.zeros(1),
-                upper=np.ones(1),
-                A=R[:, s : s + 1],
-                b=c / n_sources,
-                tau=objective.modulus,
-                gamma=float(g[s]),
-            )
-        )
-    return CoupledProblem(agents=tuple(agents), p=n_links)
+    weights = used / n_links
+    return CoupledProblem(
+        A=np.ascontiguousarray(R.T)[:, :, None],
+        b=np.tile(c / n_sources, (n_sources, 1)),
+        lower=np.zeros((n_sources, 1)),
+        upper=np.ones((n_sources, 1)),
+        gammas=g,
+        taus=_log_modulus(weights),
+        weights=weights,
+    )
 
 
 def make_quadratic_problem(
@@ -305,41 +253,57 @@ def make_quadratic_problem(
     if len(dims) != m or any(n < 1 for n in dims):
         raise InvalidProblemError("dims must list one positive dimension per agent")
     rng = np.random.default_rng(seed)
-    agents = []
-    for n in dims:
-        diag = rng.uniform(tau_min, 10.0 * tau_min, size=n)
-        lin = rng.uniform(-1.0, 1.0, size=n)
-        A = rng.uniform(-1.0, 1.0, size=(p, n))
+    n_max = max(dims)
+    # Box [-1, 1] on each agent's own coordinates, [0, 0] on its padding.
+    bound = (np.arange(n_max) < np.array(dims)[:, None]).astype(float)
+    A = np.zeros((m, p, n_max))
+    b = np.empty((m, p))
+    diag = np.ones((m, n_max))
+    lin = np.zeros((m, n_max))
+    for i, n in enumerate(dims):
+        diag[i, :n] = rng.uniform(tau_min, 10.0 * tau_min, size=n)
+        lin[i, :n] = rng.uniform(-1.0, 1.0, size=n)
+        A_i = rng.uniform(-1.0, 1.0, size=(p, n))
         x0 = rng.uniform(-0.9, 0.9, size=n)
-        agents.append(
-            AgentProblem(
-                objective=DiagonalQuadratic(diag=diag, lin=lin),
-                lower=-np.ones(n),
-                upper=np.ones(n),
-                A=A,
-                b=A @ x0,
-                tau=tau_min,
-                gamma=gamma,
-            )
-        )
-    return CoupledProblem(agents=tuple(agents), p=p)
-
-
-def compute_G_bound(agent: AgentProblem) -> float:
-    """Upper bound on ||A_i x - b_i|| over the agent's box.
-
-    For n <= 20 the exact maximum: ||A x - b|| is convex in x, so it peaks at
-    a box vertex, and all 2^n vertices are enumerated. Larger n falls back to
-    the Frobenius-norm bound ||A||_F ||max(|lower|, |upper|)|| + ||b||.
-    """
-    n = agent.dim
-    if n <= 20:
-        best = 0.0
-        for bits in itertools.product((0, 1), repeat=n):
-            vertex = np.where(np.asarray(bits, dtype=bool), agent.upper, agent.lower)
-            best = max(best, float(np.linalg.norm(agent.A @ vertex - agent.b)))
-        return best
-    corner = np.maximum(np.abs(agent.lower), np.abs(agent.upper))
-    return float(
-        np.linalg.norm(agent.A, "fro") * np.linalg.norm(corner) + np.linalg.norm(agent.b)
+        A[i, :, :n] = A_i
+        b[i] = A_i @ x0
+    return CoupledProblem(
+        A=A,
+        b=b,
+        lower=-bound,
+        upper=bound,
+        gammas=np.full(m, float(gamma)),
+        taus=np.full(m, float(tau_min)),
+        diag=diag,
+        lin=lin,
+        dims=dims,
     )
+
+
+def compute_G_bound(problem: CoupledProblem) -> np.ndarray:
+    """Upper bounds G_i on ||A_i x - b_i|| over each agent's box, shape (m,).
+
+    For n_i <= 20 the exact maximum: ||A x - b|| is convex in x, so it peaks
+    at a box vertex, and all 2^n_i vertices of the agent's own coordinates are
+    enumerated, a chunk of vertices at a time. Larger n_i falls back to the
+    Frobenius-norm bound ||A_i||_F ||max(|lower_i|, |upper_i|)|| + ||b_i||.
+    """
+    G = np.zeros(problem.m)
+    for n in sorted(set(problem.dims)):
+        idx = [i for i, d in enumerate(problem.dims) if d == n]
+        A = problem.A[idx, :, :n]
+        lower, upper = problem.lower[idx, :n], problem.upper[idx, :n]
+        b = problem.b[idx]
+        if n > 20:
+            corner = np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper)), axis=1)
+            G[idx] = np.linalg.norm(A, "fro", axis=(1, 2)) * corner + np.linalg.norm(b, axis=1)
+            continue
+        # Enough vertices per chunk for about 2^20 floats in each array.
+        chunk = max(1, (1 << 20) // (len(idx) * max(n, problem.p)))
+        for start in range(0, 2**n, chunk):
+            codes = np.arange(start, min(start + chunk, 2**n))
+            bits = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+            vertices = np.where(bits, upper[:, None, :], lower[:, None, :])
+            residual = np.matmul(vertices, A.swapaxes(1, 2)) - b[:, None, :]
+            G[idx] = np.maximum(G[idx], np.linalg.norm(residual, axis=2).max(axis=1))
+    return G

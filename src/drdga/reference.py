@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleProblemError
-from .problem import CoupledProblem, solve_local
+from .problem import CoupledProblem, _sum_agents, solve_local
 
 _DIVERGENCE_NORM = 1e9
 
@@ -43,7 +43,7 @@ def solve_centralized(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lipschitz = sum(np.linalg.norm(a.A, 2) ** 2 / a.tau for a in problem.agents)
+    lipschitz = _sum_agents(np.linalg.norm(problem.A, 2, axis=(1, 2)) ** 2 / problem.taus)
     step = 1.0 / lipschitz if lipschitz else 0.0
     lam = np.zeros(problem.p)
     for _ in range(max_iter if lipschitz else 1):

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from drdga import (
-    AgentProblem,
     BoundConstants,
     CoupledProblem,
     DiagonalQuadratic,
-    LogUtility,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -133,7 +131,7 @@ def test_criterion_4_num_convergence(fig7_run):
     x_terminal = np.array([float(x[0]) for x in state.x])
     x_star = np.array([float(x[0]) for x in reference.x])
     coord_err = float(np.abs(x_terminal - x_star).max())
-    link2 = float(sum(a.A[1, 0] * x for a, x in zip(exp.problem.agents, x_terminal)))
+    link2 = float(sum(a * x for a, x in zip(exp.problem.A[:, 1, 0], x_terminal)))
     ok = converged and coord_err <= 5e-2 and link2 <= 1.0 + 5e-2
     record(4, "end-to-end NUM convergence", ok,
            f"stop={reason} at T={state.t}, max coord error {coord_err:.3f}, "
@@ -241,33 +239,30 @@ def test_criterion_9_descent_inequality_residuals():
 def test_criterion_10_local_solver_oracle_equivalence():
     rng = np.random.default_rng(101)
 
-    def grid_argmin(agent, lam, res=1e-4):
-        price = agent.A.T @ lam
-        out = np.empty(agent.dim)
-        for k in range(agent.dim):
-            xs = np.arange(agent.lower[k], agent.upper[k] + res / 2, res)
-            if isinstance(agent.objective, DiagonalQuadratic):
-                vals = (0.5 * agent.objective.diag[k] * xs**2
-                        + agent.objective.lin[k] * xs + price[k] * xs)
+    def grid_argmin(prob, lam, res=1e-4):
+        price = prob.A[0].T @ lam
+        out = np.empty(prob.dims[0])
+        for k in range(out.size):
+            xs = np.arange(prob.lower[0, k], prob.upper[0, k] + res / 2, res)
+            if prob.family is DiagonalQuadratic:
+                vals = 0.5 * prob.diag[0, k] * xs**2 + prob.lin[0, k] * xs + price[k] * xs
             else:
-                vals = -20.0 * agent.objective.weight * np.log(xs + 0.1) + price[k] * xs
+                vals = -20.0 * prob.weights[0] * np.log(xs + 0.1) + price[k] * xs
             out[k] = xs[np.argmin(vals)]
         return out
 
-    def solve_one(agent, lam):
-        prob = CoupledProblem(agents=(agent,), p=agent.A.shape[0])
+    def solve_one(prob, lam):
         return solve_local(prob, lam[None])[0]
 
-    quad = AgentProblem(
-        objective=DiagonalQuadratic(np.array([2.0, 3.5]), np.array([0.5, -0.25])),
-        lower=-np.ones(2), upper=np.ones(2),
-        A=rng.uniform(-1, 1, (3, 2)), b=np.zeros(3), tau=2.0, gamma=1.0,
+    quad = CoupledProblem(
+        A=rng.uniform(-1, 1, (1, 3, 2)), b=np.zeros((1, 3)),
+        lower=-np.ones((1, 2)), upper=np.ones((1, 2)), gammas=[1.0], taus=[2.0],
+        diag=np.array([[2.0, 3.5]]), lin=np.array([[0.5, -0.25]]),
     )
-    log_obj = LogUtility(0.5)
-    log = AgentProblem(
-        objective=log_obj, lower=np.zeros(1), upper=np.ones(1),
-        A=np.array([[1.0], [1.0]]), b=np.array([1 / 3, 1 / 3]),
-        tau=log_obj.modulus, gamma=1.0,
+    log = CoupledProblem(
+        A=np.ones((1, 2, 1)), b=np.full((1, 2), 1 / 3),
+        lower=np.zeros((1, 1)), upper=np.ones((1, 1)), gammas=[1.0],
+        taus=[20.0 * 0.5 / 1.1**2], weights=[0.5],
     )
     worst = 0.0
     for _ in range(100):

@@ -39,26 +39,26 @@ def test_rejects_non_doubly_stochastic_mixing(monkeypatch):
 
 def test_single_agent_is_plain_dual_subgradient():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
-    agent = prob.agents[0]
+    A, b = prob.A[0], prob.b[0]
     state = init_state(prob, RunConfig(q=1.0, t_max=50, epsilon=1e-300), push_sum=False)
     lam = np.zeros(2)
     for t in range(1, 31):
         state = advance_round(state, prob, np.array([[1.0]]))
         x = solve_local(prob, lam[None])[0]
-        lam = lam + (1.0 / t) * (agent.A @ x - agent.b)
+        lam = lam + (1.0 / t) * (A @ x - b)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
 
 
 def test_cdda_run_starts_from_theta0():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
-    agent = prob.agents[0]
+    A, b = prob.A[0], prob.b[0]
     seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     theta0 = np.array([[0.75, -1.5]])
     config = RunConfig(q=1.0, t_max=5, epsilon=1e-300, theta0=theta0)
     state, _, _ = cdda_run_until(prob, seq, config)
     lam = theta0[0]
     for t in range(1, 6):
-        lam = lam + (1.0 / t) * (agent.A @ solve_local(prob, lam[None])[0] - agent.b)
+        lam = lam + (1.0 / t) * (A @ solve_local(prob, lam[None])[0] - b)
     assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
 
 

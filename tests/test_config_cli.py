@@ -41,8 +41,8 @@ def test_bundled_fig7_parses_to_paper_settings():
     exp = parse_config(FIG7_CFG)
     assert exp.algorithm == "drdga"
     assert exp.problem.m == 3 and exp.problem.p == 2
-    assert [a.objective.weight for a in exp.problem.agents] == [1.0, 1.0, 0.5]
-    assert all(a.gamma == 1.0 for a in exp.problem.agents)
+    assert exp.problem.weights.tolist() == [1.0, 1.0, 0.5]
+    assert exp.problem.gammas.tolist() == [1.0, 1.0, 1.0]
     assert exp.run.q == 4.0 and exp.run.epsilon == 0.01 and exp.run.t_max == 5000
     assert exp.seq.m == 3 and exp.seq.window == 1 and len(exp.seq.adj) == 20
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,14 +80,14 @@ def test_single_agent_matches_centralized_recursion():
     # With m = 1 the rounds reduce to lambda[t+1] = theta[t] followed by a
     # regularized ascent step; compare against a direct implementation.
     prob, seq = single_agent_setup()
-    agent = prob.agents[0]
+    A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300))
     theta = np.zeros(2)
     for t in range(1, 51):
         state = step(state, prob, seq)
         lam = theta.copy()
         x = solve_local(prob, lam[None])[0]
-        theta = lam + (1.0 / t) * (agent.A @ x - agent.b - agent.gamma * lam)
+        theta = lam + (1.0 / t) * (A @ x - b - gamma * lam)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
         assert np.max(np.abs(state.theta[0] - theta)) <= 1e-12
         assert np.max(np.abs(state.x[0] - x)) <= 1e-12
@@ -120,10 +122,7 @@ def test_ergodic_average_formulas():
 def test_ergodic_average_of_constant_iterates():
     # A lone agent with zero coupling keeps lambda = 0 and x constant.
     prob = make_quadratic_problem(m=1, p=1, dims=[2], seed=3, tau_min=1.0, gamma=4.0)
-    agent = prob.agents[0]
-    frozen = type(agent)(objective=agent.objective, lower=agent.lower, upper=agent.upper,
-                         A=np.zeros_like(agent.A), b=np.zeros(1), tau=agent.tau, gamma=agent.gamma)
-    prob = type(prob)(agents=(frozen,), p=1)
+    prob = dataclasses.replace(prob, A=np.zeros_like(prob.A), b=np.zeros((1, 1)))
     seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
     state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
     for _ in range(10):

@@ -106,6 +106,17 @@ def test_bound_rejects_bad_T():
         theorem3_bound(0, c)
 
 
+def test_bound_constants_share_the_problem_gamma_total():
+    # For most draws of 64 unequal gammas, numpy's pairwise sum and the
+    # left-to-right sum differ in the last bit; the rate bounds and the
+    # q * gamma / m step rule must read one total.
+    base = make_quadratic_problem(m=64, p=2, dims=1, seed=3, tau_min=1.0)
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        prob = dataclasses.replace(base, gammas=rng.uniform(0.1, 5.0, 64))
+        assert constants_from_run(prob, 1, 4.0, []).gamma_total == prob.gamma_total
+
+
 def quad_run(rounds=12, m=3, seed=2):
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(m, 1, seed=9)
@@ -140,7 +151,7 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
         states.append(advance_round(states[-1], prob, W))
     rows = [evaluate_round(s, prob) for s in states[1:]]
     c = constants_from_run(prob, seq.window, 1.0, rows)
-    agent = prob.agents[0]
+    A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     for k in range(len(states) - 1):
         s0, s1 = states[k], states[k + 1]
         res = lemma2_residual(s0, s1, prob, np.zeros(2), c)
@@ -148,13 +159,13 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
         beta = 1.0 / s1.t
         th0, th1 = s0.theta[0], s1.theta[0]
         lam1, x1 = s1.lam[0], s1.x[0]
-        coeff = c.G[0] + agent.gamma * c.D
+        coeff = c.G[0] + gamma * c.D
         lag = lambda mult: (float(prob.agent_values(x1[None])[0])
-                            + float(mult @ (agent.A @ x1 - agent.b))
-                            - 0.5 * agent.gamma * float(mult @ mult))
+                            + float(mult @ (A @ x1 - b))
+                            - 0.5 * gamma * float(mult @ mult))
         rhs = (float(th0 @ th0)
                + 4 * beta * coeff * float(np.linalg.norm(lam1 - th0))
-               - beta * agent.gamma * float(lam1 @ lam1)
+               - beta * gamma * float(lam1 @ lam1)
                + beta**2 * coeff**2
                - 2 * beta * (lag(np.zeros(2)) - lag(th0)))
         direct = rhs - float(th1 @ th1)

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from drdga import (
-    AgentProblem,
     CoupledProblem,
     DiagonalQuadratic,
+    InvalidInputError,
     InvalidProblemError,
     LogUtility,
     compute_G_bound,
     make_num_problem,
     make_quadratic_problem,
+    solve_local,
 )
 
 FIG7_ROUTING = [[1, 1, 0], [1, 1, 1]]
@@ -19,36 +22,94 @@ def fig7_problem():
     return make_num_problem(FIG7_ROUTING, capacities=[1.0, 1.0], gammas=[1.0, 1.0, 1.0])
 
 
+def quad_problem(diag, lin, A, lower=-1.0, upper=1.0, gamma=1.0):
+    """One diagonal-quadratic agent with b = 0 and tau = min(diag)."""
+    diag = np.asarray(diag, dtype=float)
+    A = np.asarray(A, dtype=float)
+    return CoupledProblem(
+        A=A[None], b=np.zeros((1, A.shape[0])),
+        lower=np.full((1, diag.size), lower), upper=np.full((1, diag.size), upper),
+        gammas=[gamma], taus=[diag.min()],
+        diag=diag[None], lin=np.asarray(lin, dtype=float)[None],
+    )
+
+
+def log_problem(w=1.0, A=None):
+    """One rate-utility agent on [0, 1] with b = 1/3 per row and tau its modulus."""
+    A = np.array([[1.0], [1.0]]) if A is None else A
+    return CoupledProblem(
+        A=A[None], b=np.full((1, A.shape[0]), 1 / 3),
+        lower=np.zeros((1, 1)), upper=np.ones((1, 1)),
+        gammas=[1.0], taus=[20.0 * w / 1.1**2], weights=[w],
+    )
+
+
+def solve_one(prob, lam):
+    """solve_local on a one-agent problem."""
+    return solve_local(prob, np.asarray(lam, dtype=float)[None])[0]
+
+
+def dual_gradient(prob, lam):
+    """Gradient of the agent's regularized dual: A_i x_i(lambda) - b_i - gamma_i lambda."""
+    return prob.A[0] @ solve_one(prob, lam) - prob.b[0] - prob.gammas[0] * lam
+
+
+def grid_argmin(prob, lam, res=1e-4):
+    """Independent oracle: per-coordinate exhaustive grid (objectives are separable)."""
+    price = prob.A[0].T @ lam
+    out = np.empty(prob.dims[0])
+    for k in range(out.size):
+        xs = np.arange(prob.lower[0, k], prob.upper[0, k] + res / 2, res)
+        if prob.family is DiagonalQuadratic:
+            vals = 0.5 * prob.diag[0, k] * xs**2 + prob.lin[0, k] * xs + price[k] * xs
+        else:
+            vals = -20.0 * prob.weights[0] * np.log(xs + 0.1) + price[k] * xs
+        out[k] = xs[np.argmin(vals)]
+    return out
+
+
+def loop_G_bound(prob):
+    """Reference G: a plain loop over every box vertex of each agent's own coordinates."""
+    out = []
+    for i, n in enumerate(prob.dims):
+        A, b = prob.A[i, :, :n], prob.b[i]
+        best = 0.0
+        for bits in itertools.product((0, 1), repeat=n):
+            vertex = np.where(np.asarray(bits, dtype=bool), prob.upper[i, :n], prob.lower[i, :n])
+            best = max(best, float(np.linalg.norm(A @ vertex - b)))
+        out.append(best)
+    return np.array(out)
+
+
 def test_num_fig7_weights():
     prob = fig7_problem()
-    assert prob.m == 3 and prob.p == 2
-    weights = [a.objective.weight for a in prob.agents]
-    assert weights == [1.0, 1.0, 0.5]
+    assert prob.m == 3 and prob.p == 2 and prob.family is LogUtility
+    assert prob.weights.tolist() == [1.0, 1.0, 0.5]
 
 
 def test_num_equal_capacity_split():
     prob = fig7_problem()
-    for agent in prob.agents:
-        assert np.allclose(agent.b, [1.0 / 3.0, 1.0 / 3.0])
-    total = sum(a.b for a in prob.agents)
-    assert np.allclose(total, [1.0, 1.0])
+    for b in prob.b:
+        assert np.allclose(b, [1.0 / 3.0, 1.0 / 3.0])
+    assert np.allclose(prob.b.sum(axis=0), [1.0, 1.0])
 
 
 def test_num_agent_structure():
     prob = fig7_problem()
     third = prob.agents[2]
-    assert np.array_equal(third.A, [[0.0], [1.0]])
-    assert third.lower == pytest.approx([0.0]) and third.upper == pytest.approx([1.0])
+    assert third.m == 1 and third.dims == (1,)
+    assert np.array_equal(third.A, [[[0.0], [1.0]]])
+    assert third.lower[0] == pytest.approx([0.0]) and third.upper[0] == pytest.approx([1.0])
     # modulus of -20 w log(x + 0.1) on [0, 1] is 20 w / 1.21
-    assert third.tau == pytest.approx(20.0 * 0.5 / 1.21)
+    assert third.taus[0] == pytest.approx(20.0 * 0.5 / 1.21)
 
 
 def test_num_single_source_single_link():
     prob = make_num_problem([[1]], capacities=[1.0], gammas=[1.0])
     agent = prob.agents[0]
-    assert agent.objective.weight == 1.0
-    assert np.array_equal(agent.A, [[1.0]])
-    assert np.array_equal(agent.b, [1.0])
+    assert agent.weights[0] == 1.0
+    assert np.array_equal(agent.A, [[[1.0]]])
+    assert np.array_equal(agent.b, [[1.0]])
 
 
 def test_num_rejects_unused_source():
@@ -68,78 +129,88 @@ def test_num_rejects_bad_entries():
 def test_quadratic_deterministic_and_feasible_by_construction():
     a = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)
     b = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)
-    for x, y in zip(a.agents, b.agents):
-        assert np.array_equal(x.A, y.A) and np.array_equal(x.b, y.b)
-        assert np.array_equal(x.objective.diag, y.objective.diag)
+    for name in ("A", "b", "diag", "lin", "lower", "upper"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     c = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=10, tau_min=0.5)
-    assert not np.array_equal(a.agents[0].A, c.agents[0].A)
-    for agent in a.agents:
-        assert np.all(agent.objective.diag >= 0.5) and np.all(agent.objective.diag <= 5.0)
-        assert np.all(agent.lower == -1.0) and np.all(agent.upper == 1.0)
+    assert not np.array_equal(a.A[0], c.A[0])
+    for i, n in enumerate(a.dims):
+        assert np.all(a.diag[i, :n] >= 0.5) and np.all(a.diag[i, :n] <= 5.0)
+        assert np.all(a.lower[i, :n] == -1.0) and np.all(a.upper[i, :n] == 1.0)
 
 
 def test_quadratic_scalar_dims_broadcast():
     prob = make_quadratic_problem(m=3, p=2, dims=2, seed=0, tau_min=1.0)
-    assert all(a.dim == 2 for a in prob.agents)
+    assert prob.dims == (2, 2, 2)
 
 
 def test_G_bound_zero_coupling():
-    agent = AgentProblem(
-        objective=DiagonalQuadratic(np.ones(2), np.zeros(2)),
-        lower=-np.ones(2), upper=np.ones(2),
-        A=np.zeros((2, 2)), b=np.array([3.0, 4.0]), tau=1.0, gamma=1.0,
+    prob = CoupledProblem(
+        A=np.zeros((1, 2, 2)), b=np.array([[3.0, 4.0]]),
+        lower=-np.ones((1, 2)), upper=np.ones((1, 2)),
+        gammas=[1.0], taus=[1.0], diag=np.ones((1, 2)), lin=np.zeros((1, 2)),
     )
-    assert compute_G_bound(agent) == pytest.approx(5.0)
+    assert compute_G_bound(prob) == pytest.approx([5.0])
 
 
 def test_G_bound_scalar_vertex():
-    agent = AgentProblem(
-        objective=LogUtility(1.0),
-        lower=np.zeros(1), upper=np.ones(1),
-        A=np.array([[1.0], [1.0]]), b=np.array([1 / 3, 1 / 3]),
-        tau=20.0 / 1.21, gamma=1.0,
-    )
-    assert compute_G_bound(agent) == pytest.approx(2.0 * np.sqrt(2.0) / 3.0)
+    assert compute_G_bound(log_problem()) == pytest.approx([2.0 * np.sqrt(2.0) / 3.0])
 
 
 def test_G_bound_identity_box():
-    agent = AgentProblem(
-        objective=DiagonalQuadratic(np.ones(2), np.zeros(2)),
-        lower=-np.ones(2), upper=np.ones(2),
-        A=np.eye(2), b=np.zeros(2), tau=1.0, gamma=1.0,
+    assert compute_G_bound(quad_problem(np.ones(2), np.zeros(2), np.eye(2))) == pytest.approx(
+        [np.sqrt(2.0)]
     )
-    assert compute_G_bound(agent) == pytest.approx(np.sqrt(2.0))
 
 
 def test_G_bound_dominates_random_points():
     rng = np.random.default_rng(3)
     prob = make_quadratic_problem(m=3, p=4, dims=[2, 3, 1], seed=8, tau_min=1.0)
-    for agent in prob.agents:
-        G = compute_G_bound(agent)
-        pts = rng.uniform(agent.lower, agent.upper, size=(1000, agent.dim))
-        norms = np.linalg.norm(pts @ agent.A.T - agent.b, axis=1)
-        assert np.all(norms <= G + 1e-9)
+    G = compute_G_bound(prob)
+    assert G.shape == (3,)
+    for i, n in enumerate(prob.dims):
+        pts = rng.uniform(prob.lower[i, :n], prob.upper[i, :n], size=(1000, n))
+        norms = np.linalg.norm(pts @ prob.A[i, :, :n].T - prob.b[i], axis=1)
+        assert np.all(norms <= G[i] + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        *(make_quadratic_problem(m=6, p=p, dims=[1, 4, 2, 4, 3, 1], seed=s, tau_min=1.0)
+          for p, s in ((1, 1), (3, 2), (5, 3))),
+        fig7_problem(),
+        make_num_problem(np.random.default_rng(8).integers(0, 2, (4, 7)) | np.eye(4, 7, dtype=int),
+                         capacities=np.ones(4), gammas=np.ones(7)),
+        make_quadratic_problem(m=1, p=3, dims=[14], seed=5, tau_min=1.0),
+        # 5,000 coupling rows split each group's vertices over several chunks.
+        make_quadratic_problem(m=3, p=5000, dims=[8, 6, 8], seed=7, tau_min=1.0),
+    ],
+    ids=["quad_p1", "quad_p3", "quad_p5", "num_fig7", "num_random", "quad_n14", "quad_chunked"],
+)
+def test_G_bound_matches_vertex_loop(prob):
+    # The vectorized products may round differently from one matrix-vector
+    # product per vertex, so agreement is to a few ulp, not bit for bit.
+    np.testing.assert_allclose(
+        compute_G_bound(prob), loop_G_bound(prob), rtol=4 * np.finfo(float).eps, atol=0.0
+    )
 
 
 def test_G_bound_large_dimension_fallback():
     n = 25
-    agent = AgentProblem(
-        objective=DiagonalQuadratic(np.ones(n), np.zeros(n)),
-        lower=-np.ones(n), upper=np.ones(n),
-        A=np.ones((1, n)), b=np.zeros(1), tau=1.0, gamma=1.0,
+    prob = CoupledProblem(
+        A=np.ones((1, 1, n)), b=np.zeros((1, 1)),
+        lower=-np.ones((1, n)), upper=np.ones((1, n)),
+        gammas=[1.0], taus=[1.0], diag=np.ones((1, n)), lin=np.zeros((1, n)),
     )
-    G = compute_G_bound(agent)
-    assert G >= n  # true max is n; Frobenius fallback is an upper bound
+    G = compute_G_bound(prob)
+    assert G[0] >= n  # true max is n; Frobenius fallback is an upper bound
 
 
 def test_log_utility_strong_convexity_probe():
     rng = np.random.default_rng(11)
     for w in (0.25, 0.5, 1.0):
-        f = LogUtility(w)
-        tau = f.modulus
-        agent = AgentProblem(objective=f, lower=np.zeros(1), upper=np.ones(1),
-                             A=np.ones((1, 1)), b=np.zeros(1), tau=tau, gamma=1.0)
-        prob = CoupledProblem(agents=(agent,), p=1)
+        prob = log_problem(w, A=np.ones((1, 1)))
+        tau = prob.taus[0]
         value = lambda v: float(prob.agent_values([[v]])[0])
         for _ in range(200):
             x, y = rng.uniform(0.0, 1.0, size=2)
@@ -149,33 +220,43 @@ def test_log_utility_strong_convexity_probe():
 
 
 def test_agent_validation():
-    quad = DiagonalQuadratic(np.ones(1), np.zeros(1))
-    good = dict(objective=quad, lower=np.zeros(1), upper=np.ones(1),
-                A=np.ones((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
-    AgentProblem(**good)
-    with pytest.raises(InvalidProblemError):
-        AgentProblem(**{**good, "lower": np.array([2.0])})
-    with pytest.raises(InvalidProblemError):
-        AgentProblem(**{**good, "tau": 0.0})
-    with pytest.raises(InvalidProblemError):
-        AgentProblem(**{**good, "gamma": -1.0})
-    with pytest.raises(InvalidProblemError):
-        AgentProblem(**{**good, "A": np.ones((1, 2))})
-    with pytest.raises(InvalidProblemError):
+    good = dict(A=np.ones((1, 1, 1)), b=np.zeros((1, 1)), lower=np.zeros((1, 1)),
+                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
+    CoupledProblem(**good)
+    with pytest.raises(InvalidProblemError, match="box is empty"):
+        CoupledProblem(**{**good, "lower": np.array([[2.0]])})
+    with pytest.raises(InvalidProblemError, match="tau must be positive"):
+        CoupledProblem(**{**good, "taus": [0.0]})
+    with pytest.raises(InvalidProblemError, match="gamma must be positive"):
+        CoupledProblem(**{**good, "gammas": [-1.0]})
+    with pytest.raises(InvalidProblemError, match="A has shape"):
+        CoupledProblem(**{**good, "A": np.ones((1, 1, 2))})
+    with pytest.raises(InvalidProblemError, match="below the declared tau"):
         # declared tau above the objective's actual curvature
-        AgentProblem(**{**good, "tau": 2.0})
+        CoupledProblem(**{**good, "taus": [2.0]})
+    with pytest.raises(InvalidProblemError, match="curvature entries must be positive"):
+        CoupledProblem(**{**good, "diag": np.zeros((1, 1))})
+    with pytest.raises(InvalidProblemError, match="lin has shape"):
+        CoupledProblem(**{**good, "lin": np.zeros((1, 2))})
+    log = {**good, "diag": None, "lin": None, "weights": [1.0], "taus": [1.0]}
+    CoupledProblem(**log)
+    with pytest.raises(InvalidProblemError, match="weight must be non-negative"):
+        CoupledProblem(**{**log, "weights": [-1.0]})
 
 
 def test_coupled_problem_validation():
-    quad = DiagonalQuadratic(np.ones(1), np.zeros(1))
-    agent = AgentProblem(objective=quad, lower=np.zeros(1), upper=np.ones(1),
-                         A=np.ones((2, 1)), b=np.zeros(2), tau=1.0, gamma=1.0)
-    prob = CoupledProblem(agents=(agent,), p=2)
-    assert prob.m == 1 and prob.gamma_total == 1.0
-    with pytest.raises(InvalidProblemError):
-        CoupledProblem(agents=(agent,), p=3)
-    with pytest.raises(InvalidProblemError):
-        CoupledProblem(agents=(), p=1)
+    good = dict(A=np.ones((1, 2, 1)), b=np.zeros((1, 2)), lower=np.zeros((1, 1)),
+                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
+    prob = CoupledProblem(**good)
+    assert prob.m == 1 and prob.p == 2 and prob.gamma_total == 1.0
+    with pytest.raises(InvalidProblemError, match="b has shape"):
+        CoupledProblem(**{**good, "b": np.zeros((1, 3))})
+    with pytest.raises(InvalidProblemError, match="at least one agent"):
+        CoupledProblem(A=np.zeros((0, 1, 1)), b=np.zeros((0, 1)), lower=np.zeros((0, 1)),
+                       upper=np.zeros((0, 1)), gammas=np.zeros(0), taus=np.zeros(0),
+                       diag=np.ones((0, 1)), lin=np.zeros((0, 1)))
 
 
 def test_quadratic_family_admits_feasible_point():
@@ -193,24 +274,42 @@ def test_ragged_dims_are_padded_with_degenerate_coordinates():
     assert prob.dims == (1, 3, 2)
     assert prob.A.shape == (3, 2, 3) and prob.b.shape == (3, 2)
     assert prob.lower.shape == prob.upper.shape == prob.diag.shape == (3, 3)
-    for i, agent in enumerate(prob.agents):
-        n = agent.dim
-        assert np.array_equal(prob.A[i, :, :n], agent.A) and not prob.A[i, :, n:].any()
-        assert np.array_equal(prob.diag[i, :n], agent.objective.diag)
+    # Replaying the generator draws diag, lin, A and x0 per agent, in that order.
+    rng = np.random.default_rng(4)
+    for i, n in enumerate(prob.dims):
+        diag, lin = rng.uniform(1.0, 10.0, size=n), rng.uniform(-1.0, 1.0, size=n)
+        A, x0 = rng.uniform(-1.0, 1.0, size=(2, n)), rng.uniform(-0.9, 0.9, size=n)
+        assert np.array_equal(prob.A[i, :, :n], A) and not prob.A[i, :, n:].any()
+        assert np.array_equal(prob.b[i], A @ x0)
+        assert np.array_equal(prob.diag[i, :n], diag) and np.array_equal(prob.lin[i, :n], lin)
         assert np.all(prob.diag[i, n:] == 1.0) and not prob.lin[i, n:].any()
         assert not prob.lower[i, n:].any() and not prob.upper[i, n:].any()
     assert prob.weights is None
+
+
+def test_padding_stays_out_of_the_modulus_check():
+    # Every diag entry of the agent of dimension 1 is drawn in [2, 20], but
+    # its padding carries diag 1 < tau_min = 2.
+    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=2.0)
+    assert prob.diag[0, 1:].tolist() == [1.0, 1.0] and np.all(prob.taus == 2.0)
+    # Declared tau above the smallest own curvature is still rejected.
+    with pytest.raises(InvalidProblemError, match="below the declared tau"):
+        CoupledProblem(
+            A=np.zeros((1, 1, 2)), b=np.zeros((1, 1)),
+            lower=np.zeros((1, 2)), upper=np.ones((1, 2)), gammas=[1.0], taus=[2.0],
+            diag=np.array([[3.0, 1.5]]), lin=np.zeros((1, 2)),
+        )
 
 
 def test_stacked_values_and_coupling_match_direct_sums():
     prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=1.0)
     rng = np.random.default_rng(6)
     x = rng.uniform(prob.lower, prob.upper)
-    direct = [0.5 * a.objective.diag @ (x[i, :a.dim] ** 2) + a.objective.lin @ x[i, :a.dim]
-              for i, a in enumerate(prob.agents)]
+    direct = [0.5 * prob.diag[i, :n] @ (x[i, :n] ** 2) + prob.lin[i, :n] @ x[i, :n]
+              for i, n in enumerate(prob.dims)]
     assert np.allclose(prob.agent_values(x), direct, rtol=1e-14, atol=1e-14)
     assert prob.objective_value(x) == pytest.approx(sum(direct), rel=1e-14)
-    residual = sum(a.A @ x[i, :a.dim] - a.b for i, a in enumerate(prob.agents))
+    residual = sum(prob.A[i, :, :n] @ x[i, :n] - prob.b[i] for i, n in enumerate(prob.dims))
     assert np.allclose(prob.coupling_residual(x), residual, rtol=1e-14, atol=1e-14)
 
     num = fig7_problem()
@@ -221,19 +320,16 @@ def test_stacked_values_and_coupling_match_direct_sums():
 
 
 def test_mixed_families_and_mismatched_dimensions_rejected():
-    quad = AgentProblem(objective=DiagonalQuadratic(np.ones(1), np.zeros(1)),
-                        lower=np.zeros(1), upper=np.ones(1),
-                        A=np.ones((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
-    log = make_num_problem([[1]], capacities=[1.0], gammas=[1.0]).agents[0]
-    with pytest.raises(InvalidProblemError, match="mix objective families"):
-        CoupledProblem(agents=(quad, log), p=1)
+    quad = dict(A=np.ones((1, 1, 1)), b=np.zeros((1, 1)), lower=np.zeros((1, 1)),
+                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
+    with pytest.raises(InvalidProblemError, match="either"):
+        CoupledProblem(**quad, weights=[1.0])
     with pytest.raises(InvalidProblemError, match="2 variables"):
-        AgentProblem(objective=DiagonalQuadratic(np.ones(2), np.zeros(2)),
-                     lower=np.zeros(1), upper=np.ones(1),
-                     A=np.ones((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
+        CoupledProblem(**{**quad, "diag": np.ones((1, 2)), "lin": np.zeros((1, 2))})
     with pytest.raises(InvalidProblemError, match="1 variables"):
-        AgentProblem(objective=LogUtility(1.0), lower=np.zeros(2), upper=np.ones(2),
-                     A=np.ones((1, 2)), b=np.zeros(1), tau=1.0, gamma=1.0)
+        CoupledProblem(A=np.ones((1, 1, 2)), b=np.zeros((1, 1)), lower=np.zeros((1, 2)),
+                       upper=np.ones((1, 2)), gammas=[1.0], taus=[1.0], weights=[1.0])
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -252,3 +348,101 @@ def test_sums_over_agents_run_left_to_right(p):
         for term in prob.coupling_terms(x):
             residual = residual + term
         assert np.array_equal(prob.coupling_residual(x), residual)
+
+
+def test_log_zero_price_returns_upper():
+    prob = log_problem()
+    assert solve_one(prob, np.zeros(2)) == pytest.approx([1.0])
+    assert solve_one(prob, np.array([-5.0, 2.0])) == pytest.approx([1.0])
+
+
+def test_log_stationary_point():
+    # price 20 balances the marginal utility at x + 0.1 = 1.
+    prob = log_problem(w=1.0)
+    x = solve_one(prob, np.array([10.0, 10.0]))
+    assert x == pytest.approx([0.9])
+    assert abs(float(x[0]) - grid_argmin(prob, np.array([10.0, 10.0]))[0]) < 1e-3
+
+
+def test_quadratic_scalar_example():
+    prob = quad_problem([2.0], [0.0], [[1.0]])
+    x = solve_one(prob, np.array([1.0]))
+    assert x == pytest.approx([-0.5])
+    assert abs(float(x[0]) - grid_argmin(prob, np.array([1.0]))[0]) < 1e-3
+
+
+def test_closed_forms_match_grid_search():
+    rng = np.random.default_rng(17)
+    prob_q = quad_problem([2.0, 3.5], [0.5, -0.25], rng.uniform(-1, 1, (3, 2)))
+    prob_l = log_problem(w=0.5)
+    for _ in range(100):
+        lam_q = rng.normal(size=3) * 3.0
+        assert np.max(np.abs(solve_one(prob_q, lam_q) - grid_argmin(prob_q, lam_q))) < 1e-3
+        lam_l = rng.normal(size=2) * 20.0
+        assert np.max(np.abs(solve_one(prob_l, lam_l) - grid_argmin(prob_l, lam_l))) < 1e-3
+
+
+def test_minimizer_always_inside_box():
+    rng = np.random.default_rng(5)
+    prob = quad_problem([1.0, 1.0], [5.0, -5.0], rng.uniform(-1, 1, (2, 2)))
+    for _ in range(50):
+        x = solve_one(prob, rng.normal(size=2) * 10)
+        assert np.all(x >= prob.lower[0]) and np.all(x <= prob.upper[0])
+
+
+def test_optimality_certificate():
+    rng = np.random.default_rng(23)
+    prob = quad_problem([2.0, 4.0], [0.3, -0.6], rng.uniform(-1, 1, (2, 2)))
+    lower, upper = prob.lower[0], prob.upper[0]
+    for _ in range(50):
+        lam = rng.normal(size=2) * 4
+        x = solve_one(prob, lam)
+        grad = prob.diag[0] * x + prob.lin[0] + prob.A[0].T @ lam
+        for k in range(x.size):
+            if lower[k] < x[k] < upper[k]:
+                assert abs(grad[k]) <= 1e-8
+            elif x[k] == upper[k]:
+                assert grad[k] <= 1e-8  # objective still decreasing at the bound
+            else:
+                assert grad[k] >= -1e-8
+
+
+def test_dual_gradient_formula_and_zero_lambda():
+    prob = quad_problem([2.0], [0.4], [[1.0], [-1.0]], gamma=0.7)
+    # lambda = 0: x = -0.4 / 2 and no regularization term
+    assert dual_gradient(prob, np.zeros(2)) == pytest.approx([-0.2, 0.2])
+    # price 0.3 + 0.2 = 0.5 gives x = -0.45; minus 0.7 * lambda
+    assert dual_gradient(prob, np.array([0.3, -0.2])) == pytest.approx([-0.66, 0.59])
+
+
+def test_dual_gradient_strong_monotonicity():
+    rng = np.random.default_rng(31)
+    prob = make_quadratic_problem(m=1, p=3, dims=[2], seed=4, tau_min=1.0, gamma=0.8)
+    for _ in range(100):
+        l1, l2 = rng.normal(size=3) * 2, rng.normal(size=3) * 2
+        inner = (dual_gradient(prob, l1) - dual_gradient(prob, l2)) @ (l1 - l2)
+        assert inner <= -prob.gammas[0] * np.sum((l1 - l2) ** 2) + 1e-8
+
+
+def test_dual_gradient_lipschitz():
+    rng = np.random.default_rng(37)
+    prob = make_quadratic_problem(m=1, p=3, dims=[2], seed=6, tau_min=1.0)
+    gamma = prob.gammas[0]
+    L = np.linalg.norm(prob.A[0], 2) / prob.taus[0]
+    for _ in range(100):
+        l1, l2 = rng.normal(size=3) * 2, rng.normal(size=3) * 2
+        unreg1 = dual_gradient(prob, l1) + gamma * l1
+        unreg2 = dual_gradient(prob, l2) + gamma * l2
+        assert np.linalg.norm(unreg1 - unreg2) <= L * np.linalg.norm(l1 - l2) + 1e-8
+
+
+def test_rejects_bad_lambda():
+    prob = quad_problem([1.0], [0.0], [[1.0]])
+    with pytest.raises(InvalidInputError):
+        solve_local(prob, np.array([[np.nan]]))
+    with pytest.raises(InvalidInputError):
+        solve_local(prob, np.array([[np.inf]]))
+    with pytest.raises(InvalidInputError):
+        solve_local(prob, np.array([[1.0, 2.0]]))
+    with pytest.raises(InvalidInputError):
+        solve_local(prob, np.array([1.0]))

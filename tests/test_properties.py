@@ -3,6 +3,8 @@
 The examples are derandomized, so every run checks the same cases.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from drdga import (
-    CoupledProblem,
     GraphSequence,
     RunConfig,
     advance_round,
@@ -80,13 +81,18 @@ def test_stacked_solve_matches_one_agent_solves(prob, seed, scale):
     x = solve_local(prob, lam)
     n_max = max(prob.dims)
     assert x.shape == (prob.m, n_max)
-    for i, agent in enumerate(prob.agents):
-        alone = solve_local(CoupledProblem(agents=(agent,), p=prob.p), lam[i : i + 1])[0]
-        if agent.dim == n_max:
+    for i, (agent, n) in enumerate(zip(prob.agents, prob.dims)):
+        # Agent i alone at its own dimension n, without the padding.
+        cut = lambda a: None if a is None else a[..., :n]
+        agent = dataclasses.replace(agent, A=cut(agent.A), lower=cut(agent.lower),
+                                    upper=cut(agent.upper), diag=cut(agent.diag),
+                                    lin=cut(agent.lin), dims=None)
+        alone = solve_local(agent, lam[i : i + 1])[0]
+        if n == n_max:
             assert np.array_equal(x[i], alone)
         else:
-            assert np.allclose(x[i, : agent.dim], alone, rtol=0.0, atol=1e-12 * (1.0 + scale))
-        assert np.all(x[i, agent.dim :] == 0.0)
+            assert np.allclose(x[i, :n], alone, rtol=0.0, atol=1e-12 * (1.0 + scale))
+        assert np.all(x[i, n:] == 0.0)
 
 
 @given(problems, seeds, st.integers(2, 25), st.integers(1, 3),

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from drdga import (
-    AgentProblem,
     CoupledProblem,
-    DiagonalQuadratic,
     InfeasibleProblemError,
     make_num_problem,
     make_quadratic_problem,
@@ -14,38 +12,40 @@ from drdga import (
 FIG7 = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
+def scalar_quadratic(A, b, lower, upper):
+    """One agent with f(x) = x^2 / 2 on [lower, upper] and coupling A x - b."""
+    return CoupledProblem(
+        A=np.array([[[A]]]), b=np.array([[b]]), lower=np.array([[lower]]),
+        upper=np.array([[upper]]), gammas=[1.0], taus=[1.0],
+        diag=np.ones((1, 1)), lin=np.zeros((1, 1)),
+    )
+
+
 def test_detects_infeasible_single_agent():
     # A x ranges over [0, 1] but b = 5: the dual diverges.
-    agent = AgentProblem(
-        objective=DiagonalQuadratic(np.array([1.0]), np.zeros(1)),
-        lower=np.zeros(1), upper=np.ones(1),
-        A=np.array([[1.0]]), b=np.array([5.0]), tau=1.0, gamma=1.0,
-    )
-    prob = CoupledProblem(agents=(agent,), p=1)
+    prob = scalar_quadratic(A=1.0, b=5.0, lower=0.0, upper=1.0)
     with pytest.raises(InfeasibleProblemError):
         solve_centralized(prob, tol=1e-6, max_iter=5000)
 
 
 def test_matches_kkt_linear_system_when_boxes_inactive():
     rng = np.random.default_rng(42)
-    agents = []
+    diag, lin, A, b = [], [], [], []
     for _ in range(2):
-        diag = rng.uniform(2.0, 4.0, 2)
-        lin = rng.uniform(-0.5, 0.5, 2)
-        A = rng.uniform(-1, 1, (2, 2)) + 2 * np.eye(2)
-        x0 = rng.uniform(-0.2, 0.2, 2)
-        agents.append(AgentProblem(
-            objective=DiagonalQuadratic(diag, lin),
-            lower=-10 * np.ones(2), upper=10 * np.ones(2),
-            A=A, b=A @ x0, tau=2.0, gamma=1.0,
-        ))
-    prob = CoupledProblem(agents=tuple(agents), p=2)
+        diag.append(rng.uniform(2.0, 4.0, 2))
+        lin.append(rng.uniform(-0.5, 0.5, 2))
+        A.append(rng.uniform(-1, 1, (2, 2)) + 2 * np.eye(2))
+        b.append(A[-1] @ rng.uniform(-0.2, 0.2, 2))
+    prob = CoupledProblem(
+        A=np.array(A), b=np.array(b), lower=np.full((2, 2), -10.0), upper=np.full((2, 2), 10.0),
+        gammas=np.ones(2), taus=np.full(2, 2.0), diag=np.array(diag), lin=np.array(lin),
+    )
     # Independent oracle: stationarity x_i = -D_i^{-1}(c_i + A_i^T lam) plugged
     # into the coupling gives a linear system for lam.
-    H = sum(a.A @ np.diag(1.0 / a.objective.diag) @ a.A.T for a in agents)
-    rhs = -sum(a.b + a.A @ (a.objective.lin / a.objective.diag) for a in agents)
+    H = sum(A_i @ np.diag(1.0 / d) @ A_i.T for A_i, d in zip(A, diag))
+    rhs = -sum(b_i + A_i @ (c / d) for A_i, b_i, c, d in zip(A, b, lin, diag))
     lam_kkt = np.linalg.solve(H, rhs)
-    xs_kkt = [-(a.objective.lin + a.A.T @ lam_kkt) / a.objective.diag for a in agents]
+    xs_kkt = [-(c + A_i.T @ lam_kkt) / d for A_i, c, d in zip(A, lin, diag)]
 
     sol = solve_centralized(prob, tol=1e-8)
     assert np.max(np.abs(sol.multiplier - lam_kkt)) < 1e-6
@@ -80,32 +80,24 @@ def test_weak_duality_certificate_on_quadratic():
     rng = np.random.default_rng(2)
     # Coupling-feasible candidates: perturb the solution within the null space
     # of the stacked coupling map, then re-check feasibility before comparing.
-    stacked = np.hstack([a.A for a in prob.agents])
+    stacked = np.hstack(list(prob.A))
     _, _, Vt = np.linalg.svd(stacked)
     null = Vt[np.linalg.matrix_rank(stacked):].T
     x_flat = np.concatenate(sol.x)
     for _ in range(20):
         cand = x_flat + null @ rng.normal(size=null.shape[1]) * 0.05
-        xs, k = [], 0
-        for a in prob.agents:
-            xs.append(cand[k : k + a.dim])
-            k += a.dim
-        if any(np.any(x < a.lower) or np.any(x > a.upper) for x, a in zip(xs, prob.agents)):
+        xs = cand.reshape(prob.lower.shape)
+        if np.any(xs < prob.lower) or np.any(xs > prob.upper):
             continue
         assert float(np.linalg.norm(prob.coupling_residual(xs))) <= 1e-6
         assert prob.objective_value(xs) >= sol.objective - slack - 1e-9
 
 
 def test_zero_coupling_maps():
-    quad = DiagonalQuadratic(np.ones(1), np.zeros(1))
-    ok = AgentProblem(objective=quad, lower=-np.ones(1), upper=np.ones(1),
-                      A=np.zeros((1, 1)), b=np.zeros(1), tau=1.0, gamma=1.0)
-    sol = solve_centralized(CoupledProblem(agents=(ok,), p=1), tol=1e-9)
+    sol = solve_centralized(scalar_quadratic(A=0.0, b=0.0, lower=-1.0, upper=1.0), tol=1e-9)
     assert sol.violation == 0.0
-    bad = AgentProblem(objective=quad, lower=-np.ones(1), upper=np.ones(1),
-                       A=np.zeros((1, 1)), b=np.ones(1), tau=1.0, gamma=1.0)
     with pytest.raises(InfeasibleProblemError):
-        solve_centralized(CoupledProblem(agents=(bad,), p=1), tol=1e-9)
+        solve_centralized(scalar_quadratic(A=0.0, b=1.0, lower=-1.0, upper=1.0), tol=1e-9)
 
 
 def test_tolerance_must_be_positive():
