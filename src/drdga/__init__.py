@@ -35,7 +35,6 @@ from .graph import (
     build_weight_matrix,
     generate_graph_sequence,
     parse_edge_list,
-    verify_window_connectivity,
 )
 from .metrics import (
     BoundConstants,
@@ -98,5 +97,4 @@ __all__ = [
     "solve_local",
     "theorem2_bound",
     "theorem3_bound",
-    "verify_window_connectivity",
 ]

@@ -8,7 +8,6 @@ drdga/configs/ for complete examples of both problem families.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,12 +15,7 @@ import numpy as np
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .graph import (
-    GraphSequence,
-    generate_graph_sequence,
-    parse_edge_list,
-    verify_window_connectivity,
-)
+from .graph import GraphSequence, generate_graph_sequence, parse_edge_list
 from .problem import CoupledProblem, make_num_problem, make_quadratic_problem
 
 ALGORITHMS = ("drdga", "cdda")
@@ -29,7 +23,7 @@ ALGORITHMS = ("drdga", "cdda")
 _KNOWN_KEYS = {
     "experiment": {"algorithm"},
     "problem": {"family", "routing", "capacities", "gammas", "m", "p", "dims", "seed", "tau_min"},
-    "graph": {"mode", "m", "window", "pool_size", "seed", "path"},
+    "graph": {"mode", "window", "pool_size", "seed", "path"},
     "run": {"q", "t_max", "epsilon", "theta0"},
 }
 
@@ -122,6 +116,8 @@ def _build_problem(section: _Section) -> CoupledProblem:
         p = section.parse("p", int, "an integer", required=True)
         dims = section.parse("dims", _ints, "a list of integers", default=[1] * max(m, 1))
         seed = section.parse("seed", int, "an integer", default=0)
+        if seed < 0:
+            raise ConfigError(f"problem.seed: must be >= 0, got {seed}")
         tau_min = section.parse("tau_min", float, "a number", default=1.0)
         try:
             return make_quadratic_problem(m=m, p=p, dims=dims, seed=seed, tau_min=tau_min)
@@ -132,9 +128,6 @@ def _build_problem(section: _Section) -> CoupledProblem:
 
 def _build_graph(section: _Section, problem: CoupledProblem, base_dir: Path) -> GraphSequence:
     mode = section.get("mode", "random-pool")
-    m = section.parse("m", int, "an integer", default=problem.m)
-    if m != problem.m:
-        raise ConfigError(f"graph.m: {m} does not match the problem's agent count {problem.m}")
     window = section.parse("window", int, "an integer", default=1)
     if window < 1:
         raise ConfigError(f"graph.window: must be >= 1, got {window}")
@@ -143,24 +136,19 @@ def _build_graph(section: _Section, problem: CoupledProblem, base_dir: Path) -> 
         if pool_size < 1:
             raise ConfigError(f"graph.pool_size: must be >= 1, got {pool_size}")
         seed = section.parse("seed", int, "an integer", default=0)
-        return generate_graph_sequence(m=m, window=window, seed=seed, pool_size=pool_size)
+        if seed < 0:
+            raise ConfigError(f"graph.seed: must be >= 0, got {seed}")
+        return generate_graph_sequence(m=problem.m, window=window, seed=seed, pool_size=pool_size)
     if mode == "file":
         path = Path(section.require("path"))
         if not path.is_absolute():
             path = base_dir / path
-        if not path.exists():
-            raise ConfigError(f"graph.path: no such file {path}")
+        if not path.is_file():
+            raise ConfigError(f"graph.path: {path} is not a file")
         try:
-            seq = parse_edge_list(path.read_text(encoding="utf-8"), m=m, window=window)
+            return parse_edge_list(path.read_text(encoding="utf-8"), m=problem.m, window=window)
         except ValueError as exc:
             raise ConfigError(f"graph.path: {exc}") from None
-        # The schedule repeats, so one period of aligned windows covers every round.
-        if not verify_window_connectivity(seq, math.lcm(len(seq.adj), window)):
-            raise ConfigError(
-                f"graph.path: the schedule in {path} is not strongly connected "
-                f"over every window of {window} rounds"
-            )
-        return seq
     raise ConfigError(f"graph.mode: unknown mode {mode!r} (choose random-pool or file)")
 
 

@@ -8,11 +8,12 @@ out-degree d_i counts the agent itself once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEdgeError, InvalidInputError
+from .errors import InvalidEdgeError
 
 
 @dataclass(frozen=True)
@@ -20,34 +21,46 @@ class GraphSequence:
     """A deterministic periodic sequence of directed graphs.
 
     ``adj`` is the generating pool, a read-only (pool, m, m) bool array;
-    round t uses ``adj[t % pool]``. ``window`` declares the connectivity
-    window: the edge union over every block of ``window`` consecutive rounds
-    is expected to be strongly connected (checked by
-    :func:`verify_window_connectivity`).
+    round t uses ``adj[t % pool]``, and ``m`` is read from its shape.
+    ``window`` is the connectivity window B: the edge union over every
+    aligned block of rounds [kB, (k+1)B) must be strongly connected. The
+    pool repeats, so pool // gcd(pool, B) blocks cover every block, and each
+    block's union is the OR of min(B, pool) consecutive pool entries.
+    Construction checks the shape, the diagonal and then every such union,
+    and raises InvalidEdgeError on the first that fails.
     """
 
-    m: int
     adj: np.ndarray
     window: int
 
     def __post_init__(self):
-        if self.m < 1:
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+            raise InvalidEdgeError(f"adjacency has shape {adj.shape}, expected (pool, m, m)")
+        if adj.shape[1] < 1:
             raise InvalidEdgeError("agent count m must be >= 1")
         if self.window < 1:
             raise InvalidEdgeError("connectivity window must be >= 1")
-        adj = np.array(self.adj, dtype=bool)
-        if adj.ndim != 3 or adj.shape[1:] != (self.m, self.m):
-            raise InvalidEdgeError(
-                f"adjacency has shape {adj.shape}, expected (pool, {self.m}, {self.m})"
-            )
         if len(adj) == 0:
             raise InvalidEdgeError("graph sequence needs at least one round")
         loops = np.flatnonzero(np.diagonal(adj, axis1=1, axis2=2).any(axis=0))
         if loops.size:
             i = int(loops[0]) + 1
             raise InvalidEdgeError(f"self-loop ({i}, {i}) is implicit and must not be stored")
+        pool, window = len(adj), self.window
+        span = np.arange(min(window, pool))
+        for k in range(pool // math.gcd(pool, window)):
+            if not _strongly_connected(adj[(k * window % pool + span) % pool].any(axis=0)):
+                raise InvalidEdgeError(
+                    f"the union of rounds {k * window}-{(k + 1) * window - 1} is not "
+                    f"strongly connected (connectivity window {window})"
+                )
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
+
+    @property
+    def m(self) -> int:
+        return self.adj.shape[1]
 
     @classmethod
     def from_edges(cls, m: int, rounds, window: int) -> GraphSequence:
@@ -60,7 +73,7 @@ class GraphSequence:
                         f"edge ({i}, {j}) references an agent outside [1, {m}]"
                     )
                 adj[r, i - 1, j - 1] = True
-        return cls(m=m, adj=adj, window=window)
+        return cls(adj, window)
 
     def adjacency(self, t: int) -> np.ndarray:
         """Adjacency active at round t (t >= 0)."""
@@ -85,14 +98,13 @@ def generate_graph_sequence(
     window: int,
     seed: int,
     pool_size: int = 20,
-    extra_edge_prob: float = 0.5,
 ) -> GraphSequence:
     """Generate a random pool of per-round graphs, cycled over rounds.
 
     Every pool entry embeds a randomly oriented Hamiltonian cycle, so each
     single round is already strongly connected and every window union is too.
-    Extra directed edges are added independently with ``extra_edge_prob``.
-    Deterministic in ``seed``. GraphSequence validates m and window.
+    Each other directed edge is added independently with probability 1/2.
+    Deterministic in ``seed``. GraphSequence rejects m < 1 and window < 1.
     """
     rng = np.random.default_rng(seed)
     adj = np.zeros((pool_size, max(m, 0), max(m, 0)), dtype=bool)
@@ -100,9 +112,9 @@ def generate_graph_sequence(
         for entry in adj:
             order = rng.permutation(m)
             entry[order, np.roll(order, -1)] = True
-            entry |= rng.random((m, m)) < extra_edge_prob
+            entry |= rng.random((m, m)) < 0.5
             np.fill_diagonal(entry, False)
-    return GraphSequence(m=m, adj=adj, window=window)
+    return GraphSequence(adj, window)
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -115,19 +127,6 @@ def _strongly_connected(adj: np.ndarray) -> bool:
             frontier = step[frontier].any(axis=0) & ~seen
             seen |= frontier
         if not seen.all():
-            return False
-    return True
-
-
-def verify_window_connectivity(seq: GraphSequence, horizon: int) -> bool:
-    """True iff every complete window inside [0, horizon) has a strongly connected union."""
-    if horizon < seq.window:
-        raise InvalidInputError(
-            f"horizon {horizon} shorter than the connectivity window {seq.window}"
-        )
-    for k in range(horizon // seq.window):
-        rounds = np.arange(k * seq.window, (k + 1) * seq.window) % len(seq.adj)
-        if not _strongly_connected(seq.adj[rounds].any(axis=0)):
             return False
     return True
 

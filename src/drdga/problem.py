@@ -245,8 +245,8 @@ def make_quadratic_problem(
     """
     if m < 1 or p < 1:
         raise InvalidProblemError("need m >= 1 and p >= 1")
-    if not tau_min > 0 or not np.isfinite(tau_min):
-        raise InvalidProblemError("tau_min must be positive and finite")
+    if not tau_min > 0 or not np.isfinite(10.0 * tau_min):
+        raise InvalidProblemError("tau_min must be positive, with 10 * tau_min finite")
     if np.isscalar(dims):
         dims = [int(dims)] * m
     dims = [int(n) for n in dims]

@@ -52,7 +52,7 @@ def test_single_agent_is_plain_dual_subgradient():
 def test_cdda_run_starts_from_theta0():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     A, b = prob.A[0], prob.b[0]
-    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
+    seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     theta0 = np.array([[0.75, -1.5]])
     config = RunConfig(q=1.0, t_max=5, epsilon=1e-300, theta0=theta0)
     state, _, _ = cdda_run_until(prob, seq, config)

@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drdga
 from drdga import ConfigError, parse_config
 from drdga.cli import main, run_experiment
 
@@ -99,6 +103,25 @@ def test_missing_and_mistyped_fields_are_named(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+@pytest.mark.parametrize(
+    "old, new, extra, field",
+    [("seed = 1", "seed = -1", [], "graph.seed: must be >= 0"),
+     ("seed = 3", "seed = -3", [], "problem.seed: must be >= 0"),
+     (None, None, ["--seed", "-5"], "graph.seed: must be >= 0"),
+     ("tau_min = 1.0", "tau_min = 1e308", [], "problem: tau_min")],
+    ids=["graph-seed", "problem-seed", "cli-seed", "tau_min-overflow"],
+)
+def test_out_of_range_values_are_named(tmp_path, capsys, old, new, extra, field):
+    text = MINIMAL_QUAD
+    if old is not None:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv"), *extra]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_graph_file_mode(tmp_path):
     edges = tmp_path / "edges.txt"
     edges.write_text("1>2\n2>1\n")
@@ -142,6 +165,21 @@ def test_graph_file_mode_disconnected_schedule_rejected(tmp_path, capsys, schedu
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_graph_file_mode_long_window_checks_one_pool_period(tmp_path):
+    # A 10**7-round window over a one-round schedule: the window check ORs
+    # the one pool entry, not 10**7 copies of it (162 MiB of bools at m = 3).
+    (tmp_path / "edges.txt").write_text("1>2;2>3;3>1\n")
+    path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=10**7))
+    tracemalloc.start()
+    try:
+        exp = parse_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exp.seq.window == 10**7
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "schedule, message",
     [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),
@@ -158,9 +196,19 @@ def test_graph_file_mode_bad_edge_rejected(tmp_path, capsys, schedule, message):
     assert "graph.path" in capsys.readouterr().err
 
 
+def test_graph_file_mode_path_must_be_a_file(tmp_path, capsys):
+    (tmp_path / "edges.txt").mkdir()
+    path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=1))
+    with pytest.raises(ConfigError, match="graph.path: .*edges.txt is not a file"):
+        parse_config(path)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "graph.path" in capsys.readouterr().err
+
+
 def test_graph_m_mismatch_rejected(tmp_path):
+    # The graph's agent count is the problem's; graph.m is not a key.
     path = write_cfg(tmp_path, MINIMAL_QUAD.replace("[graph]\nseed = 1", "[graph]\nm = 5"))
-    with pytest.raises(ConfigError, match="graph.m"):
+    with pytest.raises(ConfigError, match="graph.m: unknown field"):
         parse_config(path)
 
 
@@ -342,3 +390,14 @@ def test_failed_summary_write_leaves_no_partial_file(tmp_path, monkeypatch, caps
     assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 2
     assert Path(str(out) + ".summary").read_bytes() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.summary"]
+
+
+def test_import_loads_no_scipy():
+    # Every run pays for what `import drdga` loads; scipy stays out of it.
+    src = str(Path(drdga.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, drdga; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

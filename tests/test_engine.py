@@ -32,7 +32,7 @@ def step(state, prob, seq):
 
 def single_agent_setup(gamma=9.0):
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=gamma)
-    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
+    seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     return prob, seq
 
 
@@ -123,7 +123,7 @@ def test_ergodic_average_of_constant_iterates():
     # A lone agent with zero coupling keeps lambda = 0 and x constant.
     prob = make_quadratic_problem(m=1, p=1, dims=[2], seed=3, tau_min=1.0, gamma=4.0)
     prob = dataclasses.replace(prob, A=np.zeros_like(prob.A), b=np.zeros((1, 1)))
-    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
+    seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
     for _ in range(10):
         state = step(state, prob, seq)

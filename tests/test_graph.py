@@ -6,17 +6,18 @@ import pytest
 from drdga import (
     GraphSequence,
     InvalidEdgeError,
-    InvalidInputError,
     build_weight_matrix,
     generate_graph_sequence,
     parse_edge_list,
-    verify_window_connectivity,
 )
 
 
 def adjacency(m, edges):
     """(m, m) adjacency of 1-based (i, j) edges, "i sends to j"."""
-    return GraphSequence.from_edges(m, [edges], window=1).adj[0]
+    adj = np.zeros((m, m), dtype=bool)
+    for i, j in edges:
+        adj[i - 1, j - 1] = True
+    return adj
 
 
 def complete_edges(m):
@@ -94,42 +95,38 @@ def test_generated_pool_is_pinned(m):
 
 def test_generator_single_agent():
     seq = generate_graph_sequence(m=1, window=4, seed=0)
-    assert seq.adj.shape == (20, 1, 1) and not seq.adj.any()
-    assert verify_window_connectivity(seq, horizon=40)
+    assert seq.adj.shape == (20, 1, 1) and not seq.adj.any() and seq.m == 1
 
 
 def test_generator_window_connectivity():
-    assert verify_window_connectivity(generate_graph_sequence(3, 1, seed=7), horizon=60)
-    for m in (2, 4, 8):
-        for window in (1, 3):
-            seq = generate_graph_sequence(m, window, seed=m * 10 + window)
-            assert verify_window_connectivity(seq, horizon=10 * window)
+    # Every generated round embeds a Hamiltonian cycle, so construction's
+    # window check passes, also for windows longer than the pool.
+    for m in (2, 3, 4, 8):
+        for window, pool_size in ((1, 20), (3, 20), (7, 5)):
+            seq = generate_graph_sequence(m, window, seed=m * 10 + window, pool_size=pool_size)
+            assert seq.m == m and seq.window == window
 
 
 def test_connectivity_complete_graph_true():
     seq = GraphSequence.from_edges(4, [complete_edges(4)], window=1)
-    assert verify_window_connectivity(seq, horizon=10)
+    assert seq.m == 4
 
 
 def test_connectivity_empty_graph_false():
-    seq = GraphSequence(m=2, adj=np.zeros((1, 2, 2), dtype=bool), window=1)
-    assert not verify_window_connectivity(seq, horizon=5)
+    with pytest.raises(InvalidEdgeError, match=r"rounds 0-0 is not strongly connected"):
+        GraphSequence(np.zeros((1, 2, 2), dtype=bool), window=1)
 
 
 def test_connectivity_alternating_rounds():
     # Rounds alternate between {1->2, 2->3} and {3->1}: only the two-round
     # union closes the cycle.
     rounds = [{(1, 2), (2, 3)}, {(3, 1)}]
-    seq2 = GraphSequence.from_edges(3, rounds, window=2)
-    assert verify_window_connectivity(seq2, horizon=8)
-    seq1 = GraphSequence.from_edges(3, rounds, window=1)
-    assert not verify_window_connectivity(seq1, horizon=8)
-
-
-def test_connectivity_requires_full_window():
-    seq = GraphSequence.from_edges(2, [{(1, 2), (2, 1)}], window=3)
-    with pytest.raises(InvalidInputError):
-        verify_window_connectivity(seq, horizon=2)
+    GraphSequence.from_edges(3, rounds, window=2)
+    with pytest.raises(InvalidEdgeError, match=r"connectivity window 1\)"):
+        GraphSequence.from_edges(3, rounds, window=1)
+    # Window 3 over pool 2: the aligned windows are pool entries (0, 1, 0)
+    # and (1, 0, 1), and both unions are the full cycle.
+    GraphSequence.from_edges(3, rounds, window=3)
 
 
 def test_sequence_cycles_and_validates():
@@ -142,14 +139,16 @@ def test_sequence_cycles_and_validates():
     with pytest.raises(InvalidEdgeError):
         GraphSequence.from_edges(2, [], window=1)
     with pytest.raises(InvalidEdgeError, match="shape"):
-        GraphSequence(m=2, adj=np.zeros((1, 3, 3), dtype=bool), window=1)
+        GraphSequence(np.zeros((1, 2, 3), dtype=bool), window=1)
+    with pytest.raises(InvalidEdgeError, match="agent count"):
+        GraphSequence(np.zeros((1, 0, 0), dtype=bool), window=1)
     with pytest.raises(InvalidEdgeError, match=r"self-loop \(1, 1\)"):
-        GraphSequence(m=2, adj=np.eye(2, dtype=bool)[None], window=1)
+        GraphSequence(np.eye(2, dtype=bool)[None], window=1)
 
 
 def test_edge_list_parsing():
     text = "1>2; 2>3\n\n3>1\n"
-    seq = parse_edge_list(text, m=3, window=2)
+    seq = parse_edge_list(text, m=3, window=3)
     assert np.array_equal(seq.adjacency(0), adjacency(3, {(1, 2), (2, 3)}))
     assert not seq.adjacency(1).any()
     assert np.array_equal(seq.adjacency(2), adjacency(3, {(3, 1)}))

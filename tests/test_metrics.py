@@ -143,7 +143,7 @@ def test_lemma2_residual_nonnegative_on_run():
 
 def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
-    seq = GraphSequence(m=1, adj=np.zeros((1, 1, 1), dtype=bool), window=1)
+    seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
     states = [init_state(prob, cfg)]
     for _ in range(6):

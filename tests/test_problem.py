@@ -126,6 +126,13 @@ def test_num_rejects_bad_entries():
         make_num_problem([[1, 1]], capacities=[1.0], gammas=[1.0])
 
 
+def test_quadratic_rejects_tau_min_whose_curvature_range_overflows():
+    # Curvatures are drawn in [tau_min, 10 tau_min]; 10 * 1e308 is inf.
+    with pytest.raises(InvalidProblemError, match="tau_min"):
+        make_quadratic_problem(m=2, p=1, dims=1, seed=0, tau_min=1e308)
+    make_quadratic_problem(m=2, p=1, dims=1, seed=0, tau_min=1e307)
+
+
 def test_quadratic_deterministic_and_feasible_by_construction():
     a = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)
     b = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)

@@ -6,6 +6,7 @@ The examples are derandomized, so every run checks the same cases.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -13,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from drdga import (
     GraphSequence,
+    InvalidEdgeError,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -25,7 +27,6 @@ from drdga import (
     metropolis_matrix,
     run_until,
     solve_local,
-    verify_window_connectivity,
 )
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
@@ -159,18 +160,38 @@ def test_mixing_matrices_match_edge_by_edge_reference(adj):
         assert np.array_equal(M, reference_metropolis_matrix(entry))
 
 
-@given(adjacency_pools(), st.integers(1, 3))
-def test_window_connectivity_matches_strong_components(adj, window):
-    seq = GraphSequence(m=adj.shape[1], adj=adj, window=window)
-    horizon = len(adj) * window
-    expected = all(
-        connected_components(
-            csr_matrix(adj[np.arange(k * window, (k + 1) * window) % len(adj)].any(axis=0)),
-            directed=True, connection="strong",
-        )[0] == 1
-        for k in range(len(adj))
-    )
-    assert verify_window_connectivity(seq, horizon) == expected
+@st.composite
+def ring_edge_pools(draw):
+    """A (pool, m, m) pool whose entries hold subsets of the ring 1 -> 2 -> ... -> m -> 1.
+
+    A window's union is strongly connected iff it holds every ring edge, so
+    the outcome turns on which pool entries each aligned window ORs.
+    """
+    m = draw(st.integers(2, 5))
+    pool = draw(st.integers(1, 6))
+    adj = np.zeros((pool, m, m), dtype=bool)
+    rng = np.random.default_rng(draw(seeds))
+    adj[:, np.arange(m), np.roll(np.arange(m), -1)] = rng.random((pool, m)) < 0.7
+    return adj
+
+
+@given(st.one_of(adjacency_pools(), ring_edge_pools()))
+def test_window_connectivity_matches_strong_components(adj):
+    # Windows run past the pool size (at most 6), and the reference ORs
+    # every round of `pool` aligned windows, which covers a full period.
+    for window in range(1, 13):
+        connected = all(
+            connected_components(
+                csr_matrix(adj[np.arange(k * window, (k + 1) * window) % len(adj)].any(axis=0)),
+                directed=True, connection="strong",
+            )[0] == 1
+            for k in range(len(adj))
+        )
+        if connected:
+            assert GraphSequence(adj, window).m == adj.shape[1]
+        else:
+            with pytest.raises(InvalidEdgeError, match="not strongly connected"):
+                GraphSequence(adj, window)
 
 
 @given(adjacency_pools(), seeds)
