@@ -93,6 +93,9 @@ def run_experiment(exp: Experiment, out_path) -> tuple[str, list]:
 
 
 def _cmd_run(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out: {out} must name a file in an existing directory")
     exp = parse_config(
         args.config,
         algorithm=args.algorithm,
@@ -107,13 +110,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_reference(args) -> int:
     exp = parse_config(args.config)
-    solution = solve_centralized(exp.problem, tol=args.tol)
-    np.set_printoptions(precision=10)
-    for i, (x, n) in enumerate(zip(solution.x, exp.problem.dims), start=1):
-        print(f"x*[{i}] = {x[:n]}")
-    print(f"F* = {_fmt(solution.objective)}")
-    print(f"lambda* = {solution.multiplier}")
-    print(f"violation = {_fmt(solution.violation)}")
+    solution = solve_centralized(exp.problem, tol=_REFERENCE_TOL)
+    with np.printoptions(precision=10):
+        for i, (x, n) in enumerate(zip(solution.x, exp.problem.dims), start=1):
+            print(f"x*[{i}] = {x[:n]}")
+        print(f"F* = {_fmt(solution.objective)}")
+        print(f"lambda* = {solution.multiplier}")
+        print(f"violation = {_fmt(solution.violation)}")
     return 0
 
 
@@ -124,20 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The overrides stay strings: parse_config checks them as config values.
     run = sub.add_parser("run", help="run an experiment and write per-round metrics CSV")
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--out", required=True, help="output CSV path (summary goes to <out>.summary)")
-    run.add_argument("--algorithm", choices=ALGORITHMS, default=None,
-                     help="override the configured algorithm")
-    run.add_argument("--seed", type=int, default=None, help="override the graph seed")
-    run.add_argument("--tmax", type=int, default=None, help="override the round cap")
-    run.add_argument("--epsilon", type=float, default=None, help="override the stopping tolerance")
+    run.add_argument("--algorithm",
+                     help=f"override the configured algorithm ({', '.join(ALGORITHMS)})")
+    run.add_argument("--seed", help="override the graph seed")
+    run.add_argument("--tmax", help="override the round cap")
+    run.add_argument("--epsilon", help="override the stopping tolerance")
     run.set_defaults(func=_cmd_run)
 
     ref = sub.add_parser("reference", help="print the centralized solution of the configured problem")
     ref.add_argument("--config", required=True, help="experiment config file")
-    ref.add_argument("--tol", type=float, default=_REFERENCE_TOL,
-                     help="coupling residual tolerance (default 1e-6)")
     ref.set_defaults(func=_cmd_reference)
     return parser
 

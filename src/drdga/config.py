@@ -158,15 +158,9 @@ def _build_run(section: _Section, problem: CoupledProblem, algorithm: str) -> Ru
     t_max = section.parse("t_max", int, "an integer", default=5000)
     epsilon = section.parse("epsilon", float, "a number", default=0.01)
     theta0 = section.parse("theta0", _matrix, "a matrix (one line per agent)")
-    if theta0 is not None and theta0.shape != (problem.m, problem.p):
-        raise ConfigError(
-            f"run.theta0: shape {theta0.shape} does not match (m, p) = "
-            f"({problem.m}, {problem.p})"
-        )
     try:
         config = RunConfig(q=q, t_max=t_max, epsilon=epsilon, theta0=theta0)
-        if algorithm == "drdga":
-            config.validate_for(problem)
+        config.validate_for(problem, push_sum=algorithm == "drdga")
     except ConfigError as exc:
         raise ConfigError(f"run: {exc}") from None
     return config
@@ -176,24 +170,37 @@ def parse_config(
     path,
     *,
     algorithm: str | None = None,
-    seed: int | None = None,
-    t_max: int | None = None,
-    epsilon: float | None = None,
+    seed: int | str | None = None,
+    t_max: int | str | None = None,
+    epsilon: float | str | None = None,
 ) -> Experiment:
     """Load and validate an experiment file; keyword overrides replace config values.
 
-    ``seed`` overrides the graph seed (communication randomness); the problem
-    seed stays in the file so the instance itself is pinned by the config.
+    An override is written into its field before any section is read, so it
+    passes the same checks, and fails with the same messages, as the value
+    it replaces. ``seed`` overrides the graph seed (communication
+    randomness); the problem seed stays in the file so the instance itself
+    is pinned by the config.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from None
+
+    overrides = {
+        ("experiment", "algorithm"): algorithm,
+        ("graph", "seed"): seed,
+        ("run", "t_max"): t_max,
+        ("run", "epsilon"): epsilon,
+    }
+    for (name, key), value in overrides.items():
+        if value is not None:
+            parser.read_dict({name: {key: str(value)}})
 
     for name in parser.sections():
         if name not in _KNOWN_KEYS:
@@ -202,29 +209,14 @@ def parse_config(
             )
         _Section(parser, name).check_keys()
 
-    experiment = _Section(parser, "experiment")
-    chosen = algorithm or experiment.get("algorithm", "drdga")
-    if chosen not in ALGORITHMS:
+    algorithm = _Section(parser, "experiment").get("algorithm", "drdga")
+    if algorithm not in ALGORITHMS:
         raise ConfigError(
-            f"experiment.algorithm: unknown algorithm {chosen!r} "
+            f"experiment.algorithm: unknown algorithm {algorithm!r} "
             f"(choose one of: {', '.join(ALGORITHMS)})"
         )
 
     problem = _build_problem(_Section(parser, "problem").require_present())
-
-    graph_section = _Section(parser, "graph")
-    if seed is not None:
-        graph_section.raw = dict(graph_section.raw or {})
-        graph_section.raw["seed"] = str(seed)
-    seq = _build_graph(graph_section, problem, path.parent)
-
-    run_section = _Section(parser, "run").require_present()
-    if t_max is not None:
-        run_section.raw = dict(run_section.raw)
-        run_section.raw["t_max"] = str(t_max)
-    if epsilon is not None:
-        run_section.raw = dict(run_section.raw)
-        run_section.raw["epsilon"] = str(epsilon)
-    run = _build_run(run_section, problem, chosen)
-
-    return Experiment(problem=problem, seq=seq, run=run, algorithm=chosen)
+    seq = _build_graph(_Section(parser, "graph"), problem, path.parent)
+    run = _build_run(_Section(parser, "run").require_present(), problem, algorithm)
+    return Experiment(problem=problem, seq=seq, run=run, algorithm=algorithm)

@@ -58,11 +58,18 @@ class RunConfig:
         if self.theta0 is not None and not np.all(np.isfinite(self.theta0)):
             raise ConfigError("theta0 must be finite")
 
-    def validate_for(self, problem: CoupledProblem) -> None:
-        """Enforce the step-size rule q * gamma_total / m >= 4."""
+    def validate_for(self, problem: CoupledProblem, push_sum: bool) -> None:
+        """Check that these settings fit ``problem``.
+
+        theta0, when given, must be (m, p). With push_sum (DRDGA) the step
+        size must also satisfy q * gamma_total / m >= 4; the unregularized
+        CDDA step has no such rule.
+        """
+        m, p = problem.m, problem.p
+        if self.theta0 is not None and np.shape(self.theta0) != (m, p):
+            raise ConfigError(f"theta0 has shape {np.shape(self.theta0)}, expected ({m}, {p})")
         gamma = problem.gamma_total
-        m = problem.m
-        if self.q * gamma / m < 4.0:
+        if push_sum and self.q * gamma / m < 4.0:
             raise ConfigError(
                 f"q = {self.q:g} too small: q*gamma/m = {self.q * gamma / m:g} < 4; "
                 f"minimum q = {4.0 * m / gamma:g}"
@@ -99,17 +106,11 @@ class RunState:
 def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
     """Round-0 state: rho = 1, everything else zero unless theta0 is given.
 
-    The step-size rule applies to the push-sum (regularized) method only.
+    ``config`` is checked against ``problem`` first (:meth:`RunConfig.validate_for`).
     """
-    if push_sum:
-        config.validate_for(problem)
+    config.validate_for(problem, push_sum)
     m, p = problem.m, problem.p
-    if config.theta0 is None:
-        theta = np.zeros((m, p))
-    else:
-        theta = np.array(config.theta0, dtype=float)
-        if theta.shape != (m, p):
-            raise ConfigError(f"theta0 has shape {theta.shape}, expected ({m}, {p})")
+    theta = np.zeros((m, p)) if config.theta0 is None else np.array(config.theta0, dtype=float)
     x = np.zeros(problem.lower.shape)
     return RunState(
         t=0,

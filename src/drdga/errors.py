@@ -14,7 +14,7 @@ class InvalidProblemError(ValueError):
 
 
 class InvalidInputError(ValueError):
-    """Operation called with unusable input (non-finite multiplier, bad mixing matrix)."""
+    """Operation called with unusable input (e.g. a non-finite multiplier)."""
 
 
 class InfeasibleProblemError(RuntimeError):

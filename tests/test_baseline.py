@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from drdga import (
     GraphSequence,
-    InvalidInputError,
     RunConfig,
     advance_round,
     cdda_run_until,
@@ -13,7 +11,6 @@ from drdga import (
     metropolis_matrix,
     solve_local,
 )
-from drdga import baseline
 
 
 def test_metropolis_is_doubly_stochastic_and_symmetric():
@@ -25,16 +22,6 @@ def test_metropolis_is_doubly_stochastic_and_symmetric():
             assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
             assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(W >= 0)
-
-
-def test_rejects_non_doubly_stochastic_mixing(monkeypatch):
-    prob = make_quadratic_problem(m=2, p=1, dims=1, seed=0, tau_min=1.0, gamma=4.0)
-    seq = generate_graph_sequence(2, 1, seed=0)
-    config = RunConfig(q=4.0, t_max=10, epsilon=0.01)
-    for bad in (np.array([[0.9, 0.2], [0.1, 0.8]]), np.eye(3)):
-        monkeypatch.setattr(baseline, "metropolis_matrix", lambda adj, bad=bad: bad)
-        with pytest.raises(InvalidInputError):
-            cdda_run_until(prob, seq, config)
 
 
 def test_single_agent_is_plain_dual_subgradient():

@@ -103,13 +103,27 @@ def test_missing_and_mistyped_fields_are_named(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+RUN_SECTION = "[run]\nq = 8\nt_max = 20\nepsilon = 0.5\n"
+
+
 @pytest.mark.parametrize(
     "old, new, extra, field",
     [("seed = 1", "seed = -1", [], "graph.seed: must be >= 0"),
      ("seed = 3", "seed = -3", [], "problem.seed: must be >= 0"),
      (None, None, ["--seed", "-5"], "graph.seed: must be >= 0"),
-     ("tau_min = 1.0", "tau_min = 1e308", [], "problem: tau_min")],
-    ids=["graph-seed", "problem-seed", "cli-seed", "tau_min-overflow"],
+     ("tau_min = 1.0", "tau_min = 1e308", [], "problem: tau_min"),
+     ("[graph]", "[graph]\nwindow = 0", [], "graph.window: must be >= 1"),
+     ("[graph]", "[graph]\npool_size = 0", [], "graph.pool_size: must be >= 1"),
+     (RUN_SECTION, "", [], "run: missing section"),
+     # An override creates only its own section.
+     (RUN_SECTION, "", ["--seed", "2"], "run: missing section"),
+     (None, None, ["--algorithm", "sgd"], "experiment.algorithm: unknown algorithm 'sgd'"),
+     (None, None, ["--tmax", "abc"], "run.t_max: expected an integer, got 'abc'"),
+     (None, None, ["--seed", "1.5"], "graph.seed: expected an integer, got '1.5'"),
+     (None, None, ["--epsilon", "x"], "run.epsilon: expected a number, got 'x'")],
+    ids=["graph-seed", "problem-seed", "cli-seed", "tau_min-overflow", "window-0", "pool_size-0",
+         "no-run-section", "no-run-section-seed-override", "cli-algorithm", "cli-tmax",
+         "cli-seed-float", "cli-epsilon"],
 )
 def test_out_of_range_values_are_named(tmp_path, capsys, old, new, extra, field):
     text = MINIMAL_QUAD
@@ -300,6 +314,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, kind):
+    config = tmp_path / "exp.cfg"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(MINIMAL_QUAD.encode().replace(b"tau_min", b"tau_\xff"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+def test_cli_unusable_out_path_fails_before_running(tmp_path, monkeypatch, capsys, out):
+    path = write_cfg(tmp_path, MINIMAL_QUAD)
+    monkeypatch.setattr(drdga.cli, "parse_config", None)  # calling it would exit 2
+    assert main(["run", "--config", path, "--out", str(tmp_path / out)]) == 1
+    assert "config error: --out: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # Reference on an infeasible instance: one source on two links with
     # incompatible capacities forces x = 1 and x = 2 simultaneously.
@@ -324,6 +358,8 @@ def test_cli_reference_prints_solution(capsys):
     out = capsys.readouterr().out
     assert "F* = 43.4587583412" in out
     assert "violation = " in out
+    # The printout's precision does not leak into the rest of the process.
+    assert np.get_printoptions()["precision"] == 8
 
 
 # num_s20 is left out: its oracle alone runs several seconds (about 7 s on a

@@ -4,6 +4,9 @@ The examples are derandomized, so every run checks the same cases.
 """
 
 import dataclasses
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from drdga import (
     run_until,
     solve_local,
 )
+from drdga.cli import CSV_HEADER, main
+from test_config_cli import MINIMAL_QUAD
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
                           database=None)
@@ -219,3 +224,34 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     for _ in range(30):
         state = advance_round(state, prob, metropolis_matrix(seq.adjacency(state.t)))
         assert np.all(state.rho == 1.0)
+
+
+# Config fuzzing. The num family is left out: an infeasible draw keeps the
+# oracle busy for seconds before it gives up. Large values are left out too:
+# a large m, p, dims or pool_size allocates before any check can run.
+_KEY_LINES = [i for i, line in enumerate(MINIMAL_QUAD.splitlines()) if "=" in line]
+_DROP, _DUPLICATE = "<drop>", "<duplicate>"
+_VALUES = ("", "abc", "-1", "0", "0.5", "2", "nan", "inf", "-inf")
+_NAN_FREE_COLUMNS = [i for i, name in enumerate(CSV_HEADER.split(",")) if name != "gap"]
+
+
+@given(st.sampled_from(_KEY_LINES),
+       st.one_of(st.just(_DROP), st.just(_DUPLICATE), st.sampled_from(_VALUES)))
+def test_mutated_config_is_a_clean_run_or_a_config_error(line_no, mutation):
+    lines = MINIMAL_QUAD.splitlines()
+    line = lines[line_no]
+    if mutation == _DROP:
+        del lines[line_no]
+    elif mutation == _DUPLICATE:
+        lines.insert(line_no, line)
+    else:
+        lines[line_no] = f"{line.split('=')[0].strip()} = {mutation}"
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "exp.cfg", Path(tmp) / "run.csv"
+        config.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 0:
+            for row in out.read_text().splitlines()[1:]:
+                cells = row.split(",")
+                assert not any(math.isnan(float(cells[i])) for i in _NAN_FREE_COLUMNS), row
