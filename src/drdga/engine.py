@@ -23,7 +23,7 @@ single writer advances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -133,7 +133,7 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
     u = W @ state.theta
     if state.push_sum:
         rho = W @ state.rho
-        if np.any(rho <= 0):
+        if (rho <= 0).any():
             raise InvariantError(f"push-sum weight became non-positive at round {t_next}")
         lam = u / rho[:, None]
     else:
@@ -144,8 +144,7 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
     step = terms - problem.gammas[:, None] * lam if state.push_sum else terms
     theta = u + beta * step
 
-    return replace(
-        state,
+    return RunState(
         t=t_next,
         theta=theta,
         rho=rho,
@@ -153,6 +152,8 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
         x=x,
         terms=terms,
         ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
+        config=state.config,
+        push_sum=state.push_sum,
     )
 
 
@@ -175,12 +176,12 @@ def stopping_residuals(
 
     ``f_old`` and ``f_new`` are the per-agent objective values of ``prev.x``
     and ``state.x``; ``violation`` is the norm of the coupling residual of
-    ``state.x``, which the round's metrics row already holds as
-    ``violation_inst``.
+    ``state.x``, the round's ``violation_inst``
+    (:func:`drdga.metrics.violation_inst` of ``state.terms``).
     """
-    dual_move = float(np.max(np.abs(state.lam - prev.lam)))
-    kept = np.abs(f_old) >= _RATIO_GUARD
-    rel = np.abs((f_new[kept] - f_old[kept]) / f_old[kept])
+    dual_move = float(abs(state.lam - prev.lam).max())
+    kept = abs(f_old) >= _RATIO_GUARD
+    rel = abs((f_new[kept] - f_old[kept]) / f_old[kept])
     return dual_move, violation, float(rel.max(initial=0.0))
 
 
@@ -199,24 +200,35 @@ def run_rounds(
     is called once per entry of the sequence's periodic pool. Returns (final
     state, metrics rows, stop reason). The gap column of the metrics is
     filled only when the centralized optimum f_star is supplied.
+
+    The stop check runs every round, on the new iterate's per-agent values
+    and violation_inst. The other observables are computed a block of rounds
+    at a time (:class:`drdga.metrics.ObservableBlock`): each round is
+    buffered, and a block is flushed into rows when it is full, at the stop
+    round and at t_max. The rows are those of :func:`drdga.metrics.evaluate_round`
+    on every state, bit for bit.
     """
-    from .metrics import evaluate_round
+    from . import metrics
 
     state = init_state(problem, config, push_sum)
     pool = [mixing(adj) for adj in seq.adj]
+    block = metrics.ObservableBlock(problem, config, metrics.block_size(problem.m, problem.p))
     values = problem.agent_values(state.x)
     rows = []
     reason = STOP_T_MAX
     while state.t < config.t_max:
         prev, prev_values = state, values
         state = advance_round(state, problem, pool[state.t % len(pool)])
-        row = evaluate_round(state, problem, f_star=f_star)
-        rows.append(row)
         values = problem.agent_values(state.x)
-        residuals = stopping_residuals(prev, state, prev_values, values, row.violation_inst)
+        violation = metrics.violation_inst(state.terms)
+        full = block.record(state, violation)
+        residuals = stopping_residuals(prev, state, prev_values, values, violation)
         if all(r <= config.epsilon for r in residuals):
             reason = STOP_CONVERGED
             break
+        if full:
+            rows += block.flush(f_star)
+    rows += block.flush(f_star)
     return state, rows, reason
 
 

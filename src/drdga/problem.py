@@ -40,13 +40,13 @@ def _log_modulus(weights: np.ndarray) -> np.ndarray:
     return RATE_UTILITY_SCALE * weights / (1.0 + RATE_UTILITY_OFFSET) ** 2
 
 
-def _sum_agents(values: np.ndarray) -> np.ndarray:
-    """Sum over the agent axis strictly left to right.
+def _sum_agents(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over the agent axis ``axis`` strictly left to right.
 
     numpy's pairwise summation rounds differently once there are 8 or more
     agents; a running sum keeps the order of a plain loop over agents.
     """
-    return np.add.accumulate(values, axis=0)[-1]
+    return np.add.accumulate(values, axis=axis).take(-1, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +138,31 @@ class CoupledProblem:
         return float(_sum_agents(self.gammas))
 
     def agent_values(self, x) -> np.ndarray:
-        """Per-agent objective values f_i(x_i) of stacked iterates x, shape (m,)."""
+        """Per-agent objective values f_i(x_i) of stacked iterates x.
+
+        x is (..., m, n_max), the result (..., m): leading batch dimensions
+        evaluate several iterates at once, each with the bits of its own call.
+        """
         x = np.asarray(x, dtype=float)
         if self.family is LogUtility:
-            return -RATE_UTILITY_SCALE * self.weights * np.log(x[:, 0] + RATE_UTILITY_OFFSET)
-        quad = np.matmul((0.5 * self.diag)[:, None, :], (x * x)[:, :, None])
-        lin = np.matmul(self.lin[:, None, :], x[:, :, None])
-        return (quad + lin)[:, 0, 0]
+            return -RATE_UTILITY_SCALE * self.weights * np.log(x[..., 0] + RATE_UTILITY_OFFSET)
+        quad = np.matmul((0.5 * self.diag)[:, None, :], (x * x)[..., None])
+        lin = np.matmul(self.lin[:, None, :], x[..., None])
+        return (quad + lin)[..., 0, 0]
 
     def objective_value(self, x) -> float:
         return float(_sum_agents(self.agent_values(x)))
 
     def coupling_terms(self, x) -> np.ndarray:
-        """Per-agent coupling terms A_i x_i - b_i of stacked iterates x, shape (m, p)."""
+        """Per-agent coupling terms A_i x_i - b_i of stacked iterates x,
+        (..., m, n_max) to (..., m, p), with leading batch dimensions as in
+        :meth:`agent_values`."""
         x = np.asarray(x, dtype=float)
-        return np.matmul(self.A, x[:, :, None])[:, :, 0] - self.b
+        return np.matmul(self.A, x[..., None])[..., 0] - self.b
 
     def coupling_residual(self, x) -> np.ndarray:
-        """sum_i (A_i x_i - b_i); zero exactly on coupling-feasible points."""
-        return _sum_agents(self.coupling_terms(x))
+        """sum_i (A_i x_i - b_i), (..., p); zero exactly on coupling-feasible points."""
+        return _sum_agents(self.coupling_terms(x), axis=-2)
 
 
 def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
@@ -171,7 +177,7 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"lambda has shape {lam.shape}, expected ({problem.m}, {problem.p})"
         )
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise InvalidInputError("lambda must be finite")
     # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
     price = np.matmul(problem.A.swapaxes(1, 2), lam[:, :, None])[:, :, 0]
@@ -188,7 +194,8 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
             - RATE_UTILITY_OFFSET,
             problem.upper,
         )
-    return np.clip(x, problem.lower, problem.upper)
+    # np.clip's bits for finite and NaN input, at less call overhead.
+    return np.minimum(np.maximum(x, problem.lower), problem.upper)
 
 
 def make_num_problem(routing, capacities, gammas) -> CoupledProblem:

@@ -353,6 +353,19 @@ q = 4
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_overflowing_iterates_exit_2_without_output(tmp_path, capsys):
+    # theta0 = 1e308 everywhere makes fig7's iterates overflow within a few
+    # rounds; solve_local's finiteness check stops the run before any output.
+    theta0 = "theta0 =\n" + "    1e308 1e308\n" * 3
+    text = Path(FIG7_CFG).read_text().replace("epsilon = 0.01\n", "epsilon = 0.01\n" + theta0)
+    path = write_cfg(tmp_path, text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", path, "--out", str(tmp_path / "run.csv")])
+    assert code == 2
+    assert "lambda must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_cli_reference_prints_solution(capsys):
     assert main(["reference", "--config", FIG7_CFG]) == 0
     out = capsys.readouterr().out

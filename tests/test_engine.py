@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from drdga import (
     RunConfig,
     advance_round,
     build_weight_matrix,
+    cdda_run_until,
     ergodic_average,
+    evaluate_round,
     generate_graph_sequence,
     init_state,
     make_num_problem,
     make_quadratic_problem,
+    metropolis_matrix,
     run_until,
     solve_local,
 )
 from drdga import baseline, engine
-from drdga.engine import STOP_CONVERGED, STOP_T_MAX
+from drdga.engine import STOP_CONVERGED, STOP_T_MAX, stopping_residuals
+from drdga.metrics import block_size
 
 
 def fig7():
@@ -203,8 +208,10 @@ def test_dual_norms_stay_bounded():
 
 
 def test_stop_check_evaluates_each_iterate_once(monkeypatch):
-    # The previous round's per-agent values are carried, not recomputed:
-    # one evaluation of x[0], then one at x[t] and one at the average per round.
+    # The previous round's per-agent values are carried, not recomputed: one
+    # evaluation of x[0], then one of x[t] per round. The ergodic averages are
+    # evaluated a block of rounds at a time, (rounds, m, n) per call, and the
+    # blocks cover every row exactly once, in order.
     prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=4)
     calls = []
@@ -216,5 +223,91 @@ def test_stop_check_evaluates_each_iterate_once(monkeypatch):
 
     monkeypatch.setattr(type(prob), "agent_values", counting)
     state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=30, epsilon=1e-300))
-    assert len(calls) == 1 + 2 * len(rows)
-    assert np.array_equal(calls[-1], state.x)
+    per_iterate = [x for x in calls if x.ndim == 2]
+    blocks = [x for x in calls if x.ndim == 3]
+    assert len(per_iterate) + len(blocks) == len(calls)
+    assert len(per_iterate) == 1 + len(rows)
+    assert np.array_equal(per_iterate[-1], state.x)
+    averages = np.concatenate(blocks)
+    assert len(averages) == len(rows)
+    assert np.array_equal(averages[0], per_iterate[1])  # at t = 1 the average is x[1]
+    assert np.array_equal(averages[-1], ergodic_average(state))
+
+
+def hand_run(prob, seq, config, f_star, push_sum):
+    """The run loop spelled out: advance_round stepped by hand, evaluate_round
+    on every state, and the stop rule on each round's own values.
+
+    Returns (final state, rows, stop reason, largest stop measure per round).
+    """
+    mixing = build_weight_matrix if push_sum else metropolis_matrix
+    state = init_state(prob, config, push_sum)
+    rows, worst, reason = [], [], STOP_T_MAX
+    while state.t < config.t_max:
+        prev = state
+        state = advance_round(state, prob, mixing(seq.adjacency(state.t)))
+        row = evaluate_round(state, prob, f_star=f_star)
+        rows.append(row)
+        measures = stopping_residuals(prev, state, prob.agent_values(prev.x),
+                                      prob.agent_values(state.x), row.violation_inst)
+        worst.append(max(measures))
+        if all(r <= config.epsilon for r in measures):
+            reason = STOP_CONVERGED
+            break
+    return state, rows, reason, worst
+
+
+def assert_same_run(got, want):
+    """Same stop reason, the same bits in every row, and the same final state."""
+    (state, rows, reason), (want_state, want_rows, want_reason) = got[:3], want[:3]
+    assert reason == want_reason
+    as_bits = lambda rs: np.array([dataclasses.astuple(r) for r in rs], dtype=float).tobytes()
+    assert len(rows) == len(want_rows) and as_bits(rows) == as_bits(want_rows)
+    for name in ("t", "theta", "rho", "lam", "x", "terms", "ergodic_sum"):
+        assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
+
+
+def converging_setup():
+    """A ragged quadratic instance whose unconstrained minimizer is
+    coupling-feasible: from theta0 != 0 both algorithms keep reaching new
+    lows of their largest stop measure past the first block of rounds."""
+    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
+    x0 = solve_local(prob, np.zeros((3, 2)))
+    prob = dataclasses.replace(prob, b=prob.b + prob.coupling_terms(x0))
+    theta0 = np.full((3, 2), 2.0)
+    return prob, generate_graph_sequence(3, 1, seed=4), theta0
+
+
+def first_new_low(worst, wanted):
+    """First round t with wanted(t) whose measure is below every earlier one:
+    an epsilon equal to that measure stops the run exactly at t."""
+    low = math.inf
+    for t, value in enumerate(worst, start=1):
+        if value < low and wanted(t):
+            return t
+        low = min(low, value)
+    raise AssertionError("no such round")
+
+
+@pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],
+                         ids=["drdga", "cdda"])
+@pytest.mark.parametrize("case", ["converged-mid-block", "converged-on-block-end",
+                                  "t_max-mid-block"])
+def test_block_flushes_match_per_round_evaluation(loop, push_sum, case):
+    prob, seq, theta0 = converging_setup()
+    B = block_size(prob.m, prob.p)
+    assert B == 64
+    f_star = -0.25
+    probe = RunConfig(q=4.0, t_max=3 * B, epsilon=1e-300, theta0=theta0)
+    worst = hand_run(prob, seq, probe, f_star, push_sum)[3]
+    if case == "t_max-mid-block":
+        config, stop, reason = dataclasses.replace(probe, t_max=2 * B + 13), 2 * B + 13, STOP_T_MAX
+    else:
+        if case == "converged-mid-block":  # a quarter or more into a later block
+            stop = first_new_low(worst, lambda t: t > B and t % B >= B // 4)
+        else:
+            stop = first_new_low(worst, lambda t: t % B == 0)
+        config, reason = dataclasses.replace(probe, epsilon=worst[stop - 1]), STOP_CONVERGED
+    got = loop(prob, seq, config, f_star=f_star)
+    assert got[0].t == len(got[1]) == stop and got[2] == reason
+    assert_same_run(got, hand_run(prob, seq, config, f_star, push_sum))

@@ -23,6 +23,7 @@ from drdga import (
     theorem2_bound,
     theorem3_bound,
 )
+from drdga.metrics import ObservableBlock
 
 CONSTANT_SETS = [
     dict(m=2, p=3, window=2, q=4.0, D=2.5, G=[1.0, 2.0], gammas=[0.5, 1.5], theta0_l1=1.2),
@@ -258,6 +259,21 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
         assert row.disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
         if m == 1:
             assert row.disagreement == 0.0
+    if m < 3:
+        return
+    # Near tie, through a block of three rounds: every pair but one is at
+    # squared distance 2.25, and the pair of agents 0 and 2 one ulp above it.
+    # Their square roots differ too, so picking a wrong pair shows.
+    e = 2.0**-25.5
+    lam = np.zeros((m, prob.p))
+    lam[1:, 0] = 1.5
+    lam[2, 1] = e
+    assert 1.5**2 + e * e == np.nextafter(2.25, 3.0)
+    block = ObservableBlock(prob, state.config, 3)
+    for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1):
+        block.record(dataclasses.replace(state, t=t, lam=near_tie), 0.0)
+    for row in block.flush(None):
+        assert row.disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
 
 
 def test_round_carries_coupling_terms_of_its_iterate():

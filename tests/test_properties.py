@@ -33,6 +33,7 @@ from drdga import (
 )
 from drdga.cli import CSV_HEADER, main
 from test_config_cli import MINIMAL_QUAD
+from test_engine import assert_same_run, hand_run
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
                           database=None)
@@ -42,8 +43,8 @@ seeds = st.integers(0, 2**16)
 
 
 @st.composite
-def quadratic_problems(draw):
-    m = draw(st.integers(1, 5))
+def quadratic_problems(draw, max_m=5):
+    m = draw(st.integers(1, max_m))
     return make_quadratic_problem(
         m=m,
         p=draw(st.integers(1, 4)),
@@ -55,8 +56,8 @@ def quadratic_problems(draw):
 
 
 @st.composite
-def num_problems(draw):
-    m = draw(st.integers(1, 6))  # sources
+def num_problems(draw, max_m=6):
+    m = draw(st.integers(1, max_m))  # sources
     p = draw(st.integers(1, 4))  # links
     cells = st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=p, max_size=p)
     routing = np.array(draw(cells), dtype=float)
@@ -110,6 +111,20 @@ def test_ergodic_average_stays_in_each_box(prob, seed, t_max, window, loop):
     avg = ergodic_average(state)
     slack = 1e-12 * (1.0 + np.abs(prob.lower).max() + np.abs(prob.upper).max())
     assert np.all(avg >= prob.lower - slack) and np.all(avg <= prob.upper + slack)
+
+
+@given(st.one_of(quadratic_problems(max_m=8), num_problems(max_m=8)), seeds,
+       st.integers(2, 3 * 64), st.sampled_from([1e-300, 0.05, 0.3, 1.0, 3.0]), st.booleans(),
+       st.one_of(st.none(), st.floats(-10.0, 10.0)))
+def test_run_loop_rows_equal_per_round_evaluation(prob, seed, t_max, epsilon, push_sum, f_star):
+    # Up to three blocks of observables (64 rounds each for m <= 8), flushed
+    # when full, at the stop round or at t_max, against evaluate_round on
+    # every state of a hand-stepped run.
+    seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=5)
+    config = RunConfig(q=valid_q(prob), t_max=t_max, epsilon=epsilon)
+    loop = run_until if push_sum else cdda_run_until
+    assert_same_run(loop(prob, seq, config, f_star=f_star),
+                    hand_run(prob, seq, config, f_star, push_sum))
 
 
 @st.composite
