@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -19,9 +20,9 @@ from .reference import solve_centralized
 
 _REFERENCE_TOL = 1e-6
 
-CSV_HEADER = "t,objective,gap,violation,violation_inst,disagreement,max_lambda,beta"
-# Every column after t names a float field of metrics.MetricsRow.
-_FLOAT_COLUMNS = CSV_HEADER.split(",")[1:]
+# One column per field of metrics.MetricsRow, in order: t, then floats.
+_COLUMNS = [f.name for f in dataclasses.fields(metrics.MetricsRow)]
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(value: float) -> str:
@@ -45,7 +46,7 @@ def write_csv(rows, path) -> None:
     """Serialize metric rows, one line per round, floats at 12 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in _FLOAT_COLUMNS]))
+        lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in _COLUMNS[1:]]))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

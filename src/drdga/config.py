@@ -114,7 +114,7 @@ def _build_problem(section: _Section) -> CoupledProblem:
     if family == "quadratic":
         m = section.parse("m", int, "an integer", required=True)
         p = section.parse("p", int, "an integer", required=True)
-        dims = section.parse("dims", _ints, "a list of integers", default=[1] * max(m, 1))
+        dims = section.parse("dims", _ints, "a list of integers", default=1)
         seed = section.parse("seed", int, "an integer", default=0)
         if seed < 0:
             raise ConfigError(f"problem.seed: must be >= 0, got {seed}")

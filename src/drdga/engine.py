@@ -16,8 +16,9 @@ Every step acts on all agents at once, in the stacked layout of
 :class:`drdga.problem.CoupledProblem`.
 
 States are immutable snapshots: advance_round reads one round and returns the
-next, so a snapshot can be handed to other threads (metrics, probes) while the
-single writer advances.
+next. Each state carries its iterate's per-agent objective values and
+coupling violation, so the stop check and :func:`drdga.metrics.evaluate_rounds`
+are functions of states alone.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import metrics
 from .errors import ConfigError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
-from .problem import CoupledProblem, solve_local
+from .problem import CoupledProblem, _sum_agents, solve_local
 
 STOP_CONVERGED = "converged"
 STOP_T_MAX = "t_max"
@@ -86,8 +88,10 @@ class RunState:
 
     theta and lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
     (m, n_max), padded like the problem's arrays. terms holds the coupling
-    terms A_i x_i - b_i of x, (m, p). ergodic_sum holds
-    sum_{s<=t} (s-1) x[s], the numerator of the weighted running average.
+    terms A_i x_i - b_i of x, (m, p), values the per-agent objective values
+    f_i(x_i), (m,), and violation_inst the norm of sum_i (A_i x_i - b_i).
+    ergodic_sum holds sum_{s<=t} (s-1) x[s], the numerator of the weighted
+    running average.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
     one the agents solved at.
     """
@@ -98,9 +102,17 @@ class RunState:
     lam: np.ndarray
     x: np.ndarray
     terms: np.ndarray
+    values: np.ndarray
+    violation_inst: float
     ergodic_sum: np.ndarray
     config: RunConfig
     push_sum: bool
+
+
+def _violation(terms: np.ndarray) -> float:
+    """Norm of sum_i (A_i x_i - b_i) of one iterate, from its (m, p) coupling terms."""
+    residual = _sum_agents(terms)
+    return math.sqrt(residual.dot(residual))  # np.linalg.norm's own sqrt(x.dot(x))
 
 
 def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
@@ -112,13 +124,16 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
     m, p = problem.m, problem.p
     theta = np.zeros((m, p)) if config.theta0 is None else np.array(config.theta0, dtype=float)
     x = np.zeros(problem.lower.shape)
+    terms = problem.coupling_terms(x)
     return RunState(
         t=0,
         theta=theta,
         rho=np.ones(m),
         lam=np.zeros((m, p)),
         x=x,
-        terms=problem.coupling_terms(x),
+        terms=terms,
+        values=problem.agent_values(x),
+        violation_inst=_violation(terms),
         ergodic_sum=np.zeros(problem.lower.shape),
         config=config,
         push_sum=push_sum,
@@ -151,6 +166,8 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
         lam=lam if state.push_sum else theta,
         x=x,
         terms=terms,
+        values=problem.agent_values(x),
+        violation_inst=_violation(terms),
         ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
         config=state.config,
         push_sum=state.push_sum,
@@ -169,20 +186,14 @@ def ergodic_average(state: RunState) -> np.ndarray:
     return state.ergodic_sum / denom
 
 
-def stopping_residuals(
-    prev: RunState, state: RunState, f_old: np.ndarray, f_new: np.ndarray, violation: float
-) -> tuple[float, float, float]:
-    """The three stop measures: dual movement, coupling violation, relative objective change.
-
-    ``f_old`` and ``f_new`` are the per-agent objective values of ``prev.x``
-    and ``state.x``; ``violation`` is the norm of the coupling residual of
-    ``state.x``, the round's ``violation_inst``
-    (:func:`drdga.metrics.violation_inst` of ``state.terms``).
-    """
+def stopping_residuals(prev: RunState, state: RunState) -> tuple[float, float, float]:
+    """The three stop measures of round ``state`` after round ``prev``: dual
+    movement, coupling violation, relative per-agent objective change."""
     dual_move = float(abs(state.lam - prev.lam).max())
+    f_old, f_new = prev.values, state.values
     kept = abs(f_old) >= _RATIO_GUARD
     rel = abs((f_new[kept] - f_old[kept]) / f_old[kept])
-    return dual_move, violation, float(rel.max(initial=0.0))
+    return dual_move, state.violation_inst, float(rel.max(initial=0.0))
 
 
 def run_rounds(
@@ -201,34 +212,28 @@ def run_rounds(
     state, metrics rows, stop reason). The gap column of the metrics is
     filled only when the centralized optimum f_star is supplied.
 
-    The stop check runs every round, on the new iterate's per-agent values
-    and violation_inst. The other observables are computed a block of rounds
-    at a time (:class:`drdga.metrics.ObservableBlock`): each round is
-    buffered, and a block is flushed into rows when it is full, at the stop
-    round and at t_max. The rows are those of :func:`drdga.metrics.evaluate_round`
-    on every state, bit for bit.
+    The stop check runs every round, on the previous and the new state. The
+    observables are computed a block of rounds at a time
+    (:func:`drdga.metrics.evaluate_rounds`): a block is evaluated when it is
+    full, at the stop round and at t_max.
     """
-    from . import metrics
-
     state = init_state(problem, config, push_sum)
     pool = [mixing(adj) for adj in seq.adj]
-    block = metrics.ObservableBlock(problem, config, metrics.block_size(problem.m, problem.p))
-    values = problem.agent_values(state.x)
-    rows = []
+    size = metrics.block_size(problem.m, problem.p)
+    block, rows = [], []
     reason = STOP_T_MAX
     while state.t < config.t_max:
-        prev, prev_values = state, values
+        prev = state
         state = advance_round(state, problem, pool[state.t % len(pool)])
-        values = problem.agent_values(state.x)
-        violation = metrics.violation_inst(state.terms)
-        full = block.record(state, violation)
-        residuals = stopping_residuals(prev, state, prev_values, values, violation)
-        if all(r <= config.epsilon for r in residuals):
+        block.append(state)
+        if all(r <= config.epsilon for r in stopping_residuals(prev, state)):
             reason = STOP_CONVERGED
             break
-        if full:
-            rows += block.flush(f_star)
-    rows += block.flush(f_star)
+        if len(block) == size:
+            rows += metrics.evaluate_rounds(block, problem, f_star)
+            block = []
+    if block:
+        rows += metrics.evaluate_rounds(block, problem, f_star)
     return state, rows, reason
 
 

@@ -1,4 +1,4 @@
-"""Per-round observables, computed a block of rounds at a time,
+"""Per-round observables, computed a block of round states at a time,
 convergence-bound evaluators, and rate fitting.
 
 The bound evaluators plug an empirical dual-norm cap D (the running max of
@@ -14,11 +14,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import RunConfig, RunState
 from .problem import CoupledProblem, _sum_agents, compute_G_bound
+
+if TYPE_CHECKING:
+    from .engine import RunState
 
 
 @dataclass(frozen=True)
@@ -52,88 +55,53 @@ def block_size(m: int, p: int) -> int:
     return min(64, max(1, (1 << 15) // max(1, m * (m - 1) // 2 * p)))
 
 
-def violation_inst(terms: np.ndarray) -> float:
-    """Norm of sum_i (A_i x_i - b_i) of one iterate, from its (m, p) coupling terms."""
-    residual = _sum_agents(terms)
-    return math.sqrt(residual.dot(residual))  # np.linalg.norm's own sqrt(x.dot(x))
+def evaluate_rounds(
+    states: list[RunState], problem: CoupledProblem, f_star: float | None = None
+) -> list[MetricsRow]:
+    """Rows of completed rounds, in order, computed in one batched pass.
 
-
-class ObservableBlock:
-    """Up to ``size`` consecutive rounds whose observables are computed together.
-
-    :meth:`record` copies what a row needs of one state into preallocated
-    (size, ...) buffers; :meth:`flush` evaluates every buffered round at once
-    and returns their MetricsRows. Each row has the bits of the round alone:
-    the batched products repeat each round's own BLAS calls, sums over agents
+    At t = 1 the ergodic average is not yet defined and the instantaneous
+    iterate stands in for it. Each row has the bits of its round alone: the
+    batched products repeat each round's own BLAS calls, sums over agents
     run left to right, and the violation norm is each round's sqrt(r . r).
     """
-
-    def __init__(self, problem: CoupledProblem, config: RunConfig, size: int):
-        self.problem, self.config = problem, config
-        self.t = np.empty(size, dtype=np.int64)
-        self.lam = np.empty((size, problem.m, problem.p))
-        # The ergodic sum; at t = 1, where the average is not yet defined, x.
-        self.avg_sum = np.empty((size,) + problem.lower.shape)
-        self.violation_inst = np.empty(size)
-        self.count = 0
-
-    def record(self, state: RunState, violation_inst: float) -> bool:
-        """Buffer one round; True once the block is full."""
-        k = self.count
-        self.t[k] = state.t
-        self.lam[k] = state.lam
-        self.avg_sum[k] = state.ergodic_sum if state.t >= 2 else state.x
-        self.violation_inst[k] = violation_inst
-        self.count = k + 1
-        return self.count == len(self.t)
-
-    def flush(self, f_star: float | None) -> list[MetricsRow]:
-        """Rows of the buffered rounds, in order; the block is empty afterwards."""
-        k, self.count = self.count, 0
-        if k == 0:
-            return []
-        problem = self.problem
-        t, lam = self.t[:k], self.lam[:k]
-        # t(t-1)/2 is 0 at t = 1, where avg_sum holds x: dividing by 1 keeps it.
-        denom = np.maximum(t * (t - 1) / 2.0, 1.0)
-        xs_avg = self.avg_sum[:k] / denom[:, None, None]
-        objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
-        # Without f_star every row holds the math.nan object itself, as a
-        # one-round evaluation always did, so equal runs give equal rows.
-        gap = (objective - f_star).tolist() if f_star is not None else [math.nan] * k
-        residual = problem.coupling_residual(xs_avg)
-        violation = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
-        # Largest pairwise distance; sqrt is monotone, so it is taken once.
-        first, second = _pairs(problem.m)
-        diffs = lam.take(first, axis=1)
-        diffs -= lam.take(second, axis=1)
-        diffs *= diffs
-        disagreement = np.sqrt(diffs.sum(axis=2).max(axis=1, initial=0.0))
-        max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
-        beta = self.config.beta
-        return [
-            MetricsRow(*cells, beta(cells[0]))
-            for cells in zip(
-                t.tolist(),
-                objective.tolist(),
-                gap,
-                violation.tolist(),
-                self.violation_inst[:k].tolist(),
-                disagreement.tolist(),
-                max_lambda.tolist(),
-            )
-        ]
+    t = np.array([s.t for s in states])
+    lam = np.array([s.lam for s in states])
+    # t(t-1)/2 is 0 at t = 1, where x stands in: dividing by 1 keeps it.
+    denom = np.maximum(t * (t - 1) / 2.0, 1.0)
+    xs_avg = np.array([s.ergodic_sum if s.t >= 2 else s.x for s in states])
+    xs_avg /= denom[:, None, None]
+    objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
+    # Without f_star every row holds the math.nan object itself, as a
+    # one-round evaluation always did, so equal runs give equal rows.
+    gap = (objective - f_star).tolist() if f_star is not None else [math.nan] * len(states)
+    residual = problem.coupling_residual(xs_avg)
+    violation = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
+    # Largest pairwise distance; sqrt is monotone, so it is taken once.
+    first, second = _pairs(problem.m)
+    diffs = lam.take(first, axis=1)
+    diffs -= lam.take(second, axis=1)
+    diffs *= diffs
+    disagreement = np.sqrt(diffs.sum(axis=2).max(axis=1, initial=0.0))
+    max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
+    return [
+        MetricsRow(s.t, obj, g, viol, s.violation_inst, dis, lmax, s.config.beta(s.t))
+        for s, obj, g, viol, dis, lmax in zip(
+            states,
+            objective.tolist(),
+            gap,
+            violation.tolist(),
+            disagreement.tolist(),
+            max_lambda.tolist(),
+        )
+    ]
 
 
 def evaluate_round(
     state: RunState, problem: CoupledProblem, f_star: float | None = None
 ) -> MetricsRow:
-    """Observables after a completed round: a one-round :class:`ObservableBlock`.
-    At t = 1 the ergodic average is not yet defined and the instantaneous
-    iterate stands in for it."""
-    block = ObservableBlock(problem, state.config, 1)
-    block.record(state, violation_inst(state.terms))
-    return block.flush(f_star)[0]
+    """Observables after one completed round: :func:`evaluate_rounds` of that state alone."""
+    return evaluate_rounds([state], problem, f_star)[0]
 
 
 @dataclass(frozen=True)
@@ -255,8 +223,7 @@ def lemma2_residual(
     theta_bar_t = state_t.theta.mean(axis=0)
     theta_bar_t1 = state_t1.theta.mean(axis=0)
 
-    values = problem.agent_values(state_t1.x)
-    terms = problem.coupling_terms(state_t1.x)
+    values, terms = state_t1.values, state_t1.terms
 
     def lagrangian(mult):
         return float(np.sum(values + terms @ mult - 0.5 * problem.gammas * float(mult @ mult)))

@@ -77,7 +77,12 @@ class CoupledProblem:
             raise InvalidProblemError("give either diag and lin, or weights")
         family_arrays = ("diag", "lin") if quadratic else ("weights",)
         for name in ("A", "b", "lower", "upper", "gammas", "taus") + family_arrays:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.asarray(getattr(self, name), dtype=float)
+            # A box bound may be infinite; nothing may be NaN.
+            box = name in ("lower", "upper")
+            if not (~np.isnan(value) if box else np.isfinite(value)).all():
+                raise InvalidProblemError(f"{name} must be {'free of NaN' if box else 'finite'}")
+            object.__setattr__(self, name, value)
         if self.A.ndim != 3 or self.lower.ndim != 2:
             raise InvalidProblemError("A must be (m, p, n) and the box bounds (m, n)")
         m, p = self.A.shape[:2]

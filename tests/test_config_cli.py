@@ -194,6 +194,22 @@ def test_graph_file_mode_long_window_checks_one_pool_period(tmp_path):
     assert peak < 2**20
 
 
+def test_huge_m_with_short_dims_fails_before_allocating(tmp_path, capsys):
+    # The dims default is the scalar 1, broadcast only once m is checked, so
+    # a 3,000,000-agent config that lists two dims fails on dims without
+    # first building a default list of m entries (23 MiB).
+    path = write_cfg(tmp_path, MINIMAL_QUAD.replace("m = 2", "m = 3000000"))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", path, "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "dims must list one positive dimension per agent" in capsys.readouterr().err
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "schedule, message",
     [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),

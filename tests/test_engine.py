@@ -208,10 +208,11 @@ def test_dual_norms_stay_bounded():
 
 
 def test_stop_check_evaluates_each_iterate_once(monkeypatch):
-    # The previous round's per-agent values are carried, not recomputed: one
-    # evaluation of x[0], then one of x[t] per round. The ergodic averages are
-    # evaluated a block of rounds at a time, (rounds, m, n) per call, and the
-    # blocks cover every row exactly once, in order.
+    # Each state carries its iterate's per-agent values, so the stop check
+    # recomputes none: one evaluation of x[0], then one of x[t] per round.
+    # The ergodic averages are evaluated a block of rounds at a time,
+    # (rounds, m, n) per call, and the blocks cover every row exactly once,
+    # in order.
     prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=4)
     calls = []
@@ -234,22 +235,29 @@ def test_stop_check_evaluates_each_iterate_once(monkeypatch):
     assert np.array_equal(averages[-1], ergodic_average(state))
 
 
+def assert_carries_its_iterate(state, prob):
+    """The values and violation_inst a state carries are those of its own x, bit for bit."""
+    assert np.array_equal(state.values, prob.agent_values(state.x))
+    assert state.violation_inst == float(np.linalg.norm(prob.coupling_residual(state.x)))
+
+
 def hand_run(prob, seq, config, f_star, push_sum):
     """The run loop spelled out: advance_round stepped by hand, evaluate_round
-    on every state, and the stop rule on each round's own values.
+    on every state, and the stop rule on each round, after checking the
+    values it reads against an evaluation of the iterate itself.
 
     Returns (final state, rows, stop reason, largest stop measure per round).
     """
     mixing = build_weight_matrix if push_sum else metropolis_matrix
     state = init_state(prob, config, push_sum)
+    assert_carries_its_iterate(state, prob)
     rows, worst, reason = [], [], STOP_T_MAX
     while state.t < config.t_max:
         prev = state
         state = advance_round(state, prob, mixing(seq.adjacency(state.t)))
-        row = evaluate_round(state, prob, f_star=f_star)
-        rows.append(row)
-        measures = stopping_residuals(prev, state, prob.agent_values(prev.x),
-                                      prob.agent_values(state.x), row.violation_inst)
+        assert_carries_its_iterate(state, prob)
+        rows.append(evaluate_round(state, prob, f_star=f_star))
+        measures = stopping_residuals(prev, state)
         worst.append(max(measures))
         if all(r <= config.epsilon for r in measures):
             reason = STOP_CONVERGED
@@ -263,7 +271,8 @@ def assert_same_run(got, want):
     assert reason == want_reason
     as_bits = lambda rs: np.array([dataclasses.astuple(r) for r in rs], dtype=float).tobytes()
     assert len(rows) == len(want_rows) and as_bits(rows) == as_bits(want_rows)
-    for name in ("t", "theta", "rho", "lam", "x", "terms", "ergodic_sum"):
+    for name in ("t", "theta", "rho", "lam", "x", "terms", "values", "violation_inst",
+                 "ergodic_sum"):
         assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
 
 

@@ -23,7 +23,7 @@ from drdga import (
     theorem2_bound,
     theorem3_bound,
 )
-from drdga.metrics import ObservableBlock
+from drdga.metrics import evaluate_rounds
 
 CONSTANT_SETS = [
     dict(m=2, p=3, window=2, q=4.0, D=2.5, G=[1.0, 2.0], gammas=[0.5, 1.5], theta0_l1=1.2),
@@ -269,18 +269,23 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     lam[1:, 0] = 1.5
     lam[2, 1] = e
     assert 1.5**2 + e * e == np.nextafter(2.25, 3.0)
-    block = ObservableBlock(prob, state.config, 3)
-    for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1):
-        block.record(dataclasses.replace(state, t=t, lam=near_tie), 0.0)
-    for row in block.flush(None):
+    block = [dataclasses.replace(state, t=t, lam=near_tie)
+             for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1)]
+    for row in evaluate_rounds(block, prob):
         assert row.disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
 
 
 def test_round_carries_coupling_terms_of_its_iterate():
+    # terms, values and violation_inst are those of the state's own x, bit for
+    # bit, from round 0 on; the violation_inst column copies the carried norm.
     prob, seq, states, rows = quad_run(rounds=6)
-    for state, row in zip(states[1:], rows):
+    for state, row in zip(states, [None] + rows):
         assert np.array_equal(state.terms, prob.coupling_terms(state.x))
-        assert row.violation_inst == float(np.linalg.norm(prob.coupling_residual(state.x)))
+        assert np.array_equal(state.values, prob.agent_values(state.x))
+        norm = float(np.linalg.norm(prob.coupling_residual(state.x)))
+        assert state.violation_inst == norm
+        if row is not None:
+            assert row.violation_inst == norm
 
 
 def test_empirical_values_stay_under_bounds():

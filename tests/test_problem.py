@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -264,6 +265,29 @@ def test_coupled_problem_validation():
         CoupledProblem(A=np.zeros((0, 1, 1)), b=np.zeros((0, 1)), lower=np.zeros((0, 1)),
                        upper=np.zeros((0, 1)), gammas=np.zeros(0), taus=np.zeros(0),
                        diag=np.ones((0, 1)), lin=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "field", ["A", "b", "lower", "upper", "gammas", "taus", "diag", "lin", "weights"]
+)
+def test_non_finite_arrays_rejected_by_name(field):
+    # A NaN in any array, or an infinity outside the box bounds, is a problem
+    # error naming the field, not a non-finite multiplier in the middle of a run.
+    if field == "weights":
+        prob = fig7_problem()
+    else:
+        prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=1, tau_min=1.0)
+    box = field in ("lower", "upper")
+    value = getattr(prob, field).copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        value.flat[-1] = bad
+        if box and np.isinf(bad):
+            continue
+        with pytest.raises(InvalidProblemError, match=f"^{field} must be"):
+            dataclasses.replace(prob, **{field: value})
+    if box:  # an unbounded side of the box is allowed
+        value.flat[-1] = -np.inf if field == "lower" else np.inf
+        assert np.isinf(getattr(dataclasses.replace(prob, **{field: value}), field)).any()
 
 
 def test_quadratic_family_admits_feasible_point():

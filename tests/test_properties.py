@@ -117,7 +117,7 @@ def test_ergodic_average_stays_in_each_box(prob, seed, t_max, window, loop):
        st.integers(2, 3 * 64), st.sampled_from([1e-300, 0.05, 0.3, 1.0, 3.0]), st.booleans(),
        st.one_of(st.none(), st.floats(-10.0, 10.0)))
 def test_run_loop_rows_equal_per_round_evaluation(prob, seed, t_max, epsilon, push_sum, f_star):
-    # Up to three blocks of observables (64 rounds each for m <= 8), flushed
+    # Up to three blocks of observables (64 rounds each for m <= 8), evaluated
     # when full, at the stop round or at t_max, against evaluate_round on
     # every state of a hand-stepped run.
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=5)
