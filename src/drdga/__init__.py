@@ -40,7 +40,6 @@ from .metrics import (
     BoundConstants,
     MetricsRow,
     constants_from_run,
-    evaluate_round,
     lemma2_residual,
     rate_fit,
     theorem2_bound,
@@ -82,7 +81,6 @@ __all__ = [
     "compute_G_bound",
     "constants_from_run",
     "ergodic_average",
-    "evaluate_round",
     "generate_graph_sequence",
     "init_state",
     "lemma2_residual",

@@ -1,8 +1,10 @@
 """Experiment configuration: INI-style files with [experiment], [problem], [graph], [run].
 
-Every validation failure raises ConfigError naming the offending
-"section.field" and the violated constraint. See the packaged configs under
-drdga/configs/ for complete examples of both problem families.
+One table, ``_SECTIONS``, lists every key: [problem] has one set per
+``family`` and [graph] one per ``mode``, and any other key is an error. Every
+validation failure raises ConfigError naming the offending "section.field".
+The checked keys go as keywords to the library functions, whose signatures
+hold the defaults. See drdga/configs/ for complete examples.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,13 +23,6 @@ from .problem import CoupledProblem, make_num_problem, make_quadratic_problem
 
 ALGORITHMS = ("drdga", "cdda")
 
-_KNOWN_KEYS = {
-    "experiment": {"algorithm"},
-    "problem": {"family", "routing", "capacities", "gammas", "m", "p", "dims", "seed", "tau_min"},
-    "graph": {"mode", "window", "pool_size", "seed", "path"},
-    "run": {"q", "t_max", "epsilon", "theta0"},
-}
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -36,48 +32,6 @@ class Experiment:
     seq: GraphSequence
     run: RunConfig
     algorithm: str
-
-
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else None
-
-    def require_present(self):
-        if self.raw is None:
-            raise ConfigError(f"{self.name}: missing section")
-        return self
-
-    def check_keys(self):
-        if self.raw is None:
-            return self
-        unknown = set(self.raw) - _KNOWN_KEYS[self.name]
-        if unknown:
-            raise ConfigError(
-                f"{self.name}.{sorted(unknown)[0]}: unknown field "
-                f"(known: {', '.join(sorted(_KNOWN_KEYS[self.name]))})"
-            )
-        return self
-
-    def get(self, key: str, default=None):
-        if self.raw is None or key not in self.raw:
-            return default
-        return self.raw[key]
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"{self.name}.{key}: missing required field")
-        return value
-
-    def parse(self, key: str, conv, kind: str, default=None, required: bool = False):
-        raw = self.require(key) if required else self.get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.name}.{key}: expected {kind}, got {raw!r}") from None
 
 
 def _floats(text: str) -> np.ndarray:
@@ -92,78 +46,92 @@ def _matrix(text: str) -> np.ndarray:
     rows = [_floats(line) for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty matrix")
-    width = rows[0].size
-    if any(r.size != width for r in rows):
+    if any(r.size != rows[0].size for r in rows):
         raise ValueError("ragged matrix rows")
     return np.vstack(rows)
 
 
-def _build_problem(section: _Section) -> CoupledProblem:
-    family = section.require("family")
-    if family == "num":
-        routing = section.parse("routing", _matrix, "a 0/1 matrix (one line per link)", required=True)
-        capacities = section.parse("capacities", _floats, "a list of numbers", required=True)
-        n_sources = routing.shape[1]
-        gammas = section.parse(
-            "gammas", _floats, "a list of numbers", default=np.ones(n_sources)
-        )
+class _Field(NamedTuple):
+    """One key: its parser, the value kind a parse error names, and its checks."""
+
+    parse: Callable[[str], Any]
+    kind: str
+    required: bool = False
+    minimum: int | None = None
+
+
+_INT, _NUMBER = "an integer", "a number"
+_WINDOW = _Field(int, _INT, minimum=1)
+# Section -> (selector key, its default, variant -> key -> _Field). The
+# selector's value picks the variant; a section without one has the variant None.
+_SECTIONS = {
+    "experiment": ("algorithm", "drdga", {name: {} for name in ALGORITHMS}),
+    "problem": ("family", None, {
+        "num": {
+            "routing": _Field(_matrix, "a 0/1 matrix (one line per link)", required=True),
+            "capacities": _Field(_floats, "a list of numbers", required=True),
+            "gammas": _Field(_floats, "a list of numbers"),
+        },
+        "quadratic": {
+            "m": _Field(int, _INT, required=True, minimum=1),
+            "p": _Field(int, _INT, required=True, minimum=1),
+            "dims": _Field(_ints, "a list of integers"),
+            "seed": _Field(int, _INT, minimum=0),
+            "tau_min": _Field(float, _NUMBER),
+        },
+    }),
+    "graph": ("mode", "random-pool", {
+        "random-pool": {"window": _WINDOW, "pool_size": _Field(int, _INT, minimum=1),
+                        "seed": _Field(int, _INT, minimum=0)},
+        "file": {"window": _WINDOW, "path": _Field(str, "a path", required=True)},
+    }),
+    "run": (None, None, {None: {
+        "q": _Field(float, _NUMBER, required=True),
+        "t_max": _Field(int, _INT),
+        "epsilon": _Field(float, _NUMBER),
+        "theta0": _Field(_matrix, "a matrix (one line per agent)"),
+    }}),
+}
+
+
+def _read_section(parser: configparser.ConfigParser, name: str):
+    """The variant section ``name`` selects, and a dict of only the keys the
+    file gives, parsed and checked against that variant's fields."""
+    present = parser.has_section(name)
+    raw = dict(parser[name]) if present else {}
+    selector, default, variants = _SECTIONS[name]
+
+    def missing(key):
+        where = f"{name}.{key}: missing required field" if present else f"{name}: missing section"
+        return ConfigError(where)
+
+    variant = raw.pop(selector, default)  # None for [run], which has no selector
+    if variant is None and selector:
+        raise missing(selector)
+    if variant not in variants:
+        choices = ", ".join(variants)
+        raise ConfigError(f"{name}.{selector}: unknown {selector} {variant!r} "
+                          f"(choose one of: {choices})")
+    table = variants[variant]
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        known = ", ".join(sorted({*table, selector} - {None}))
+        within = f" for {selector} = {variant}" if selector else ""
+        raise ConfigError(f"{name}.{unknown[0]}: unknown field{within} (known: {known})")
+    fields = {}
+    for key, field in table.items():
+        if key not in raw:
+            if field.required:
+                raise missing(key)
+            continue
         try:
-            return make_num_problem(routing, capacities, gammas)
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from None
-    if family == "quadratic":
-        m = section.parse("m", int, "an integer", required=True)
-        p = section.parse("p", int, "an integer", required=True)
-        dims = section.parse("dims", _ints, "a list of integers", default=1)
-        seed = section.parse("seed", int, "an integer", default=0)
-        if seed < 0:
-            raise ConfigError(f"problem.seed: must be >= 0, got {seed}")
-        tau_min = section.parse("tau_min", float, "a number", default=1.0)
-        try:
-            return make_quadratic_problem(m=m, p=p, dims=dims, seed=seed, tau_min=tau_min)
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from None
-    raise ConfigError(f"problem.family: unknown family {family!r} (choose num or quadratic)")
-
-
-def _build_graph(section: _Section, problem: CoupledProblem, base_dir: Path) -> GraphSequence:
-    mode = section.get("mode", "random-pool")
-    window = section.parse("window", int, "an integer", default=1)
-    if window < 1:
-        raise ConfigError(f"graph.window: must be >= 1, got {window}")
-    if mode == "random-pool":
-        pool_size = section.parse("pool_size", int, "an integer", default=20)
-        if pool_size < 1:
-            raise ConfigError(f"graph.pool_size: must be >= 1, got {pool_size}")
-        seed = section.parse("seed", int, "an integer", default=0)
-        if seed < 0:
-            raise ConfigError(f"graph.seed: must be >= 0, got {seed}")
-        return generate_graph_sequence(m=problem.m, window=window, seed=seed, pool_size=pool_size)
-    if mode == "file":
-        path = Path(section.require("path"))
-        if not path.is_absolute():
-            path = base_dir / path
-        if not path.is_file():
-            raise ConfigError(f"graph.path: {path} is not a file")
-        try:
-            return parse_edge_list(path.read_text(encoding="utf-8"), m=problem.m, window=window)
-        except ValueError as exc:
-            raise ConfigError(f"graph.path: {exc}") from None
-    raise ConfigError(f"graph.mode: unknown mode {mode!r} (choose random-pool or file)")
-
-
-def _build_run(section: _Section, problem: CoupledProblem, algorithm: str) -> RunConfig:
-    """Run settings; the step-size rule q*gamma/m >= 4 binds DRDGA only."""
-    q = section.parse("q", float, "a number", required=True)
-    t_max = section.parse("t_max", int, "an integer", default=5000)
-    epsilon = section.parse("epsilon", float, "a number", default=0.01)
-    theta0 = section.parse("theta0", _matrix, "a matrix (one line per agent)")
-    try:
-        config = RunConfig(q=q, t_max=t_max, epsilon=epsilon, theta0=theta0)
-        config.validate_for(problem, push_sum=algorithm == "drdga")
-    except ConfigError as exc:
-        raise ConfigError(f"run: {exc}") from None
-    return config
+            value = field.parse(raw[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}.{key}: expected {field.kind}, got {raw[key]!r}") from None
+        if field.minimum is not None and value < field.minimum:
+            raise ConfigError(f"{name}.{key}: must be >= {field.minimum}, got {value}")
+        fields[key] = value
+    return variant, fields
 
 
 def parse_config(
@@ -178,9 +146,10 @@ def parse_config(
 
     An override is written into its field before any section is read, so it
     passes the same checks, and fails with the same messages, as the value
-    it replaces. ``seed`` overrides the graph seed (communication
-    randomness); the problem seed stays in the file so the instance itself
-    is pinned by the config.
+    it replaces. ``seed`` overrides the graph seed, so a file-mode config
+    rejects it; the problem seed stays in the file, pinning the instance.
+    All four sections are checked before any library object is built; the
+    DRDGA step-size rule q * gamma / m >= 4 needs the problem and comes last.
     """
     path = Path(path)
     if not path.is_file():
@@ -192,31 +161,38 @@ def parse_config(
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from None
 
-    overrides = {
-        ("experiment", "algorithm"): algorithm,
-        ("graph", "seed"): seed,
-        ("run", "t_max"): t_max,
-        ("run", "epsilon"): epsilon,
-    }
+    overrides = {("experiment", "algorithm"): algorithm, ("graph", "seed"): seed,
+                 ("run", "t_max"): t_max, ("run", "epsilon"): epsilon}
     for (name, key), value in overrides.items():
         if value is not None:
             parser.read_dict({name: {key: str(value)}})
 
     for name in parser.sections():
-        if name not in _KNOWN_KEYS:
-            raise ConfigError(
-                f"{name}: unknown section (known: {', '.join(sorted(_KNOWN_KEYS))})"
-            )
-        _Section(parser, name).check_keys()
+        if name not in _SECTIONS:
+            raise ConfigError(f"{name}: unknown section (known: {', '.join(sorted(_SECTIONS))})")
+    (algorithm, _), (family, problem_fields), (mode, graph_fields), (_, run_fields) = (
+        _read_section(parser, name) for name in _SECTIONS
+    )
 
-    algorithm = _Section(parser, "experiment").get("algorithm", "drdga")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"experiment.algorithm: unknown algorithm {algorithm!r} "
-            f"(choose one of: {', '.join(ALGORITHMS)})"
-        )
-
-    problem = _build_problem(_Section(parser, "problem").require_present())
-    seq = _build_graph(_Section(parser, "graph"), problem, path.parent)
-    run = _build_run(_Section(parser, "run").require_present(), problem, algorithm)
+    # The factories are looked up in this module's namespace at call time.
+    make_problem = make_num_problem if family == "num" else make_quadratic_problem
+    try:
+        problem = make_problem(**problem_fields)
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from None
+    if mode == "file":
+        edges = path.parent / graph_fields.pop("path")  # an absolute path replaces the parent
+        if not edges.is_file():
+            raise ConfigError(f"graph.path: {edges} is not a file")
+        try:
+            seq = parse_edge_list(edges.read_text(encoding="utf-8"), m=problem.m, **graph_fields)
+        except ValueError as exc:
+            raise ConfigError(f"graph.path: {exc}") from None
+    else:
+        seq = generate_graph_sequence(m=problem.m, **graph_fields)
+    try:
+        run = RunConfig(**run_fields)
+        run.validate_for(problem, push_sum=algorithm == "drdga")
+    except ConfigError as exc:
+        raise ConfigError(f"run: {exc}") from None
     return Experiment(problem=problem, seq=seq, run=run, algorithm=algorithm)

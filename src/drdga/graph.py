@@ -75,10 +75,6 @@ class GraphSequence:
                 adj[r, i - 1, j - 1] = True
         return cls(adj, window)
 
-    def adjacency(self, t: int) -> np.ndarray:
-        """Adjacency active at round t (t >= 0)."""
-        return self.adj[t % len(self.adj)]
-
 
 def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
     """Column-stochastic mixing matrix of one round's adjacency.
@@ -95,8 +91,8 @@ def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
 
 def generate_graph_sequence(
     m: int,
-    window: int,
-    seed: int,
+    window: int = 1,
+    seed: int = 0,
     pool_size: int = 20,
 ) -> GraphSequence:
     """Generate a random pool of per-round graphs, cycled over rounds.
@@ -131,7 +127,7 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return True
 
 
-def parse_edge_list(text: str, m: int, window: int) -> GraphSequence:
+def parse_edge_list(text: str, m: int, window: int = 1) -> GraphSequence:
     """Parse a plain-text edge-list schedule: one line per round, "i>j" pairs separated by ";".
 
     Agent indices are 1-based. A blank line is a round with no cross edges.

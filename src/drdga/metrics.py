@@ -97,13 +97,6 @@ def evaluate_rounds(
     ]
 
 
-def evaluate_round(
-    state: RunState, problem: CoupledProblem, f_star: float | None = None
-) -> MetricsRow:
-    """Observables after one completed round: :func:`evaluate_rounds` of that state alone."""
-    return evaluate_rounds([state], problem, f_star)[0]
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Everything the printed rate bounds need.

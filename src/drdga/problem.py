@@ -78,10 +78,8 @@ class CoupledProblem:
         family_arrays = ("diag", "lin") if quadratic else ("weights",)
         for name in ("A", "b", "lower", "upper", "gammas", "taus") + family_arrays:
             value = np.asarray(getattr(self, name), dtype=float)
-            # A box bound may be infinite; nothing may be NaN.
-            box = name in ("lower", "upper")
-            if not (~np.isnan(value) if box else np.isfinite(value)).all():
-                raise InvalidProblemError(f"{name} must be {'free of NaN' if box else 'finite'}")
+            if not np.isfinite(value).all():
+                raise InvalidProblemError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         if self.A.ndim != 3 or self.lower.ndim != 2:
             raise InvalidProblemError("A must be (m, p, n) and the box bounds (m, n)")
@@ -203,22 +201,23 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, problem.lower), problem.upper)
 
 
-def make_num_problem(routing, capacities, gammas) -> CoupledProblem:
+def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:
     """Rate-allocation instance: one scalar agent per source, one coupling row per link.
 
     ``routing`` is the 0/1 link-by-source incidence matrix. Source s gets the
     log disutility with weight w_s = (links used by s) / (total links), rate
     box [0, 1], coupling column A_s = routing[:, s], and the equal capacity
     split b_s = capacities / m so the per-agent offsets sum to the capacities.
+    ``gammas`` defaults to 1 for every source.
     tau_s is the modulus 20 w_s / 1.21 of the log disutility on [0, 1]: its
     second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
     """
     R = np.asarray(routing, dtype=float)
     c = np.asarray(capacities, dtype=float)
-    g = np.asarray(gammas, dtype=float)
     if R.ndim != 2:
         raise InvalidProblemError("routing must be a 2-d 0/1 matrix (links x sources)")
     n_links, n_sources = R.shape
+    g = np.ones(n_sources) if gammas is None else np.asarray(gammas, dtype=float)
     if not np.all((R == 0) | (R == 1)):
         raise InvalidProblemError("routing entries must be 0 or 1")
     if c.shape != (n_links,) or not np.all((c > 0) & np.isfinite(c)):
@@ -244,9 +243,9 @@ def make_num_problem(routing, capacities, gammas) -> CoupledProblem:
 def make_quadratic_problem(
     m: int,
     p: int,
-    dims,
-    seed: int,
-    tau_min: float,
+    dims=1,
+    seed: int = 0,
+    tau_min: float = 1.0,
     gamma: float = 1.0,
 ) -> CoupledProblem:
     """Random diagonal-quadratic family, feasible by construction.

@@ -20,7 +20,6 @@ from drdga import (
     build_weight_matrix,
     cdda_run_until,
     constants_from_run,
-    evaluate_round,
     generate_graph_sequence,
     init_state,
     lemma2_residual,
@@ -34,6 +33,7 @@ from drdga import (
     theorem3_bound,
 )
 from drdga.cli import main as cli_main
+from drdga.metrics import evaluate_rounds
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")
 S20_CFG = str(files("drdga") / "configs" / "num_s20.cfg")
@@ -72,7 +72,7 @@ def pushsum_run():
     state = init_state(problem, RunConfig(q=4.0, t_max=5001, epsilon=1e-300))
     mass_dev, rho_min, lam_max = 0.0, np.inf, []
     for _ in range(5000):
-        state = advance_round(state, problem, build_weight_matrix(seq.adjacency(state.t)))
+        state = advance_round(state, problem, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
         mass_dev = max(mass_dev, abs(float(state.rho.sum()) - 5.0))
         rho_min = min(rho_min, float(state.rho.min()))
         lam_max.append(float(np.sqrt((state.lam * state.lam).sum(axis=1)).max()))
@@ -86,7 +86,7 @@ def test_criterion_1_weight_matrix_law():
         for seed in range(5):
             seq = generate_graph_sequence(m=m, window=1, seed=seed, pool_size=20)
             for t in range(20):
-                adj = seq.adjacency(t)
+                adj = seq.adj[t % len(seq.adj)]
                 W = build_weight_matrix(adj)
                 edges = {(i + 1, j + 1) for i, j in zip(*np.nonzero(adj))}
                 worst_col = max(worst_col, float(np.abs(W.sum(axis=0) - 1.0).max()))
@@ -221,9 +221,9 @@ def test_criterion_9_descent_inequality_residuals():
     config = RunConfig(q=4.0, t_max=51, epsilon=1e-300)
     states = [init_state(problem, config)]
     for _ in range(50):
-        W = build_weight_matrix(seq.adjacency(states[-1].t))
+        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], problem, W))
-    rows = [evaluate_round(s, problem) for s in states[1:]]
+    rows = [evaluate_rounds([s], problem)[0] for s in states[1:]]
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)
     worst = np.inf

@@ -17,7 +17,7 @@ def test_metropolis_is_doubly_stochastic_and_symmetric():
     for seed in range(5):
         seq = generate_graph_sequence(m=6, window=1, seed=seed)
         for t in range(5):
-            W = metropolis_matrix(seq.adjacency(t))
+            W = metropolis_matrix(seq.adj[t % len(seq.adj)])
             assert np.allclose(W, W.T)
             assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
             assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
@@ -56,7 +56,7 @@ def test_pure_mixing_preserves_multiplier_sum():
     lam = rng.normal(size=(5, 3))
     total = lam.sum(axis=0).copy()
     for t in range(50):
-        lam = metropolis_matrix(seq.adjacency(t)) @ lam
+        lam = metropolis_matrix(seq.adj[t % len(seq.adj)]) @ lam
         assert np.max(np.abs(lam.sum(axis=0) - total)) <= 1e-9
 
 

@@ -14,6 +14,8 @@ from drdga.cli import main, run_experiment
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")
 QUAD_CFG = str(files("drdga") / "configs" / "quadratic_m5.cfg")
+S20_CFG = str(files("drdga") / "configs" / "num_s20.cfg")
+M100_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "quad_m100.cfg")
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -55,6 +57,19 @@ def test_bundled_quadratic_parses():
     exp = parse_config(QUAD_CFG)
     assert exp.problem.m == 5 and exp.problem.p == 3
     assert exp.run.t_max == 10000
+
+
+def test_bundled_num_s20_parses():
+    exp = parse_config(S20_CFG)
+    assert exp.problem.m == 20 and exp.problem.p == 19
+    assert exp.problem.gammas.tolist() == [1.0] * 20
+    assert exp.seq.m == 20 and len(exp.seq.adj) == 20
+
+
+def test_bundled_perfbench_quad_m100_parses():
+    exp = parse_config(M100_CFG)
+    assert exp.problem.m == 100 and exp.problem.p == 10 and exp.problem.dims == (2,) * 100
+    assert exp.seq.m == 100 and exp.run.t_max == 200
 
 
 def test_small_q_rejected_with_minimum(tmp_path):
@@ -120,10 +135,18 @@ RUN_SECTION = "[run]\nq = 8\nt_max = 20\nepsilon = 0.5\n"
      (None, None, ["--algorithm", "sgd"], "experiment.algorithm: unknown algorithm 'sgd'"),
      (None, None, ["--tmax", "abc"], "run.t_max: expected an integer, got 'abc'"),
      (None, None, ["--seed", "1.5"], "graph.seed: expected an integer, got '1.5'"),
-     (None, None, ["--epsilon", "x"], "run.epsilon: expected a number, got 'x'")],
+     (None, None, ["--epsilon", "x"], "run.epsilon: expected a number, got 'x'"),
+     # --seed sets graph.seed, which a file schedule does not read; every key
+     # is checked before the schedule file is opened.
+     ("[graph]\nseed = 1", "[graph]\nmode = file\npath = edges.txt", ["--seed", "2"],
+      "graph.seed: unknown field for mode = file"),
+     ("family = quadratic", "family = linear", [],
+      "problem.family: unknown family 'linear' (choose one of: num, quadratic)"),
+     ("[graph]", "[graph]\nmode = ring", [],
+      "graph.mode: unknown mode 'ring' (choose one of: random-pool, file)")],
     ids=["graph-seed", "problem-seed", "cli-seed", "tau_min-overflow", "window-0", "pool_size-0",
          "no-run-section", "no-run-section-seed-override", "cli-algorithm", "cli-tmax",
-         "cli-seed-float", "cli-epsilon"],
+         "cli-seed-float", "cli-epsilon", "cli-seed-file-mode", "family", "mode"],
 )
 def test_out_of_range_values_are_named(tmp_path, capsys, old, new, extra, field):
     text = MINIMAL_QUAD
@@ -142,8 +165,8 @@ def test_graph_file_mode(tmp_path):
     cfg = MINIMAL_QUAD.replace("[graph]\nseed = 1", f"[graph]\nmode = file\npath = {edges.name}\nwindow = 2")
     path = write_cfg(tmp_path, cfg)
     exp = parse_config(path)
-    assert np.array_equal(exp.seq.adjacency(0), [[False, True], [False, False]])
-    assert np.array_equal(exp.seq.adjacency(3), [[False, False], [True, False]])
+    assert np.array_equal(exp.seq.adj[0], [[False, True], [False, False]])
+    assert np.array_equal(exp.seq.adj[1], [[False, False], [True, False]])
     assert exp.seq.window == 2
 
 
@@ -210,6 +233,22 @@ def test_huge_m_with_short_dims_fails_before_allocating(tmp_path, capsys):
     assert peak < 2**20
 
 
+def test_huge_m_with_run_typo_fails_before_allocating(tmp_path, capsys):
+    # Every section is checked before the problem is built, so a typo in
+    # [run] is reported without building the 3,000,000-agent problem.
+    text = MINIMAL_QUAD.replace("m = 2", "m = 3000000").replace("dims = 1 1\n", "")
+    path = write_cfg(tmp_path, text.replace("t_max = 20", "tmax = 20"))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", path, "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "run.tmax: unknown field" in capsys.readouterr().err
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "schedule, message",
     [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),
@@ -233,6 +272,30 @@ def test_graph_file_mode_path_must_be_a_file(tmp_path, capsys):
         parse_config(path)
     assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
     assert "graph.path" in capsys.readouterr().err
+
+
+FILE_GRAPH = "[graph]\nmode = file\npath = edges.txt"
+
+
+@pytest.mark.parametrize(
+    "base, old, new, field",
+    [("quad", "tau_min = 1.0", "tau_min = 1.0\ngammas = 5 5", "problem.gammas"),
+     *[("fig7", "gammas = 1 1 1", f"gammas = 1 1 1\n{key} = 1", f"problem.{key}")
+       for key in ("m", "p", "dims", "seed", "tau_min")],
+     ("quad", "[graph]\nseed = 1", "[graph]\npath = edges.txt", "graph.path"),
+     ("quad", "[graph]\nseed = 1", FILE_GRAPH + "\npool_size = 20", "graph.pool_size"),
+     ("quad", "[graph]\nseed = 1", FILE_GRAPH + "\nseed = 1", "graph.seed")],
+    ids=["quadratic-gammas", "num-m", "num-p", "num-dims", "num-seed", "num-tau_min",
+         "random-pool-path", "file-pool_size", "file-seed"],
+)
+def test_other_variant_field_rejected(tmp_path, base, old, new, field):
+    # A key belongs to its family or graph mode; under any other it would be
+    # ignored, so it is an error naming the field.
+    text = Path(FIG7_CFG).read_text() if base == "fig7" else MINIMAL_QUAD
+    assert text.count(old) == 1
+    path = write_cfg(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigError, match=f"^{field}: unknown field"):
+        parse_config(path)
 
 
 def test_graph_m_mismatch_rejected(tmp_path):

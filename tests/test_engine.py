@@ -12,7 +12,6 @@ from drdga import (
     build_weight_matrix,
     cdda_run_until,
     ergodic_average,
-    evaluate_round,
     generate_graph_sequence,
     init_state,
     make_num_problem,
@@ -23,7 +22,7 @@ from drdga import (
 )
 from drdga import baseline, engine
 from drdga.engine import STOP_CONVERGED, STOP_T_MAX, stopping_residuals
-from drdga.metrics import block_size
+from drdga.metrics import block_size, evaluate_rounds
 
 
 def fig7():
@@ -32,7 +31,7 @@ def fig7():
 
 def step(state, prob, seq):
     """One round on the column-stochastic matrix of the sequence's current graph."""
-    return advance_round(state, prob, build_weight_matrix(seq.adjacency(state.t)))
+    return advance_round(state, prob, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
 
 
 def single_agent_setup(gamma=9.0):
@@ -242,8 +241,8 @@ def assert_carries_its_iterate(state, prob):
 
 
 def hand_run(prob, seq, config, f_star, push_sum):
-    """The run loop spelled out: advance_round stepped by hand, evaluate_round
-    on every state, and the stop rule on each round, after checking the
+    """The run loop spelled out: advance_round stepped by hand, evaluate_rounds
+    of every state alone, and the stop rule on each round, after checking the
     values it reads against an evaluation of the iterate itself.
 
     Returns (final state, rows, stop reason, largest stop measure per round).
@@ -254,9 +253,9 @@ def hand_run(prob, seq, config, f_star, push_sum):
     rows, worst, reason = [], [], STOP_T_MAX
     while state.t < config.t_max:
         prev = state
-        state = advance_round(state, prob, mixing(seq.adjacency(state.t)))
+        state = advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
         assert_carries_its_iterate(state, prob)
-        rows.append(evaluate_round(state, prob, f_star=f_star))
+        rows.append(evaluate_rounds([state], prob, f_star=f_star)[0])
         measures = stopping_residuals(prev, state)
         worst.append(max(measures))
         if all(r <= config.epsilon for r in measures):

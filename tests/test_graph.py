@@ -58,7 +58,7 @@ def test_weight_matrix_column_law_random():
     for seed in range(5):
         seq = generate_graph_sequence(m=6, window=2, seed=seed)
         for t in range(len(seq.adj)):
-            adj = seq.adjacency(t)
+            adj = seq.adj[t % len(seq.adj)]
             W = build_weight_matrix(adj)
             assert np.all(np.abs(W.sum(axis=0) - 1.0) <= 1e-12)
             for j in range(6):
@@ -131,8 +131,8 @@ def test_connectivity_alternating_rounds():
 
 def test_sequence_cycles_and_validates():
     seq = GraphSequence.from_edges(2, [{(1, 2)}, {(2, 1)}], window=2)
-    assert np.array_equal(seq.adjacency(0), adjacency(2, {(1, 2)}))
-    assert np.array_equal(seq.adjacency(5), adjacency(2, {(2, 1)}))
+    assert np.array_equal(seq.adj[0], adjacency(2, {(1, 2)}))
+    assert np.array_equal(seq.adj[1], adjacency(2, {(2, 1)}))
     assert not seq.adj.flags.writeable
     with pytest.raises(InvalidEdgeError):
         GraphSequence.from_edges(2, [{(1, 3)}], window=1)
@@ -149,10 +149,10 @@ def test_sequence_cycles_and_validates():
 def test_edge_list_parsing():
     text = "1>2; 2>3\n\n3>1\n"
     seq = parse_edge_list(text, m=3, window=3)
-    assert np.array_equal(seq.adjacency(0), adjacency(3, {(1, 2), (2, 3)}))
-    assert not seq.adjacency(1).any()
-    assert np.array_equal(seq.adjacency(2), adjacency(3, {(3, 1)}))
-    assert np.array_equal(seq.adjacency(3), seq.adjacency(0))
+    assert np.array_equal(seq.adj[0], adjacency(3, {(1, 2), (2, 3)}))
+    assert not seq.adj[1].any()
+    assert np.array_equal(seq.adj[2], adjacency(3, {(3, 1)}))
+    assert len(seq.adj) == 3
 
 
 def test_edge_list_rejects_malformed_lines():

@@ -13,7 +13,6 @@ from drdga import (
     advance_round,
     build_weight_matrix,
     constants_from_run,
-    evaluate_round,
     generate_graph_sequence,
     init_state,
     lemma2_residual,
@@ -125,9 +124,9 @@ def quad_run(rounds=12, m=3, seed=2):
     state = init_state(prob, cfg)
     states = [state]
     for _ in range(rounds):
-        W = build_weight_matrix(seq.adjacency(states[-1].t))
+        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = [evaluate_round(s, prob) for s in states[1:]]
+    rows = [evaluate_rounds([s], prob)[0] for s in states[1:]]
     return prob, seq, states, rows
 
 
@@ -148,9 +147,9 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
     states = [init_state(prob, cfg)]
     for _ in range(6):
-        W = build_weight_matrix(seq.adjacency(states[-1].t))
+        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = [evaluate_round(s, prob) for s in states[1:]]
+    rows = [evaluate_rounds([s], prob)[0] for s in states[1:]]
     c = constants_from_run(prob, seq.window, 1.0, rows)
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     for k in range(len(states) - 1):
@@ -254,7 +253,7 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     rng = np.random.default_rng(m)
     for scale in (1e-8, 1.0, 1e6):
         lam = scale * rng.normal(size=(m, prob.p))
-        row = evaluate_round(dataclasses.replace(state, t=1, lam=lam), prob)
+        row = evaluate_rounds([dataclasses.replace(state, t=1, lam=lam)], prob)[0]
         diffs = lam[:, None, :] - lam[None, :, :]
         assert row.disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
         if m == 1:

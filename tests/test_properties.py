@@ -118,8 +118,8 @@ def test_ergodic_average_stays_in_each_box(prob, seed, t_max, window, loop):
        st.one_of(st.none(), st.floats(-10.0, 10.0)))
 def test_run_loop_rows_equal_per_round_evaluation(prob, seed, t_max, epsilon, push_sum, f_star):
     # Up to three blocks of observables (64 rounds each for m <= 8), evaluated
-    # when full, at the stop round or at t_max, against evaluate_round on
-    # every state of a hand-stepped run.
+    # when full, at the stop round or at t_max, against evaluate_rounds of
+    # every state alone of a hand-stepped run.
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=5)
     config = RunConfig(q=valid_q(prob), t_max=t_max, epsilon=epsilon)
     loop = run_until if push_sum else cdda_run_until
@@ -237,7 +237,7 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=4)
     state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300), push_sum=False)
     for _ in range(30):
-        state = advance_round(state, prob, metropolis_matrix(seq.adjacency(state.t)))
+        state = advance_round(state, prob, metropolis_matrix(seq.adj[state.t % len(seq.adj)]))
         assert np.all(state.rho == 1.0)
 
 
