@@ -38,7 +38,7 @@ from .graph import (
 )
 from .metrics import (
     BoundConstants,
-    MetricsRow,
+    Metrics,
     constants_from_run,
     lemma2_residual,
     rate_fit,
@@ -71,7 +71,7 @@ __all__ = [
     "InvalidProblemError",
     "InvariantError",
     "LogUtility",
-    "MetricsRow",
+    "Metrics",
     "ReferenceSolution",
     "RunConfig",
     "RunState",

@@ -20,8 +20,8 @@ from .reference import solve_centralized
 
 _REFERENCE_TOL = 1e-6
 
-# One column per field of metrics.MetricsRow, in order: t, then floats.
-_COLUMNS = [f.name for f in dataclasses.fields(metrics.MetricsRow)]
+# One column per field of metrics.Metrics, in order: t, then floats.
+_COLUMNS = [f.name for f in dataclasses.fields(metrics.Metrics)]
 CSV_HEADER = ",".join(_COLUMNS)
 
 
@@ -42,33 +42,33 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def write_csv(rows, path) -> None:
+def write_csv(rows: metrics.Metrics, path) -> None:
     """Serialize metric rows, one line per round, floats at 12 significant digits."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in _COLUMNS[1:]]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    cells = [map(str, rows.t.tolist())]
+    cells += [map(_fmt, getattr(rows, c).tolist()) for c in _COLUMNS[1:]]
+    _write_atomic(path, "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n")
 
 
 def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> None:
-    last = rows[-1]
+    # An int T keeps the bounds in Python floats: inf on overflow, without a warning.
+    last, T = rows[-1], int(rows.t[-1])
     pairs = [
         ("algorithm", algorithm),
         ("stop_reason", stop_reason),
-        ("terminal_round", str(last.t)),
+        ("terminal_round", str(T)),
         ("objective", _fmt(last.objective)),
         ("f_star", _fmt(f_star) if f_star is not None else "unavailable"),
         ("gap", _fmt(last.gap)),
         ("violation", _fmt(last.violation)),
         ("violation_inst", _fmt(last.violation_inst)),
         ("empirical_D", _fmt(constants.D)),
-        ("theorem2_bound", _fmt(metrics.theorem2_bound(last.t, constants))),
-        ("theorem3_bound", _fmt(metrics.theorem3_bound(last.t, constants))),
+        ("theorem2_bound", _fmt(metrics.theorem2_bound(T, constants))),
+        ("theorem3_bound", _fmt(metrics.theorem3_bound(T, constants))),
     ]
     _write_atomic(path, "\n".join(f"{k} = {v}" for k, v in pairs) + "\n")
 
 
-def run_experiment(exp: Experiment, out_path) -> tuple[str, list]:
+def run_experiment(exp: Experiment, out_path) -> tuple[str, metrics.Metrics]:
     """Execute the configured algorithm and write the CSV plus summary sidecar."""
     try:
         f_star = solve_centralized(exp.problem, tol=_REFERENCE_TOL).objective

@@ -55,8 +55,8 @@ class RunConfig:
             raise ConfigError(f"q must be positive and finite, got {self.q}")
         if self.t_max < 2:
             raise ConfigError(f"t_max must be at least 2, got {self.t_max}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.epsilon > 0 or not math.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.theta0 is not None and not np.all(np.isfinite(self.theta0)):
             raise ConfigError("theta0 must be finite")
 
@@ -209,18 +209,18 @@ def run_rounds(
 
     ``mixing(adj)`` builds one round's matrix from its (m, m) adjacency; it
     is called once per entry of the sequence's periodic pool. Returns (final
-    state, metrics rows, stop reason). The gap column of the metrics is
-    filled only when the centralized optimum f_star is supplied.
+    state, :class:`drdga.metrics.Metrics` of every round, stop reason). The
+    gap column is filled only when the centralized optimum f_star is supplied.
 
     The stop check runs every round, on the previous and the new state. The
     observables are computed a block of rounds at a time
     (:func:`drdga.metrics.evaluate_rounds`): a block is evaluated when it is
-    full, at the stop round and at t_max.
+    full, at the stop round and at t_max, and the blocks are joined once.
     """
     state = init_state(problem, config, push_sum)
     pool = [mixing(adj) for adj in seq.adj]
     size = metrics.block_size(problem.m, problem.p)
-    block, rows = [], []
+    block, parts = [], []
     reason = STOP_T_MAX
     while state.t < config.t_max:
         prev = state
@@ -230,11 +230,11 @@ def run_rounds(
             reason = STOP_CONVERGED
             break
         if len(block) == size:
-            rows += metrics.evaluate_rounds(block, problem, f_star)
+            parts.append(metrics.evaluate_rounds(block, problem, f_star))
             block = []
     if block:
-        rows += metrics.evaluate_rounds(block, problem, f_star)
-    return state, rows, reason
+        parts.append(metrics.evaluate_rounds(block, problem, f_star))
+    return state, metrics.Metrics.concat(parts), reason
 
 
 def run_until(
@@ -245,6 +245,6 @@ def run_until(
 ):
     """Run DRDGA: push-sum rounds on the column-stochastic matrices of ``seq``.
 
-    Returns (final state, metrics rows, stop reason); see :func:`run_rounds`.
+    Returns (final state, Metrics of every round, stop reason); see :func:`run_rounds`.
     """
     return run_rounds(problem, seq, config, f_star, build_weight_matrix, push_sum=True)

@@ -62,19 +62,6 @@ class GraphSequence:
     def m(self) -> int:
         return self.adj.shape[1]
 
-    @classmethod
-    def from_edges(cls, m: int, rounds, window: int) -> GraphSequence:
-        """Sequence from one collection of 1-based (i, j) edges per round."""
-        adj = np.zeros((len(rounds), max(m, 0), max(m, 0)), dtype=bool)
-        for r, edges in enumerate(rounds):
-            for i, j in edges:
-                if not (1 <= i <= m and 1 <= j <= m):
-                    raise InvalidEdgeError(
-                        f"edge ({i}, {j}) references an agent outside [1, {m}]"
-                    )
-                adj[r, i - 1, j - 1] = True
-        return cls(adj, window)
-
 
 def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
     """Column-stochastic mixing matrix of one round's adjacency.
@@ -131,11 +118,13 @@ def parse_edge_list(text: str, m: int, window: int = 1) -> GraphSequence:
     """Parse a plain-text edge-list schedule: one line per round, "i>j" pairs separated by ";".
 
     Agent indices are 1-based. A blank line is a round with no cross edges.
-    The listed rounds repeat cyclically.
+    Line r fills entry r of the (rounds, m, m) pool; the rounds repeat cyclically.
     """
-    rounds = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        edges = []
+    lines = text.splitlines()
+    if not lines:
+        raise InvalidEdgeError("edge-list file is empty")
+    adj = np.zeros((len(lines), max(m, 0), max(m, 0)), dtype=bool)
+    for lineno, raw in enumerate(lines, start=1):
         for token in raw.split(";"):
             token = token.strip()
             if not token:
@@ -144,12 +133,12 @@ def parse_edge_list(text: str, m: int, window: int = 1) -> GraphSequence:
             if len(parts) != 2:
                 raise InvalidEdgeError(f"line {lineno}: expected 'i>j', got {token!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InvalidEdgeError(
                     f"line {lineno}: non-integer agent index in {token!r}"
                 ) from None
-        rounds.append(edges)
-    if not rounds:
-        raise InvalidEdgeError("edge-list file is empty")
-    return GraphSequence.from_edges(m, rounds, window)
+            if not (1 <= i <= m and 1 <= j <= m):
+                raise InvalidEdgeError(f"edge ({i}, {j}) references an agent outside [1, {m}]")
+            adj[lineno - 1, i - 1, j - 1] = True
+    return GraphSequence(adj, window)

@@ -1,5 +1,5 @@
-"""Per-round observables, computed a block of round states at a time,
-convergence-bound evaluators, and rate fitting.
+"""Per-round observables as column arrays (Metrics), computed a block of round
+states at a time, convergence-bound evaluators, and rate fitting.
 
 The bound evaluators plug an empirical dual-norm cap D (the running max of
 max_i ||lambda_i[t]|| over a run) into the printed rate expressions. With the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,18 +24,30 @@ if TYPE_CHECKING:
     from .engine import RunState
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """One round's observables; objective/gap/violation use the ergodic average."""
+@dataclass(frozen=True, eq=False)
+class Metrics:
+    """Observables of consecutive rounds, one array per CSV column, in CSV order;
+    objective, gap and violation use the ergodic average. Indexing applies to
+    every column: ``rows[-1].t`` is the last round, ``rows[rows.t >= 100]`` a subset."""
 
-    t: int
-    objective: float
-    gap: float
-    violation: float
-    violation_inst: float
-    disagreement: float
-    max_lambda: float
-    beta: float
+    t: np.ndarray
+    objective: np.ndarray
+    gap: np.ndarray
+    violation: np.ndarray
+    violation_inst: np.ndarray
+    disagreement: np.ndarray
+    max_lambda: np.ndarray
+    beta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index) -> Metrics:
+        return Metrics(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts) -> Metrics:
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -57,13 +69,14 @@ def block_size(m: int, p: int) -> int:
 
 def evaluate_rounds(
     states: list[RunState], problem: CoupledProblem, f_star: float | None = None
-) -> list[MetricsRow]:
-    """Rows of completed rounds, in order, computed in one batched pass.
+) -> Metrics:
+    """Observables of completed rounds of one run, in order, in one batched pass.
 
     At t = 1 the ergodic average is not yet defined and the instantaneous
-    iterate stands in for it. Each row has the bits of its round alone: the
-    batched products repeat each round's own BLAS calls, sums over agents
-    run left to right, and the violation norm is each round's sqrt(r . r).
+    iterate stands in for it. gap is nan without f_star. Each round has the
+    bits of its round alone: the batched products repeat each round's own BLAS
+    calls, sums over agents run left to right, and the violation norm is each
+    round's sqrt(r . r).
     """
     t = np.array([s.t for s in states])
     lam = np.array([s.lam for s in states])
@@ -72,9 +85,6 @@ def evaluate_rounds(
     xs_avg = np.array([s.ergodic_sum if s.t >= 2 else s.x for s in states])
     xs_avg /= denom[:, None, None]
     objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
-    # Without f_star every row holds the math.nan object itself, as a
-    # one-round evaluation always did, so equal runs give equal rows.
-    gap = (objective - f_star).tolist() if f_star is not None else [math.nan] * len(states)
     residual = problem.coupling_residual(xs_avg)
     violation = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
     # Largest pairwise distance; sqrt is monotone, so it is taken once.
@@ -84,17 +94,10 @@ def evaluate_rounds(
     diffs *= diffs
     disagreement = np.sqrt(diffs.sum(axis=2).max(axis=1, initial=0.0))
     max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
-    return [
-        MetricsRow(s.t, obj, g, viol, s.violation_inst, dis, lmax, s.config.beta(s.t))
-        for s, obj, g, viol, dis, lmax in zip(
-            states,
-            objective.tolist(),
-            gap,
-            violation.tolist(),
-            disagreement.tolist(),
-            max_lambda.tolist(),
-        )
-    ]
+    gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
+    inst = np.array([s.violation_inst for s in states])
+    beta = states[0].config.beta(t)
+    return Metrics(t, objective, gap, violation, inst, disagreement, max_lambda, beta)
 
 
 @dataclass(frozen=True)
@@ -148,21 +151,19 @@ def constants_from_run(
     problem: CoupledProblem,
     window: int,
     q: float,
-    rows,
+    rows: Metrics,
     theta0: np.ndarray | None = None,
 ) -> BoundConstants:
-    """Bound constants for a finished run, with D the run's max dual norm."""
-    D = max((row.max_lambda for row in rows), default=0.0)
-    theta0_l1 = 0.0 if theta0 is None else float(np.abs(theta0).sum(axis=1).sum())
+    """Bound constants for a finished run, with D the run's max dual norm (0 without rounds)."""
     return BoundConstants(
         m=problem.m,
         p=problem.p,
         window=window,
         q=q,
-        D=D,
+        D=float(rows.max_lambda.max(initial=0.0)),
         G=compute_G_bound(problem),
         gammas=problem.gammas,
-        theta0_l1=theta0_l1,
+        theta0_l1=0.0 if theta0 is None else float(np.abs(theta0).sum(axis=1).sum()),
     )
 
 
@@ -235,7 +236,7 @@ def lemma2_residual(
     return rhs - lhs
 
 
-def rate_fit(rows, which: str) -> tuple[float, float]:
+def rate_fit(rows: Metrics, which: str) -> tuple[float, float]:
     """Fit value(T) against ln T / T over the rows with T >= 10.
 
     Returns (c_hat, max_ratio): c_hat is the median of g(T) = value(T)*T/ln T
@@ -243,16 +244,14 @@ def rate_fit(rows, which: str) -> tuple[float, float]:
     with T0 the first retained round. A bounded max_ratio means the observed
     decay is no slower than ln T / T beyond T0.
     """
+    rows = rows[rows.t >= 10]
     if which == "gap":
-        pick = lambda r: r.gap
+        values = rows.gap
     elif which == "violation2":
-        pick = lambda r: r.violation**2
+        values = rows.violation**2
     else:
         raise ValueError(f"which must be 'gap' or 'violation2', got {which!r}")
-    retained = [(r.t, pick(r)) for r in rows if r.t >= 10]
-    if len(retained) < 10:
-        raise ValueError(f"need at least 10 rows with T >= 10, got {len(retained)}")
-    g = np.array([v * t / math.log(t) for t, v in retained])
-    c_hat = float(np.median(g[len(g) // 2 :]))
-    max_ratio = float(g.max() / g[0])
-    return c_hat, max_ratio
+    if len(rows) < 10:
+        raise ValueError(f"need at least 10 rows with T >= 10, got {len(rows)}")
+    g = values * rows.t / np.log(rows.t)
+    return float(np.median(g[len(g) // 2 :])), float(g.max() / g[0])

@@ -115,10 +115,9 @@ def test_criterion_2_push_sum_mass_and_positivity(pushsum_run):
 
 def test_criterion_3_dual_consensus(fig7_run):
     _, _, _, rows, _ = fig7_run
-    tail = [r for r in rows if r.t >= 200]
-    worst = max(r.disagreement for r in tail)
-    exceed = [r.t for r in rows if r.disagreement > 0.01]
-    settled = (max(exceed) + 1) if exceed else 1
+    worst = float(rows.disagreement[rows.t >= 200].max())
+    exceed = rows.t[rows.disagreement > 0.01]
+    settled = int(exceed.max()) + 1 if exceed.size else 1
     ok = worst <= 0.01
     record(3, "dual consensus within 200 rounds", ok,
            f"max disagreement over t >= 200 is {worst:.4f} "
@@ -140,7 +139,7 @@ def test_criterion_4_num_convergence(fig7_run):
 
 def test_criterion_5_gap_rate_law(quad_sweep):
     _, _, _, rows = quad_sweep
-    c_hat, max_ratio = rate_fit([r for r in rows if r.t >= 100], "gap")
+    c_hat, max_ratio = rate_fit(rows[rows.t >= 100], "gap")
     ok = max_ratio <= 10.0
     record(5, "objective-gap rate law", ok,
            f"gap*T/lnT max ratio vs T=100 is {max_ratio:.3f} (c_hat {c_hat:.3g})")
@@ -148,7 +147,7 @@ def test_criterion_5_gap_rate_law(quad_sweep):
 
 def test_criterion_6_violation_rate_law(quad_sweep):
     _, _, _, rows = quad_sweep
-    c_hat, max_ratio = rate_fit([r for r in rows if r.t >= 100], "violation2")
+    c_hat, max_ratio = rate_fit(rows[rows.t >= 100], "violation2")
     ok = max_ratio <= 10.0
     record(6, "violation rate law", ok,
            f"violation^2*T/lnT max ratio vs T=100 is {max_ratio:.3f} (c_hat {c_hat:.3g})")
@@ -156,8 +155,8 @@ def test_criterion_6_violation_rate_law(quad_sweep):
 
 def test_criterion_7_dual_boundedness(fig7_run, quad_sweep, pushsum_run):
     traces = {
-        "fig7": [r.max_lambda for r in fig7_run[3]],
-        "quadratic sweep": [r.max_lambda for r in quad_sweep[3]],
+        "fig7": fig7_run[3].max_lambda.tolist(),
+        "quadratic sweep": quad_sweep[3].max_lambda.tolist(),
         "push-sum run": pushsum_run[2],
     }
     details, ok = [], True
@@ -207,8 +206,9 @@ def test_criterion_8_bound_formula_fidelity(fig7_run, quad_sweep):
         (quad_sweep[0], quad_sweep[1], quad_sweep[3], 4.0),
     ):
         c = constants_from_run(problem, seq.window, q, rows)
-        for row in rows:
-            if row.gap > theorem2_bound(row.t, c) or row.violation**2 > theorem3_bound(row.t, c):
+        for t, gap, violation in zip(rows.t.tolist(), rows.gap.tolist(),
+                                     rows.violation.tolist()):
+            if gap > theorem2_bound(t, c) or violation**2 > theorem3_bound(t, c):
                 dominated = False
     record(8, "bound-formula fidelity", formulas_ok and dominated,
            f"3 constant sets x 3 horizons match to 1e-12: {formulas_ok}; "
@@ -223,7 +223,7 @@ def test_criterion_9_descent_inequality_residuals():
     for _ in range(50):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], problem, W))
-    rows = [evaluate_rounds([s], problem)[0] for s in states[1:]]
+    rows = evaluate_rounds(states[1:], problem)
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)
     worst = np.inf
@@ -280,18 +280,16 @@ def test_criterion_11_baseline_comparison():
     _, rows_base, _ = cdda_run_until(exp.problem, exp.seq, exp.run)
 
     def rounds_to(rows, threshold):
-        for r in rows:
-            if r.violation_inst <= threshold:
-                return r.t
-        return None
+        reached = rows.t[rows.violation_inst <= threshold]
+        return int(reached[0]) if reached.size else None
 
     main_T = rounds_to(rows_main, 0.05)
     base_T = rounds_to(rows_base, 0.05)
     ok = main_T is not None and (base_T is None or main_T <= base_T)
     record(11, "baseline comparison", ok,
            f"rounds to violation <= 0.05: drdga {main_T}, cdda {base_T} "
-           f"(terminal violations {rows_main[-1].violation_inst:.3f} / "
-           f"{rows_base[-1].violation_inst:.3f})")
+           f"(terminal violations {rows_main.violation_inst[-1]:.3f} / "
+           f"{rows_base.violation_inst[-1]:.3f})")
 
 
 def test_criterion_12_deterministic_csv(tmp_path):

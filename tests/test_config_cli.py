@@ -321,13 +321,14 @@ def test_overrides_apply(tmp_path):
     [
         ("fig7", "q = 4", "q = nan", "run: q must be"),
         ("fig7", "q = 4", "q = inf", "run: q must be"),
+        ("fig7", "epsilon = 0.01", "epsilon = inf", "run: epsilon must be"),
         ("fig7", "capacities = 1 1", "capacities = 1 nan", "problem: capacities"),
         ("fig7", "capacities = 1 1", "capacities = inf 1", "problem: capacities"),
         ("fig7", "gammas = 1 1 1", "gammas = 1 nan 1", "problem: gammas"),
         ("quad", "tau_min = 1.0", "tau_min = nan", "problem: tau_min"),
         ("quad", "epsilon = 0.5", "epsilon = 0.5\ntheta0 =\n    nan\n    0.5", "run: theta0"),
     ],
-    ids=["q-nan", "q-inf", "capacities-nan", "capacities-inf", "gammas-nan", "tau_min-nan",
+    ids=["q-nan", "q-inf", "epsilon-inf", "capacities-nan", "capacities-inf", "gammas-nan", "tau_min-nan",
          "theta0-nan"],
 )
 def test_non_finite_numbers_rejected_at_load(tmp_path, capsys, base, old, new, field):

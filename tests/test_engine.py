@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from drdga import (
 )
 from drdga import baseline, engine
 from drdga.engine import STOP_CONVERGED, STOP_T_MAX, stopping_residuals
-from drdga.metrics import block_size, evaluate_rounds
+from drdga.metrics import Metrics, block_size, evaluate_rounds
 
 
 def fig7():
@@ -57,6 +58,8 @@ def test_run_config_validation():
         RunConfig(q=4.0, t_max=1)
     with pytest.raises(ConfigError):
         RunConfig(q=4.0, epsilon=0.0)
+    with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+        RunConfig(q=4.0, epsilon=math.inf)
 
 
 def test_initial_state_and_first_round_lambda():
@@ -136,9 +139,10 @@ def test_ergodic_average_of_constant_iterates():
         assert np.allclose(avg, c, atol=1e-12)
 
 
-def test_run_until_stops_immediately_with_infinite_epsilon():
+def test_run_until_stops_immediately_with_huge_epsilon():
     prob, seq = single_agent_setup()
-    state, rows, reason = run_until(prob, seq, RunConfig(q=1.0, t_max=50, epsilon=float("inf")))
+    huge = RunConfig(q=1.0, t_max=50, epsilon=sys.float_info.max)
+    state, rows, reason = run_until(prob, seq, huge)
     assert reason == STOP_CONVERGED
     assert state.t == 1 and len(rows) == 1
 
@@ -200,7 +204,7 @@ def test_dual_norms_stay_bounded():
     prob = make_quadratic_problem(m=3, p=2, dims=1, seed=2, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=9)
     _, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=400, epsilon=1e-300))
-    norms = [r.max_lambda for r in rows]
+    norms = rows.max_lambda
     n = len(norms)
     first, last = max(norms[: n // 4]), max(norms[3 * n // 4 :])
     assert last <= max(1.1 * first, 1.0)
@@ -250,26 +254,30 @@ def hand_run(prob, seq, config, f_star, push_sum):
     mixing = build_weight_matrix if push_sum else metropolis_matrix
     state = init_state(prob, config, push_sum)
     assert_carries_its_iterate(state, prob)
-    rows, worst, reason = [], [], STOP_T_MAX
+    blocks, worst, reason = [], [], STOP_T_MAX
     while state.t < config.t_max:
         prev = state
         state = advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
         assert_carries_its_iterate(state, prob)
-        rows.append(evaluate_rounds([state], prob, f_star=f_star)[0])
+        blocks.append(evaluate_rounds([state], prob, f_star=f_star))
         measures = stopping_residuals(prev, state)
         worst.append(max(measures))
         if all(r <= config.epsilon for r in measures):
             reason = STOP_CONVERGED
             break
-    return state, rows, reason, worst
+    return state, Metrics.concat(blocks), reason, worst
 
 
 def assert_same_run(got, want):
-    """Same stop reason, the same bits in every row, and the same final state."""
+    """Same stop reason, the same bits in every column (NaN included), and the
+    same final state."""
     (state, rows, reason), (want_state, want_rows, want_reason) = got[:3], want[:3]
     assert reason == want_reason
-    as_bits = lambda rs: np.array([dataclasses.astuple(r) for r in rs], dtype=float).tobytes()
-    assert len(rows) == len(want_rows) and as_bits(rows) == as_bits(want_rows)
+    assert len(rows) == len(want_rows)
+    for f in dataclasses.fields(Metrics):
+        column, want_column = getattr(rows, f.name), getattr(want_rows, f.name)
+        assert column.dtype == want_column.dtype, f.name
+        assert column.tobytes() == want_column.tobytes(), f.name
     for name in ("t", "theta", "rho", "lam", "x", "terms", "values", "violation_inst",
                  "ergodic_sum"):
         assert np.array_equal(getattr(state, name), getattr(want_state, name)), name

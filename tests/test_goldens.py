@@ -1,26 +1,34 @@
-"""Golden gate: `drdga run` output must match the benchmark's golden column digests.
+"""Golden gate: `drdga run` output must pass the benchmark's own output check.
 
 Each case runs ``cli.run_experiment`` on a config at its own graph seed and
-compares every CSV column except ``gap`` with ``perfbench/goldens.json``:
-the first 16 hex digits of the sha256 of the column's cells joined by
-newlines. ``gap`` is left out because it moves with the reference oracle.
-The summary sidecar is compared line by line with the text pinned below,
-without its ``f_star`` and ``gap`` lines for the same reason.
+hands its files to ``check_output`` from ``perfbench/check.py``, loaded from
+its path: the header, one row per round, finite columns, the ergodic average
+inside each box, ``gap`` against the oracle's ``f_star``, the summary against
+the CSV, and every column but ``gap`` against the digests in
+``perfbench/goldens.json`` (``column_digests``: the first 16 hex digits of the
+sha256 of the column's cells joined by newlines). The oracle's answer and the
+run loop's ``(state, rows, reason)`` are caught by wrapping the names
+``run_experiment`` looks up, as the benchmark does. The summary sidecar is
+also compared line by line with the text pinned below, without its
+``f_star`` and ``gap`` lines, which move with the reference oracle.
 """
 
-import hashlib
+import importlib.util
 import json
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from drdga import parse_config
-from drdga.cli import run_experiment
+from drdga import baseline, cli, engine, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
 CONFIGS = files("drdga") / "configs"
+
+_spec = importlib.util.spec_from_file_location("perfbench_check", ROOT / "perfbench" / "check.py")
+check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check)
 
 CASES = {
     "fig7": (CONFIGS / "fig7.cfg", None),
@@ -67,26 +75,36 @@ SUMMARIES = {
 }
 
 
-def column_digests(lines):
-    names = lines[0].split(",")
-    cells = [line.split(",") for line in lines[1:]]
-    return {
-        name: hashlib.sha256("\n".join(row[k] for row in cells).encode()).hexdigest()[:16]
-        for k, name in enumerate(names)
-        if name != "gap"
-    }
+def capture(results, key, fn):
+    """``fn``, also storing each return value under ``results[key]``."""
+
+    def wrapper(*args, **kwargs):
+        results[key] = fn(*args, **kwargs)
+        return results[key]
+
+    return wrapper
 
 
 @pytest.mark.parametrize("workload", sorted(CASES))
-def test_csv_columns_match_goldens(tmp_path, workload):
+def test_csv_columns_match_goldens(tmp_path, monkeypatch, workload):
     config, algorithm = CASES[workload]
     golden = GOLDENS[workload]
+    results = {}
+    monkeypatch.setattr(cli, "solve_centralized",
+                        capture(results, "oracle", cli.solve_centralized))
+    for module, name in ((engine, "run_until"), (baseline, "cdda_run_until")):
+        monkeypatch.setattr(module, name, capture(results, "rounds", getattr(module, name)))
     exp = parse_config(str(config), algorithm=algorithm)
     out = tmp_path / "run.csv"
-    run_experiment(exp, out)
+    summary_path = Path(str(out) + ".summary")
+    cli.run_experiment(exp, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) - 1 == golden["rows"]
-    assert column_digests(lines) == golden["columns"]
-    summary = Path(str(out) + ".summary").read_text().splitlines(keepends=True)
+    assert check.column_digests(lines) == golden["columns"]
+    state, rows, reason = results["rounds"]
+    f_star = results["oracle"].objective if "oracle" in results else None
+    assert check.check_output(out, summary_path, workload=workload, seed=None, exp=exp,
+                              state=state, rows=rows, reason=reason, f_star=f_star) == []
+    summary = summary_path.read_text().splitlines(keepends=True)
     pinned = [line for line in summary if not line.startswith(("f_star = ", "gap = "))]
     assert "".join(pinned) == SUMMARIES[workload]

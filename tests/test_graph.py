@@ -20,8 +20,9 @@ def adjacency(m, edges):
     return adj
 
 
-def complete_edges(m):
-    return {(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j}
+def pool(m, rounds):
+    """(pool, m, m) adjacency of one collection of 1-based edges per round."""
+    return np.array([adjacency(m, edges) for edges in rounds], dtype=bool).reshape(-1, m, m)
 
 
 def test_weight_matrix_two_agents_bidirectional():
@@ -45,13 +46,13 @@ def test_weight_matrix_directed_ring():
 
 
 def test_weight_matrix_rejects_out_of_range_and_self_loops():
-    # Edges are checked once, when the sequence is built.
+    # Edges are checked once, when the sequence is read or built.
     with pytest.raises(InvalidEdgeError, match=r"edge \(1, 4\) references an agent outside \[1, 3\]"):
-        GraphSequence.from_edges(3, [{(1, 4)}], window=1)
+        parse_edge_list("1>4", m=3, window=1)
     with pytest.raises(InvalidEdgeError, match="outside"):
-        GraphSequence.from_edges(3, [{(0, 1)}], window=1)
+        parse_edge_list("0>1", m=3, window=1)
     with pytest.raises(InvalidEdgeError, match=r"self-loop \(2, 2\) is implicit"):
-        GraphSequence.from_edges(3, [set(), {(2, 2)}], window=1)
+        GraphSequence(pool(3, [set(), {(2, 2)}]), window=1)
 
 
 def test_weight_matrix_column_law_random():
@@ -108,7 +109,7 @@ def test_generator_window_connectivity():
 
 
 def test_connectivity_complete_graph_true():
-    seq = GraphSequence.from_edges(4, [complete_edges(4)], window=1)
+    seq = GraphSequence(~np.eye(4, dtype=bool)[None], window=1)
     assert seq.m == 4
 
 
@@ -120,24 +121,24 @@ def test_connectivity_empty_graph_false():
 def test_connectivity_alternating_rounds():
     # Rounds alternate between {1->2, 2->3} and {3->1}: only the two-round
     # union closes the cycle.
-    rounds = [{(1, 2), (2, 3)}, {(3, 1)}]
-    GraphSequence.from_edges(3, rounds, window=2)
+    rounds = pool(3, [{(1, 2), (2, 3)}, {(3, 1)}])
+    GraphSequence(rounds, window=2)
     with pytest.raises(InvalidEdgeError, match=r"connectivity window 1\)"):
-        GraphSequence.from_edges(3, rounds, window=1)
+        GraphSequence(rounds, window=1)
     # Window 3 over pool 2: the aligned windows are pool entries (0, 1, 0)
     # and (1, 0, 1), and both unions are the full cycle.
-    GraphSequence.from_edges(3, rounds, window=3)
+    GraphSequence(rounds, window=3)
 
 
 def test_sequence_cycles_and_validates():
-    seq = GraphSequence.from_edges(2, [{(1, 2)}, {(2, 1)}], window=2)
+    seq = GraphSequence(pool(2, [{(1, 2)}, {(2, 1)}]), window=2)
     assert np.array_equal(seq.adj[0], adjacency(2, {(1, 2)}))
     assert np.array_equal(seq.adj[1], adjacency(2, {(2, 1)}))
     assert not seq.adj.flags.writeable
     with pytest.raises(InvalidEdgeError):
-        GraphSequence.from_edges(2, [{(1, 3)}], window=1)
-    with pytest.raises(InvalidEdgeError):
-        GraphSequence.from_edges(2, [], window=1)
+        parse_edge_list("1>3", m=2, window=1)
+    with pytest.raises(InvalidEdgeError, match="at least one round"):
+        GraphSequence(pool(2, []), window=1)
     with pytest.raises(InvalidEdgeError, match="shape"):
         GraphSequence(np.zeros((1, 2, 3), dtype=bool), window=1)
     with pytest.raises(InvalidEdgeError, match="agent count"):

@@ -8,7 +8,7 @@ import pytest
 from drdga import (
     BoundConstants,
     GraphSequence,
-    MetricsRow,
+    Metrics,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -106,6 +106,9 @@ def test_bound_rejects_bad_T():
         theorem3_bound(0, c)
 
 
+NO_ROUNDS = Metrics(*[np.zeros(0)] * len(dataclasses.fields(Metrics)))
+
+
 def test_bound_constants_share_the_problem_gamma_total():
     # For most draws of 64 unequal gammas, numpy's pairwise sum and the
     # left-to-right sum differ in the last bit; the rate bounds and the
@@ -114,7 +117,7 @@ def test_bound_constants_share_the_problem_gamma_total():
     rng = np.random.default_rng(64)
     for _ in range(20):
         prob = dataclasses.replace(base, gammas=rng.uniform(0.1, 5.0, 64))
-        assert constants_from_run(prob, 1, 4.0, []).gamma_total == prob.gamma_total
+        assert constants_from_run(prob, 1, 4.0, NO_ROUNDS).gamma_total == prob.gamma_total
 
 
 def quad_run(rounds=12, m=3, seed=2):
@@ -126,7 +129,7 @@ def quad_run(rounds=12, m=3, seed=2):
     for _ in range(rounds):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = [evaluate_rounds([s], prob)[0] for s in states[1:]]
+    rows = evaluate_rounds(states[1:], prob)
     return prob, seq, states, rows
 
 
@@ -149,7 +152,7 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     for _ in range(6):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = [evaluate_rounds([s], prob)[0] for s in states[1:]]
+    rows = evaluate_rounds(states[1:], prob)
     c = constants_from_run(prob, seq.window, 1.0, rows)
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     for k in range(len(states) - 1):
@@ -194,11 +197,10 @@ def test_lemma2_requires_consecutive_states():
 
 
 def synthetic_rows(values):
-    return [
-        MetricsRow(t=t, objective=0.0, gap=v, violation=math.sqrt(abs(v)),
-                   violation_inst=0.0, disagreement=0.0, max_lambda=0.0, beta=0.0)
-        for t, v in values
-    ]
+    t, gap = (np.array(column) for column in zip(*values))
+    zeros = np.zeros(len(t))
+    return Metrics(t=t, objective=zeros, gap=gap, violation=np.sqrt(abs(gap)),
+                   violation_inst=zeros, disagreement=zeros, max_lambda=zeros, beta=zeros)
 
 
 def test_rate_fit_recovers_exact_log_over_T():
@@ -236,13 +238,13 @@ def test_rate_fit_input_validation():
 
 def test_metrics_rows_sane_on_run():
     prob, seq, states, rows = quad_run(rounds=12)
-    for row, t in zip(rows, range(1, 13)):
-        assert row.t == t
-        assert row.beta == pytest.approx(4.0 / t)
-        assert row.violation >= 0 and row.violation_inst >= 0
-        assert row.disagreement >= 0 and row.max_lambda >= 0
-        assert math.isnan(row.gap)  # no reference supplied
-        assert math.isfinite(row.objective)
+    assert len(rows) == 12
+    assert np.array_equal(rows.t, np.arange(1, 13))
+    assert rows.beta == pytest.approx(4.0 / np.arange(1, 13))
+    assert np.all(rows.violation >= 0) and np.all(rows.violation_inst >= 0)
+    assert np.all(rows.disagreement >= 0) and np.all(rows.max_lambda >= 0)
+    assert np.all(np.isnan(rows.gap))  # no reference supplied
+    assert np.all(np.isfinite(rows.objective))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 100])
@@ -253,11 +255,12 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     rng = np.random.default_rng(m)
     for scale in (1e-8, 1.0, 1e6):
         lam = scale * rng.normal(size=(m, prob.p))
-        row = evaluate_rounds([dataclasses.replace(state, t=1, lam=lam)], prob)[0]
+        rows = evaluate_rounds([dataclasses.replace(state, t=1, lam=lam)], prob)
+        (disagreement,) = rows.disagreement.tolist()
         diffs = lam[:, None, :] - lam[None, :, :]
-        assert row.disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+        assert disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
         if m == 1:
-            assert row.disagreement == 0.0
+            assert disagreement == 0.0
     if m < 3:
         return
     # Near tie, through a block of three rounds: every pair but one is at
@@ -270,21 +273,21 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     assert 1.5**2 + e * e == np.nextafter(2.25, 3.0)
     block = [dataclasses.replace(state, t=t, lam=near_tie)
              for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1)]
-    for row in evaluate_rounds(block, prob):
-        assert row.disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
+    for disagreement in evaluate_rounds(block, prob).disagreement.tolist():
+        assert disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
 
 
 def test_round_carries_coupling_terms_of_its_iterate():
     # terms, values and violation_inst are those of the state's own x, bit for
     # bit, from round 0 on; the violation_inst column copies the carried norm.
     prob, seq, states, rows = quad_run(rounds=6)
-    for state, row in zip(states, [None] + rows):
+    for state, column in zip(states, [None, *rows.violation_inst.tolist()]):
         assert np.array_equal(state.terms, prob.coupling_terms(state.x))
         assert np.array_equal(state.values, prob.agent_values(state.x))
         norm = float(np.linalg.norm(prob.coupling_residual(state.x)))
         assert state.violation_inst == norm
-        if row is not None:
-            assert row.violation_inst == norm
+        if column is not None:
+            assert column == norm
 
 
 def test_empirical_values_stay_under_bounds():
@@ -295,6 +298,6 @@ def test_empirical_values_stay_under_bounds():
     f_star = solve_centralized(prob, tol=1e-8).objective
     _, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=300, epsilon=1e-300), f_star=f_star)
     c = constants_from_run(prob, seq.window, 4.0, rows)
-    for row in rows:
-        assert row.gap <= theorem2_bound(row.t, c)
-        assert row.violation**2 <= theorem3_bound(row.t, c)
+    for t, gap, violation in zip(rows.t.tolist(), rows.gap.tolist(), rows.violation.tolist()):
+        assert gap <= theorem2_bound(t, c)
+        assert violation**2 <= theorem3_bound(t, c)
