@@ -18,8 +18,6 @@ from .config import ALGORITHMS, Experiment, parse_config
 from .errors import ConfigError, InfeasibleProblemError
 from .reference import solve_centralized
 
-_REFERENCE_TOL = 1e-6
-
 # One column per field of metrics.Metrics, in order: t, then floats.
 _COLUMNS = [f.name for f in dataclasses.fields(metrics.Metrics)]
 CSV_HEADER = ",".join(_COLUMNS)
@@ -50,8 +48,7 @@ def write_csv(rows: metrics.Metrics, path) -> None:
 
 
 def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> None:
-    # An int T keeps the bounds in Python floats: inf on overflow, without a warning.
-    last, T = rows[-1], int(rows.t[-1])
+    last, T = rows[-1], rows.t[-1]
     pairs = [
         ("algorithm", algorithm),
         ("stop_reason", stop_reason),
@@ -71,7 +68,7 @@ def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> N
 def run_experiment(exp: Experiment, out_path) -> tuple[str, metrics.Metrics]:
     """Execute the configured algorithm and write the CSV plus summary sidecar."""
     try:
-        f_star = solve_centralized(exp.problem, tol=_REFERENCE_TOL).objective
+        f_star = solve_centralized(exp.problem).objective
     except InfeasibleProblemError:
         f_star = None
     if exp.algorithm == "cdda":
@@ -111,7 +108,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_reference(args) -> int:
     exp = parse_config(args.config)
-    solution = solve_centralized(exp.problem, tol=_REFERENCE_TOL)
+    solution = solve_centralized(exp.problem)
     with np.printoptions(precision=10):
         for i, (x, n) in enumerate(zip(solution.x, exp.problem.dims), start=1):
             print(f"x*[{i}] = {x[:n]}")

@@ -24,6 +24,7 @@ are functions of states alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,8 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.q > 0 or not math.isfinite(self.q):
             raise ConfigError(f"q must be positive and finite, got {self.q}")
-        if self.t_max < 2:
-            raise ConfigError(f"t_max must be at least 2, got {self.t_max}")
+        if not isinstance(self.t_max, numbers.Integral) or self.t_max < 2:
+            raise ConfigError(f"t_max must be an integer >= 2, got {self.t_max}")
         if not self.epsilon > 0 or not math.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.theta0 is not None and not np.all(np.isfinite(self.theta0)):

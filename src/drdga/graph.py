@@ -9,6 +9,7 @@ out-degree d_i counts the agent itself once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ class GraphSequence:
 
     ``adj`` is the generating pool, a read-only (pool, m, m) bool array;
     round t uses ``adj[t % pool]``, and ``m`` is read from its shape.
-    ``window`` is the connectivity window B: the edge union over every
-    aligned block of rounds [kB, (k+1)B) must be strongly connected. The
+    ``window`` is the connectivity window B, stored as an int: the edge union
+    over every aligned block of rounds [kB, (k+1)B) must be strongly connected. The
     pool repeats, so pool // gcd(pool, B) blocks cover every block, and each
     block's union is the OR of min(B, pool) consecutive pool entries.
     Construction checks the shape, the diagonal and then every such union,
@@ -39,15 +40,15 @@ class GraphSequence:
             raise InvalidEdgeError(f"adjacency has shape {adj.shape}, expected (pool, m, m)")
         if adj.shape[1] < 1:
             raise InvalidEdgeError("agent count m must be >= 1")
-        if self.window < 1:
-            raise InvalidEdgeError("connectivity window must be >= 1")
+        if not isinstance(self.window, numbers.Integral) or self.window < 1:
+            raise InvalidEdgeError(f"connectivity window {self.window} is not an integer >= 1")
         if len(adj) == 0:
             raise InvalidEdgeError("graph sequence needs at least one round")
         loops = np.flatnonzero(np.diagonal(adj, axis1=1, axis2=2).any(axis=0))
         if loops.size:
             i = int(loops[0]) + 1
             raise InvalidEdgeError(f"self-loop ({i}, {i}) is implicit and must not be stored")
-        pool, window = len(adj), self.window
+        pool, window = len(adj), int(self.window)
         span = np.arange(min(window, pool))
         for k in range(pool // math.gcd(pool, window)):
             if not _strongly_connected(adj[(k * window % pool + span) % pool].any(axis=0)):
@@ -57,6 +58,7 @@ class GraphSequence:
                 )
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "window", window)
 
     @property
     def m(self) -> int:

@@ -171,7 +171,9 @@ def _rate_bound(T: int, c: BoundConstants, lead: float, k: float, tail: float) -
     """lead/(T delta) s1 [k eta/(1-eta) theta0_l1 + k q m B_grad/(1-eta) (1 + ln T)] + tail/T s2,
     the shape of both printed rate bounds, with s1 = sum_i (G_i + gamma_i D)
     and s2 = sum_i (G_i + gamma_i D)^2; infinite once delta or 1 - eta underflowed.
+    T becomes a Python float, so overflow is inf without a numpy warning for any int type.
     """
+    T = float(T)
     if T < 1:
         raise ValueError("bound defined for T >= 1")
     if c.one_minus_eta == 0.0:

@@ -2,12 +2,12 @@
 
 The global problem is  min sum_i f_i(x_i)  over box sets  X_i = [lower_i, upper_i],
 subject to the coupling equality  sum_i (A_i x_i - b_i) = 0.  Each f_i is
-tau_i-strongly convex on its box and carries a regularization weight gamma_i
-used by the dual algorithm.
+strongly convex on its box and carries a regularization weight gamma_i used
+by the dual algorithm.
 
 A CoupledProblem holds its m agents as stacked arrays: A is (m, p, n_max), b
-is (m, p), the boxes are (m, n_max), taus and gammas are (m,), and the
-family's parameters are diag/lin (m, n_max) or weights (m,). An agent with
+is (m, p), the boxes are (m, n_max), gammas is (m,), and the family's
+parameters are diag/lin (m, n_max) or weights (m,). An agent with
 fewer than n_max variables is padded with degenerate coordinates (box [0, 0],
 zero A columns, diag 1, lin 0), so its padded coordinates solve to exactly 0.
 Iterates x use the same (m, n_max) layout; agent_values and solve_local
@@ -36,10 +36,6 @@ class LogUtility:
     """Family tag: scalar rate disutility f_i(x) = -20 w_i log(x + 0.1), decreasing on x >= 0."""
 
 
-def _log_modulus(weights: np.ndarray) -> np.ndarray:
-    return RATE_UTILITY_SCALE * weights / (1.0 + RATE_UTILITY_OFFSET) ** 2
-
-
 def _sum_agents(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum over the agent axis ``axis`` strictly left to right.
 
@@ -57,7 +53,9 @@ class CoupledProblem:
     Give diag and lin for the DiagonalQuadratic family, or weights for the
     LogUtility family. ``dims`` lists the agents' own dimensions and defaults
     to n_max for every agent. Construction derives the attributes ``m``,
-    ``p`` and ``family`` (the family's tag class) from the arrays.
+    ``p``, ``family`` (the family's tag class) and ``modulus``, the (m,)
+    strong-convexity moduli of the f_i on their boxes: the smallest of each
+    agent's own diag entries, or 20 w / 1.21 for the log family.
     """
 
     A: np.ndarray
@@ -65,7 +63,6 @@ class CoupledProblem:
     lower: np.ndarray
     upper: np.ndarray
     gammas: np.ndarray
-    taus: np.ndarray
     diag: np.ndarray | None = None
     lin: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -76,7 +73,7 @@ class CoupledProblem:
         if quadratic == (self.diag is None or self.lin is None):
             raise InvalidProblemError("give either diag and lin, or weights")
         family_arrays = ("diag", "lin") if quadratic else ("weights",)
-        for name in ("A", "b", "lower", "upper", "gammas", "taus") + family_arrays:
+        for name in ("A", "b", "lower", "upper", "gammas") + family_arrays:
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(value).all():
                 raise InvalidProblemError(f"{name} must be finite")
@@ -91,7 +88,7 @@ class CoupledProblem:
         if n_objective != n:
             raise InvalidProblemError(f"objective has {n_objective} variables but the box has {n}")
         shapes = {"A": (m, p, n), "b": (m, p), "lower": (m, n), "upper": (m, n),
-                  "gammas": (m,), "taus": (m,)}
+                  "gammas": (m,)}
         shapes.update({"diag": (m, n), "lin": (m, n)} if quadratic else {"weights": (m,)})
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
@@ -104,10 +101,9 @@ class CoupledProblem:
             raise InvalidProblemError(f"dims must list one dimension in [1, {n}] per agent")
         for bad, message in (
             (self.lower > self.upper, "box is empty: lower > upper somewhere"),
-            (self.taus <= 0, "strong-convexity modulus tau must be positive"),
             (self.gammas <= 0, "regularization weight gamma must be positive"),
             (self.diag <= 0, "diagonal curvature entries must be positive") if quadratic
-            else (self.weights < 0, "utility weight must be non-negative"),
+            else (self.weights <= 0, "utility weight must be positive"),
         ):
             if np.any(bad):
                 raise InvalidProblemError(message)
@@ -116,15 +112,11 @@ class CoupledProblem:
             own = np.arange(n) < np.array(dims)[:, None]
             modulus = np.where(own, self.diag, np.inf).min(axis=1)
         else:
-            modulus = _log_modulus(self.weights)
-        low = modulus < self.taus - 1e-12
-        if low.any():
-            i = int(np.argmax(low))
-            raise InvalidProblemError(
-                f"objective modulus {modulus[i]} is below the declared tau {self.taus[i]}"
-            )
+            # The second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
+            modulus = RATE_UTILITY_SCALE * self.weights / (1.0 + RATE_UTILITY_OFFSET) ** 2
         family = DiagonalQuadratic if quadratic else LogUtility
-        for name, value in (("dims", dims), ("m", m), ("p", p), ("family", family)):
+        for name, value in (("dims", dims), ("m", m), ("p", p), ("family", family),
+                            ("modulus", modulus)):
             object.__setattr__(self, name, value)
 
     @property
@@ -209,8 +201,6 @@ def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:
     box [0, 1], coupling column A_s = routing[:, s], and the equal capacity
     split b_s = capacities / m so the per-agent offsets sum to the capacities.
     ``gammas`` defaults to 1 for every source.
-    tau_s is the modulus 20 w_s / 1.21 of the log disutility on [0, 1]: its
-    second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
     """
     R = np.asarray(routing, dtype=float)
     c = np.asarray(capacities, dtype=float)
@@ -235,7 +225,6 @@ def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:
         lower=np.zeros((n_sources, 1)),
         upper=np.ones((n_sources, 1)),
         gammas=g,
-        taus=_log_modulus(weights),
         weights=weights,
     )
 
@@ -284,7 +273,6 @@ def make_quadratic_problem(
         lower=-bound,
         upper=bound,
         gammas=np.full(m, float(gamma)),
-        taus=np.full(m, float(tau_min)),
         diag=diag,
         lin=lin,
         dims=dims,

@@ -30,12 +30,13 @@ class ReferenceSolution:
 
 
 def solve_centralized(
-    problem: CoupledProblem, tol: float, max_iter: int = 200_000
+    problem: CoupledProblem, tol: float = 1e-6, max_iter: int = 200_000
 ) -> ReferenceSolution:
     """Ascend the unregularized dual with fixed step 1/L until the coupling
-    residual norm falls below tol.
+    residual norm falls below tol, 1e-6 by default.
 
-    L = sum_i ||A_i||^2 / tau_i bounds the dual gradient's Lipschitz constant.
+    L = sum_i ||A_i||^2 / tau_i bounds the dual gradient's Lipschitz constant,
+    with tau_i = ``problem.modulus[i]`` the strong-convexity modulus of f_i.
     When every A_i is zero (L = 0) the coupling is constant in x, and the
     first iterate, at lambda = 0, decides. Raises when the iteration cap is
     hit or the multiplier norm blows past 1e9, both of which indicate an
@@ -43,7 +44,7 @@ def solve_centralized(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lipschitz = _sum_agents(np.linalg.norm(problem.A, 2, axis=(1, 2)) ** 2 / problem.taus)
+    lipschitz = _sum_agents(np.linalg.norm(problem.A, 2, axis=(1, 2)) ** 2 / problem.modulus)
     step = 1.0 / lipschitz if lipschitz else 0.0
     lam = np.zeros(problem.p)
     for _ in range(max_iter if lipschitz else 1):

@@ -256,13 +256,12 @@ def test_criterion_10_local_solver_oracle_equivalence():
 
     quad = CoupledProblem(
         A=rng.uniform(-1, 1, (1, 3, 2)), b=np.zeros((1, 3)),
-        lower=-np.ones((1, 2)), upper=np.ones((1, 2)), gammas=[1.0], taus=[2.0],
+        lower=-np.ones((1, 2)), upper=np.ones((1, 2)), gammas=[1.0],
         diag=np.array([[2.0, 3.5]]), lin=np.array([[0.5, -0.25]]),
     )
     log = CoupledProblem(
         A=np.ones((1, 2, 1)), b=np.full((1, 2), 1 / 3),
-        lower=np.zeros((1, 1)), upper=np.ones((1, 1)), gammas=[1.0],
-        taus=[20.0 * 0.5 / 1.1**2], weights=[0.5],
+        lower=np.zeros((1, 1)), upper=np.ones((1, 1)), gammas=[1.0], weights=[0.5],
     )
     worst = 0.0
     for _ in range(100):

@@ -56,6 +56,10 @@ def test_run_config_validation():
         RunConfig(q=0.0)
     with pytest.raises(ConfigError):
         RunConfig(q=4.0, t_max=1)
+    for t_max in (2.5, 3.0):
+        with pytest.raises(ConfigError, match=f"t_max must be an integer >= 2, got {t_max}"):
+            RunConfig(q=4.0, t_max=t_max)
+    assert RunConfig(q=4.0, t_max=np.int64(3)).t_max == 3
     with pytest.raises(ConfigError):
         RunConfig(q=4.0, epsilon=0.0)
     with pytest.raises(ConfigError, match="epsilon must be positive and finite"):

@@ -128,6 +128,11 @@ def test_connectivity_alternating_rounds():
     # Window 3 over pool 2: the aligned windows are pool entries (0, 1, 0)
     # and (1, 0, 1), and both unions are the full cycle.
     GraphSequence(rounds, window=3)
+    # A numpy integer window is an int; a fractional or zero one is an edge error.
+    assert type(GraphSequence(rounds, window=np.int64(2)).window) is int
+    for window in (1.5, 2.0, 0):
+        with pytest.raises(InvalidEdgeError, match=f"window {window} is not an integer"):
+            GraphSequence(rounds, window=window)
 
 
 def test_sequence_cycles_and_validates():

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,8 @@ def test_bound_decreases_beyond_small_T():
 @pytest.mark.parametrize("window", [1, 2])
 def test_bounds_survive_eta_rounding_to_one(m, window):
     # eta = (1 - delta)^(1/(m window)) rounds to exactly 1.0 here, so 1 - eta
-    # must come from delta; bounds past float range are inf, never an error.
+    # must come from delta; bounds past float range are inf, never an error or
+    # an overflow warning, for a Python int T and a numpy integer T alike.
     c = BoundConstants(m=m, p=2, window=window, q=4.0, D=1.0, G=np.ones(m),
                        gammas=np.ones(m), theta0_l1=1.0)
     assert c.eta == 1.0
@@ -93,9 +95,11 @@ def test_bounds_survive_eta_rounding_to_one(m, window):
         delta = decimal.Decimal(m) ** (-m * window)
         exact = 1 - (1 - delta) ** (decimal.Decimal(1) / (m * window))
     assert math.isclose(c.one_minus_eta, float(exact), rel_tol=1e-12)
-    for bound in (theorem2_bound(100, c), theorem3_bound(100, c)):
-        assert bound > 0
-        assert math.isinf(bound) == (m == 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (theorem2_bound, theorem3_bound):
+            assert bound(np.int64(100), c) == bound(100, c) > 0
+            assert math.isinf(bound(100, c)) == (m == 100)
 
 
 def test_bound_rejects_bad_T():

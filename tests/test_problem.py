@@ -24,24 +24,24 @@ def fig7_problem():
 
 
 def quad_problem(diag, lin, A, lower=-1.0, upper=1.0, gamma=1.0):
-    """One diagonal-quadratic agent with b = 0 and tau = min(diag)."""
+    """One diagonal-quadratic agent with b = 0."""
     diag = np.asarray(diag, dtype=float)
     A = np.asarray(A, dtype=float)
     return CoupledProblem(
         A=A[None], b=np.zeros((1, A.shape[0])),
         lower=np.full((1, diag.size), lower), upper=np.full((1, diag.size), upper),
-        gammas=[gamma], taus=[diag.min()],
+        gammas=[gamma],
         diag=diag[None], lin=np.asarray(lin, dtype=float)[None],
     )
 
 
 def log_problem(w=1.0, A=None):
-    """One rate-utility agent on [0, 1] with b = 1/3 per row and tau its modulus."""
+    """One rate-utility agent on [0, 1] with b = 1/3 per row."""
     A = np.array([[1.0], [1.0]]) if A is None else A
     return CoupledProblem(
         A=A[None], b=np.full((1, A.shape[0]), 1 / 3),
         lower=np.zeros((1, 1)), upper=np.ones((1, 1)),
-        gammas=[1.0], taus=[20.0 * w / 1.1**2], weights=[w],
+        gammas=[1.0], weights=[w],
     )
 
 
@@ -102,7 +102,7 @@ def test_num_agent_structure():
     assert np.array_equal(third.A, [[[0.0], [1.0]]])
     assert third.lower[0] == pytest.approx([0.0]) and third.upper[0] == pytest.approx([1.0])
     # modulus of -20 w log(x + 0.1) on [0, 1] is 20 w / 1.21
-    assert third.taus[0] == pytest.approx(20.0 * 0.5 / 1.21)
+    assert third.modulus[0] == pytest.approx(20.0 * 0.5 / 1.21)
 
 
 def test_num_single_source_single_link():
@@ -155,7 +155,7 @@ def test_G_bound_zero_coupling():
     prob = CoupledProblem(
         A=np.zeros((1, 2, 2)), b=np.array([[3.0, 4.0]]),
         lower=-np.ones((1, 2)), upper=np.ones((1, 2)),
-        gammas=[1.0], taus=[1.0], diag=np.ones((1, 2)), lin=np.zeros((1, 2)),
+        gammas=[1.0], diag=np.ones((1, 2)), lin=np.zeros((1, 2)),
     )
     assert compute_G_bound(prob) == pytest.approx([5.0])
 
@@ -208,7 +208,7 @@ def test_G_bound_large_dimension_fallback():
     prob = CoupledProblem(
         A=np.ones((1, 1, n)), b=np.zeros((1, 1)),
         lower=-np.ones((1, n)), upper=np.ones((1, n)),
-        gammas=[1.0], taus=[1.0], diag=np.ones((1, n)), lin=np.zeros((1, n)),
+        gammas=[1.0], diag=np.ones((1, n)), lin=np.zeros((1, n)),
     )
     G = compute_G_bound(prob)
     assert G[0] >= n  # true max is n; Frobenius fallback is an upper bound
@@ -218,7 +218,7 @@ def test_log_utility_strong_convexity_probe():
     rng = np.random.default_rng(11)
     for w in (0.25, 0.5, 1.0):
         prob = log_problem(w, A=np.ones((1, 1)))
-        tau = prob.taus[0]
+        tau = prob.modulus[0]
         value = lambda v: float(prob.agent_values([[v]])[0])
         for _ in range(200):
             x, y = rng.uniform(0.0, 1.0, size=2)
@@ -229,33 +229,30 @@ def test_log_utility_strong_convexity_probe():
 
 def test_agent_validation():
     good = dict(A=np.ones((1, 1, 1)), b=np.zeros((1, 1)), lower=np.zeros((1, 1)),
-                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                upper=np.ones((1, 1)), gammas=[1.0],
                 diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
     CoupledProblem(**good)
     with pytest.raises(InvalidProblemError, match="box is empty"):
         CoupledProblem(**{**good, "lower": np.array([[2.0]])})
-    with pytest.raises(InvalidProblemError, match="tau must be positive"):
-        CoupledProblem(**{**good, "taus": [0.0]})
     with pytest.raises(InvalidProblemError, match="gamma must be positive"):
         CoupledProblem(**{**good, "gammas": [-1.0]})
     with pytest.raises(InvalidProblemError, match="A has shape"):
         CoupledProblem(**{**good, "A": np.ones((1, 1, 2))})
-    with pytest.raises(InvalidProblemError, match="below the declared tau"):
-        # declared tau above the objective's actual curvature
-        CoupledProblem(**{**good, "taus": [2.0]})
     with pytest.raises(InvalidProblemError, match="curvature entries must be positive"):
         CoupledProblem(**{**good, "diag": np.zeros((1, 1))})
     with pytest.raises(InvalidProblemError, match="lin has shape"):
         CoupledProblem(**{**good, "lin": np.zeros((1, 2))})
-    log = {**good, "diag": None, "lin": None, "weights": [1.0], "taus": [1.0]}
+    log = {**good, "diag": None, "lin": None, "weights": [1.0]}
     CoupledProblem(**log)
-    with pytest.raises(InvalidProblemError, match="weight must be non-negative"):
-        CoupledProblem(**{**log, "weights": [-1.0]})
+    # A zero weight leaves f flat, with modulus 0: not strongly convex.
+    for weight in (-1.0, 0.0):
+        with pytest.raises(InvalidProblemError, match="utility weight must be positive"):
+            CoupledProblem(**{**log, "weights": [weight]})
 
 
 def test_coupled_problem_validation():
     good = dict(A=np.ones((1, 2, 1)), b=np.zeros((1, 2)), lower=np.zeros((1, 1)),
-                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                upper=np.ones((1, 1)), gammas=[1.0],
                 diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
     prob = CoupledProblem(**good)
     assert prob.m == 1 and prob.p == 2 and prob.gamma_total == 1.0
@@ -263,12 +260,12 @@ def test_coupled_problem_validation():
         CoupledProblem(**{**good, "b": np.zeros((1, 3))})
     with pytest.raises(InvalidProblemError, match="at least one agent"):
         CoupledProblem(A=np.zeros((0, 1, 1)), b=np.zeros((0, 1)), lower=np.zeros((0, 1)),
-                       upper=np.zeros((0, 1)), gammas=np.zeros(0), taus=np.zeros(0),
+                       upper=np.zeros((0, 1)), gammas=np.zeros(0),
                        diag=np.ones((0, 1)), lin=np.zeros((0, 1)))
 
 
 @pytest.mark.parametrize(
-    "field", ["A", "b", "lower", "upper", "gammas", "taus", "diag", "lin", "weights"]
+    "field", ["A", "b", "lower", "upper", "gammas", "diag", "lin", "weights"]
 )
 def test_non_finite_arrays_rejected_by_name(field):
     # A NaN or an infinity in any array, the box bounds included, is a problem
@@ -321,14 +318,13 @@ def test_padding_stays_out_of_the_modulus_check():
     # Every diag entry of the agent of dimension 1 is drawn in [2, 20], but
     # its padding carries diag 1 < tau_min = 2.
     prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=2.0)
-    assert prob.diag[0, 1:].tolist() == [1.0, 1.0] and np.all(prob.taus == 2.0)
-    # Declared tau above the smallest own curvature is still rejected.
-    with pytest.raises(InvalidProblemError, match="below the declared tau"):
-        CoupledProblem(
-            A=np.zeros((1, 1, 2)), b=np.zeros((1, 1)),
-            lower=np.zeros((1, 2)), upper=np.ones((1, 2)), gammas=[1.0], taus=[2.0],
-            diag=np.array([[3.0, 1.5]]), lin=np.zeros((1, 2)),
-        )
+    assert prob.diag[0, 1:].tolist() == [1.0, 1.0]
+    own_min = [prob.diag[i, :n].min() for i, n in enumerate(prob.dims)]
+    assert prob.modulus.tolist() == own_min and np.all(prob.modulus >= 2.0)
+    # A replaced diag gives a recomputed modulus, as does each one-agent problem.
+    flatter = dataclasses.replace(prob, diag=prob.diag * 0.5)
+    assert flatter.modulus.tolist() == [0.5 * d for d in own_min]
+    assert [agent.modulus.tolist() for agent in flatter.agents] == [[0.5 * d] for d in own_min]
 
 
 def test_stacked_values_and_coupling_match_direct_sums():
@@ -351,7 +347,7 @@ def test_stacked_values_and_coupling_match_direct_sums():
 
 def test_mixed_families_and_mismatched_dimensions_rejected():
     quad = dict(A=np.ones((1, 1, 1)), b=np.zeros((1, 1)), lower=np.zeros((1, 1)),
-                upper=np.ones((1, 1)), gammas=[1.0], taus=[1.0],
+                upper=np.ones((1, 1)), gammas=[1.0],
                 diag=np.ones((1, 1)), lin=np.zeros((1, 1)))
     with pytest.raises(InvalidProblemError, match="either"):
         CoupledProblem(**quad, weights=[1.0])
@@ -359,7 +355,7 @@ def test_mixed_families_and_mismatched_dimensions_rejected():
         CoupledProblem(**{**quad, "diag": np.ones((1, 2)), "lin": np.zeros((1, 2))})
     with pytest.raises(InvalidProblemError, match="1 variables"):
         CoupledProblem(A=np.ones((1, 1, 2)), b=np.zeros((1, 1)), lower=np.zeros((1, 2)),
-                       upper=np.ones((1, 2)), gammas=[1.0], taus=[1.0], weights=[1.0])
+                       upper=np.ones((1, 2)), gammas=[1.0], weights=[1.0])
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -458,7 +454,8 @@ def test_dual_gradient_lipschitz():
     rng = np.random.default_rng(37)
     prob = make_quadratic_problem(m=1, p=3, dims=[2], seed=6, tau_min=1.0)
     gamma = prob.gammas[0]
-    L = np.linalg.norm(prob.A[0], 2) / prob.taus[0]
+    # The oracle's per-agent bound ||A||^2 / tau, tau the smallest curvature.
+    L = np.linalg.norm(prob.A[0], 2) ** 2 / prob.modulus[0]
     for _ in range(100):
         l1, l2 = rng.normal(size=3) * 2, rng.normal(size=3) * 2
         unreg1 = dual_gradient(prob, l1) + gamma * l1

@@ -16,7 +16,7 @@ def scalar_quadratic(A, b, lower, upper):
     """One agent with f(x) = x^2 / 2 on [lower, upper] and coupling A x - b."""
     return CoupledProblem(
         A=np.array([[[A]]]), b=np.array([[b]]), lower=np.array([[lower]]),
-        upper=np.array([[upper]]), gammas=[1.0], taus=[1.0],
+        upper=np.array([[upper]]), gammas=[1.0],
         diag=np.ones((1, 1)), lin=np.zeros((1, 1)),
     )
 
@@ -38,7 +38,7 @@ def test_matches_kkt_linear_system_when_boxes_inactive():
         b.append(A[-1] @ rng.uniform(-0.2, 0.2, 2))
     prob = CoupledProblem(
         A=np.array(A), b=np.array(b), lower=np.full((2, 2), -10.0), upper=np.full((2, 2), 10.0),
-        gammas=np.ones(2), taus=np.full(2, 2.0), diag=np.array(diag), lin=np.array(lin),
+        gammas=np.ones(2), diag=np.array(diag), lin=np.array(lin),
     )
     # Independent oracle: stationarity x_i = -D_i^{-1}(c_i + A_i^T lam) plugged
     # into the coupling gives a linear system for lam.
