@@ -110,8 +110,8 @@ def _cmd_reference(args) -> int:
     exp = parse_config(args.config)
     solution = solve_centralized(exp.problem)
     with np.printoptions(precision=10):
-        for i, (x, n) in enumerate(zip(solution.x, exp.problem.dims), start=1):
-            print(f"x*[{i}] = {x[:n]}")
+        for i, (x, lo, hi) in enumerate(zip(solution.x, exp.problem.lower, exp.problem.upper), 1):
+            print(f"x*[{i}] = {x[lo < hi]}")  # each agent's free coordinates
         print(f"F* = {_fmt(solution.objective)}")
         print(f"lambda* = {solution.multiplier}")
         print(f"violation = {_fmt(solution.violation)}")

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvalidInputError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
 from .problem import CoupledProblem, _sum_agents, solve_local
 
@@ -218,6 +218,8 @@ def run_rounds(
     (:func:`drdga.metrics.evaluate_rounds`): a block is evaluated when it is
     full, at the stop round and at t_max, and the blocks are joined once.
     """
+    if seq.m != problem.m:
+        raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
     state = init_state(problem, config, push_sum)
     pool = [mixing(adj) for adj in seq.adj]
     size = metrics.block_size(problem.m, problem.p)

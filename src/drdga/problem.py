@@ -7,9 +7,10 @@ by the dual algorithm.
 
 A CoupledProblem holds its m agents as stacked arrays: A is (m, p, n_max), b
 is (m, p), the boxes are (m, n_max), gammas is (m,), and the family's
-parameters are diag/lin (m, n_max) or weights (m,). An agent with
-fewer than n_max variables is padded with degenerate coordinates (box [0, 0],
-zero A columns, diag 1, lin 0), so its padded coordinates solve to exactly 0.
+parameters are diag/lin (m, n_max) or weights (m,). An agent's own
+coordinates are its free ones (lower < upper); a fixed one (lower == upper)
+is a constant, whatever its A column, diag or lin. make_quadratic_problem
+pads an agent with fewer than n_max variables with coordinates fixed at 0.
 Iterates x use the same (m, n_max) layout; agent_values and solve_local
 evaluate and minimize every agent at once, one closed form per family.
 """
@@ -51,11 +52,11 @@ class CoupledProblem:
     stacked arrays of the module docstring.
 
     Give diag and lin for the DiagonalQuadratic family, or weights for the
-    LogUtility family. ``dims`` lists the agents' own dimensions and defaults
-    to n_max for every agent. Construction derives the attributes ``m``,
-    ``p``, ``family`` (the family's tag class) and ``modulus``, the (m,)
-    strong-convexity moduli of the f_i on their boxes: the smallest of each
-    agent's own diag entries, or 20 w / 1.21 for the log family.
+    LogUtility family. Construction derives the attributes ``m``, ``p``,
+    ``family`` (the family's tag class) and ``modulus``, the (m,)
+    strong-convexity moduli of the f_i on their boxes: the smallest diag entry
+    over each agent's free coordinates, or 20 w / 1.21 for the log family,
+    and inf for an agent with no free coordinate.
     """
 
     A: np.ndarray
@@ -66,7 +67,6 @@ class CoupledProblem:
     diag: np.ndarray | None = None
     lin: np.ndarray | None = None
     weights: np.ndarray | None = None
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         quadratic = self.weights is None
@@ -96,9 +96,6 @@ class CoupledProblem:
                     f"{name} has shape {getattr(self, name).shape}, expected {shape} "
                     f"for m = {m} agents, p = {p} coupling rows and n = {n} box columns"
                 )
-        dims = (n,) * m if self.dims is None else tuple(int(d) for d in self.dims)
-        if len(dims) != m or not all(1 <= d <= n for d in dims):
-            raise InvalidProblemError(f"dims must list one dimension in [1, {n}] per agent")
         for bad, message in (
             (self.lower > self.upper, "box is empty: lower > upper somewhere"),
             (self.gammas <= 0, "regularization weight gamma must be positive"),
@@ -107,16 +104,13 @@ class CoupledProblem:
         ):
             if np.any(bad):
                 raise InvalidProblemError(message)
-        if quadratic:
-            # Each agent's own coordinates only: the padding's diag of 1 is no curvature.
-            own = np.arange(n) < np.array(dims)[:, None]
-            modulus = np.where(own, self.diag, np.inf).min(axis=1)
-        else:
-            # The second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
-            modulus = RATE_UTILITY_SCALE * self.weights / (1.0 + RATE_UTILITY_OFFSET) ** 2
+        # The log family's second derivative 20 w / (x + 0.1)^2 is smallest at x = 1.
+        curvature = self.diag if quadratic else (
+            RATE_UTILITY_SCALE * self.weights / (1.0 + RATE_UTILITY_OFFSET) ** 2)[:, None]
+        # Free coordinates only: a fixed one is a constant and has no curvature.
+        modulus = np.where(self.lower < self.upper, curvature, np.inf).min(axis=1)
         family = DiagonalQuadratic if quadratic else LogUtility
-        for name, value in (("dims", dims), ("m", m), ("p", p), ("family", family),
-                            ("modulus", modulus)):
+        for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus)):
             object.__setattr__(self, name, value)
 
     @property
@@ -254,7 +248,7 @@ def make_quadratic_problem(
         raise InvalidProblemError("dims must list one positive dimension per agent")
     rng = np.random.default_rng(seed)
     n_max = max(dims)
-    # Box [-1, 1] on each agent's own coordinates, [0, 0] on its padding.
+    # Box [-1, 1] on each agent's own coordinates; its padding is fixed at 0.
     bound = (np.arange(n_max) < np.array(dims)[:, None]).astype(float)
     A = np.zeros((m, p, n_max))
     b = np.empty((m, p))
@@ -275,34 +269,38 @@ def make_quadratic_problem(
         gammas=np.full(m, float(gamma)),
         diag=diag,
         lin=lin,
-        dims=dims,
     )
 
 
 def compute_G_bound(problem: CoupledProblem) -> np.ndarray:
     """Upper bounds G_i on ||A_i x - b_i|| over each agent's box, shape (m,).
 
-    For n_i <= 20 the exact maximum: ||A x - b|| is convex in x, so it peaks
-    at a box vertex, and all 2^n_i vertices of the agent's own coordinates are
-    enumerated, a chunk of vertices at a time. Larger n_i falls back to the
-    Frobenius-norm bound ||A_i||_F ||max(|lower_i|, |upper_i|)|| + ||b_i||.
+    For n_i <= 20 free coordinates the exact maximum: ||A x - b|| is convex in
+    x, so it peaks at a box vertex, and all 2^n_i vertices of the free
+    coordinates are enumerated, fixed ones at their value, a chunk of vertices
+    at a time. Larger n_i falls back to the Frobenius-norm bound
+    ||A_i||_F ||max(|lower_i|, |upper_i|)|| + ||A_i x_fixed - b_i||.
     """
+    free = problem.lower < problem.upper
+    # The fixed coordinates' constant share of A x - b, free coordinates at 0.
+    offset = problem.coupling_terms(np.where(free, 0.0, problem.lower))
+    counts = free.sum(axis=1)
     G = np.zeros(problem.m)
-    for n in sorted(set(problem.dims)):
-        idx = [i for i, d in enumerate(problem.dims) if d == n]
-        A = problem.A[idx, :, :n]
-        lower, upper = problem.lower[idx, :n], problem.upper[idx, :n]
-        b = problem.b[idx]
+    for n in sorted(set(counts.tolist())):
+        idx = np.flatnonzero(counts == n)
+        rows, cols = idx[:, None], free[idx].nonzero()[1].reshape(len(idx), n)
+        A = np.take_along_axis(problem.A[idx], cols[:, None, :], axis=2)
+        lower, upper = problem.lower[rows, cols], problem.upper[rows, cols]
         if n > 20:
             corner = np.linalg.norm(np.maximum(np.abs(lower), np.abs(upper)), axis=1)
-            G[idx] = np.linalg.norm(A, "fro", axis=(1, 2)) * corner + np.linalg.norm(b, axis=1)
+            G[idx] = np.linalg.norm(A, axis=(1, 2)) * corner + np.linalg.norm(offset[idx], axis=1)
             continue
         # Enough vertices per chunk for about 2^20 floats in each array.
-        chunk = max(1, (1 << 20) // (len(idx) * max(n, problem.p)))
+        chunk = max(1, (1 << 20) // (len(idx) * max(1, n, problem.p)))
         for start in range(0, 2**n, chunk):
             codes = np.arange(start, min(start + chunk, 2**n))
             bits = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
             vertices = np.where(bits, upper[:, None, :], lower[:, None, :])
-            residual = np.matmul(vertices, A.swapaxes(1, 2)) - b[:, None, :]
+            residual = np.matmul(vertices, A.swapaxes(1, 2)) + offset[idx, None, :]
             G[idx] = np.maximum(G[idx], np.linalg.norm(residual, axis=2).max(axis=1))
     return G

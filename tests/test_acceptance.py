@@ -241,7 +241,7 @@ def test_criterion_10_local_solver_oracle_equivalence():
 
     def grid_argmin(prob, lam, res=1e-4):
         price = prob.A[0].T @ lam
-        out = np.empty(prob.dims[0])
+        out = np.empty(prob.lower.shape[1])
         for k in range(out.size):
             xs = np.arange(prob.lower[0, k], prob.upper[0, k] + res / 2, res)
             if prob.family is DiagonalQuadratic:

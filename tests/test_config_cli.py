@@ -68,7 +68,8 @@ def test_bundled_num_s20_parses():
 
 def test_bundled_perfbench_quad_m100_parses():
     exp = parse_config(M100_CFG)
-    assert exp.problem.m == 100 and exp.problem.p == 10 and exp.problem.dims == (2,) * 100
+    assert exp.problem.m == 100 and exp.problem.p == 10
+    assert exp.problem.lower.shape == (100, 2) and (exp.problem.lower < exp.problem.upper).all()
     assert exp.seq.m == 100 and exp.run.t_max == 200
 
 

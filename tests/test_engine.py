@@ -8,6 +8,7 @@ import pytest
 from drdga import (
     ConfigError,
     GraphSequence,
+    InvalidInputError,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -171,6 +172,23 @@ def test_mixing_built_once_per_pool_entry(monkeypatch, module, builder, loop):
     _, rows, _ = loop(prob, seq, RunConfig(q=4.0, t_max=50, epsilon=1e-300))
     assert len(rows) == 50
     assert np.array_equal(calls, seq.adj)
+
+
+@pytest.mark.parametrize("m", [4, 1])
+@pytest.mark.parametrize(
+    "module, builder, loop",
+    [(engine, "build_weight_matrix", run_until),
+     (baseline, "metropolis_matrix", baseline.cdda_run_until)],
+    ids=["drdga", "cdda"],
+)
+def test_graph_of_the_wrong_size_rejected_before_mixing(monkeypatch, module, builder, loop, m):
+    # Unchecked, the first round's product W @ theta fails inside numpy.
+    calls = []
+    monkeypatch.setattr(module, builder, calls.append)
+    seq = generate_graph_sequence(m, 1, seed=1)
+    with pytest.raises(InvalidInputError, match=f"graph sequence has {m} agents, the problem has 3"):
+        loop(fig7(), seq, RunConfig(q=4.0, t_max=10))
+    assert calls == []
 
 
 def test_run_until_hits_round_cap():

@@ -45,6 +45,15 @@ def log_problem(w=1.0, A=None):
     )
 
 
+def fixed_coordinate_problem():
+    """One diagonal-quadratic agent whose second coordinate is fixed at 0.3."""
+    return CoupledProblem(
+        A=np.array([[[1.0, 2.0], [0.5, -1.0]]]), b=np.array([[0.2, 0.1]]),
+        lower=np.array([[-1.0, 0.3]]), upper=np.array([[1.0, 0.3]]), gammas=[1.0],
+        diag=np.array([[4.0, 0.5]]), lin=np.zeros((1, 2)),
+    )
+
+
 def solve_one(prob, lam):
     """solve_local on a one-agent problem."""
     return solve_local(prob, np.asarray(lam, dtype=float)[None])[0]
@@ -58,7 +67,7 @@ def dual_gradient(prob, lam):
 def grid_argmin(prob, lam, res=1e-4):
     """Independent oracle: per-coordinate exhaustive grid (objectives are separable)."""
     price = prob.A[0].T @ lam
-    out = np.empty(prob.dims[0])
+    out = np.empty(prob.lower.shape[1])
     for k in range(out.size):
         xs = np.arange(prob.lower[0, k], prob.upper[0, k] + res / 2, res)
         if prob.family is DiagonalQuadratic:
@@ -70,14 +79,17 @@ def grid_argmin(prob, lam, res=1e-4):
 
 
 def loop_G_bound(prob):
-    """Reference G: a plain loop over every box vertex of each agent's own coordinates."""
+    """Reference G: a plain loop over every box vertex of each agent's free
+    coordinates, its fixed coordinates held at their value."""
     out = []
-    for i, n in enumerate(prob.dims):
-        A, b = prob.A[i, :, :n], prob.b[i]
+    for i in range(prob.m):
+        free = np.flatnonzero(prob.lower[i] < prob.upper[i])
         best = 0.0
-        for bits in itertools.product((0, 1), repeat=n):
-            vertex = np.where(np.asarray(bits, dtype=bool), prob.upper[i, :n], prob.lower[i, :n])
-            best = max(best, float(np.linalg.norm(A @ vertex - b)))
+        for bits in itertools.product((0, 1), repeat=free.size):
+            vertex = prob.lower[i].copy()
+            vertex[free] = np.where(np.asarray(bits, dtype=bool),
+                                    prob.upper[i, free], prob.lower[i, free])
+            best = max(best, float(np.linalg.norm(prob.A[i] @ vertex - prob.b[i])))
         out.append(best)
     return np.array(out)
 
@@ -98,7 +110,7 @@ def test_num_equal_capacity_split():
 def test_num_agent_structure():
     prob = fig7_problem()
     third = prob.agents[2]
-    assert third.m == 1 and third.dims == (1,)
+    assert third.m == 1 and (third.lower < third.upper).sum(axis=1).tolist() == [1]
     assert np.array_equal(third.A, [[[0.0], [1.0]]])
     assert third.lower[0] == pytest.approx([0.0]) and third.upper[0] == pytest.approx([1.0])
     # modulus of -20 w log(x + 0.1) on [0, 1] is 20 w / 1.21
@@ -135,20 +147,21 @@ def test_quadratic_rejects_tau_min_whose_curvature_range_overflows():
 
 
 def test_quadratic_deterministic_and_feasible_by_construction():
-    a = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)
-    b = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=9, tau_min=0.5)
+    dims = [1, 2, 3, 1]
+    a = make_quadratic_problem(m=4, p=2, dims=dims, seed=9, tau_min=0.5)
+    b = make_quadratic_problem(m=4, p=2, dims=dims, seed=9, tau_min=0.5)
     for name in ("A", "b", "diag", "lin", "lower", "upper"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    c = make_quadratic_problem(m=4, p=2, dims=[1, 2, 3, 1], seed=10, tau_min=0.5)
+    c = make_quadratic_problem(m=4, p=2, dims=dims, seed=10, tau_min=0.5)
     assert not np.array_equal(a.A[0], c.A[0])
-    for i, n in enumerate(a.dims):
+    for i, n in enumerate(dims):
         assert np.all(a.diag[i, :n] >= 0.5) and np.all(a.diag[i, :n] <= 5.0)
         assert np.all(a.lower[i, :n] == -1.0) and np.all(a.upper[i, :n] == 1.0)
 
 
 def test_quadratic_scalar_dims_broadcast():
     prob = make_quadratic_problem(m=3, p=2, dims=2, seed=0, tau_min=1.0)
-    assert prob.dims == (2, 2, 2)
+    assert (prob.lower < prob.upper).sum(axis=1).tolist() == [2, 2, 2]
 
 
 def test_G_bound_zero_coupling():
@@ -172,10 +185,11 @@ def test_G_bound_identity_box():
 
 def test_G_bound_dominates_random_points():
     rng = np.random.default_rng(3)
-    prob = make_quadratic_problem(m=3, p=4, dims=[2, 3, 1], seed=8, tau_min=1.0)
+    dims = [2, 3, 1]
+    prob = make_quadratic_problem(m=3, p=4, dims=dims, seed=8, tau_min=1.0)
     G = compute_G_bound(prob)
     assert G.shape == (3,)
-    for i, n in enumerate(prob.dims):
+    for i, n in enumerate(dims):
         pts = rng.uniform(prob.lower[i, :n], prob.upper[i, :n], size=(1000, n))
         norms = np.linalg.norm(pts @ prob.A[i, :, :n].T - prob.b[i], axis=1)
         assert np.all(norms <= G[i] + 1e-9)
@@ -192,8 +206,10 @@ def test_G_bound_dominates_random_points():
         make_quadratic_problem(m=1, p=3, dims=[14], seed=5, tau_min=1.0),
         # 5,000 coupling rows split each group's vertices over several chunks.
         make_quadratic_problem(m=3, p=5000, dims=[8, 6, 8], seed=7, tau_min=1.0),
+        fixed_coordinate_problem(),
     ],
-    ids=["quad_p1", "quad_p3", "quad_p5", "num_fig7", "num_random", "quad_n14", "quad_chunked"],
+    ids=["quad_p1", "quad_p3", "quad_p5", "num_fig7", "num_random", "quad_n14", "quad_chunked",
+         "quad_fixed"],
 )
 def test_G_bound_matches_vertex_loop(prob):
     # The vectorized products may round differently from one matrix-vector
@@ -201,6 +217,32 @@ def test_G_bound_matches_vertex_loop(prob):
     np.testing.assert_allclose(
         compute_G_bound(prob), loop_G_bound(prob), rtol=4 * np.finfo(float).eps, atol=0.0
     )
+
+
+def test_fixed_coordinate_is_a_constant():
+    # x_2 is fixed at 0.3: its diag 0.5 is no curvature, and its A column
+    # shifts every vertex by the same constant.
+    prob = fixed_coordinate_problem()
+    assert prob.modulus.tolist() == [4.0]
+    assert compute_G_bound(prob).tolist() == pytest.approx([1.40356688476182], rel=1e-14)
+
+
+def test_modulus_and_G_read_the_box():
+    # Both coordinates are free, so the flat one sets the modulus and G is
+    # the largest |x_1 + x_2 - 0.5| over [-1, 1]^2.
+    from drdga import solve_centralized
+
+    arrays = dict(A=np.array([[[1.0, 1.0]]]), b=np.array([[0.5]]), lower=-np.ones((1, 2)),
+                  upper=np.ones((1, 2)), gammas=[1.0], diag=np.array([[4.0, 0.01]]),
+                  lin=np.zeros((1, 2)))
+    prob = CoupledProblem(**arrays)
+    assert prob.modulus.tolist() == [0.01]
+    assert compute_G_bound(prob).tolist() == [2.5]
+    assert solve_centralized(prob).violation <= 1e-6
+    assert [f.name for f in dataclasses.fields(CoupledProblem)] == [
+        "A", "b", "lower", "upper", "gammas", "diag", "lin", "weights"]
+    with pytest.raises(TypeError, match="dims"):
+        CoupledProblem(**arrays, dims=(1,))
 
 
 def test_G_bound_large_dimension_fallback():
@@ -297,13 +339,14 @@ def test_quadratic_family_admits_feasible_point():
 
 
 def test_ragged_dims_are_padded_with_degenerate_coordinates():
-    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=1.0)
-    assert prob.dims == (1, 3, 2)
+    dims = [1, 3, 2]
+    prob = make_quadratic_problem(m=3, p=2, dims=dims, seed=4, tau_min=1.0)
+    assert (prob.lower < prob.upper).sum(axis=1).tolist() == dims
     assert prob.A.shape == (3, 2, 3) and prob.b.shape == (3, 2)
     assert prob.lower.shape == prob.upper.shape == prob.diag.shape == (3, 3)
     # Replaying the generator draws diag, lin, A and x0 per agent, in that order.
     rng = np.random.default_rng(4)
-    for i, n in enumerate(prob.dims):
+    for i, n in enumerate(dims):
         diag, lin = rng.uniform(1.0, 10.0, size=n), rng.uniform(-1.0, 1.0, size=n)
         A, x0 = rng.uniform(-1.0, 1.0, size=(2, n)), rng.uniform(-0.9, 0.9, size=n)
         assert np.array_equal(prob.A[i, :, :n], A) and not prob.A[i, :, n:].any()
@@ -314,12 +357,13 @@ def test_ragged_dims_are_padded_with_degenerate_coordinates():
     assert prob.weights is None
 
 
-def test_padding_stays_out_of_the_modulus_check():
+def test_fixed_coordinates_stay_out_of_the_modulus():
     # Every diag entry of the agent of dimension 1 is drawn in [2, 20], but
-    # its padding carries diag 1 < tau_min = 2.
-    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=2.0)
+    # its padding, fixed at 0, carries diag 1 < tau_min = 2.
+    dims = [1, 3, 2]
+    prob = make_quadratic_problem(m=3, p=2, dims=dims, seed=4, tau_min=2.0)
     assert prob.diag[0, 1:].tolist() == [1.0, 1.0]
-    own_min = [prob.diag[i, :n].min() for i, n in enumerate(prob.dims)]
+    own_min = [prob.diag[i, :n].min() for i, n in enumerate(dims)]
     assert prob.modulus.tolist() == own_min and np.all(prob.modulus >= 2.0)
     # A replaced diag gives a recomputed modulus, as does each one-agent problem.
     flatter = dataclasses.replace(prob, diag=prob.diag * 0.5)
@@ -328,14 +372,15 @@ def test_padding_stays_out_of_the_modulus_check():
 
 
 def test_stacked_values_and_coupling_match_direct_sums():
-    prob = make_quadratic_problem(m=3, p=2, dims=[1, 3, 2], seed=4, tau_min=1.0)
+    dims = [1, 3, 2]
+    prob = make_quadratic_problem(m=3, p=2, dims=dims, seed=4, tau_min=1.0)
     rng = np.random.default_rng(6)
     x = rng.uniform(prob.lower, prob.upper)
     direct = [0.5 * prob.diag[i, :n] @ (x[i, :n] ** 2) + prob.lin[i, :n] @ x[i, :n]
-              for i, n in enumerate(prob.dims)]
+              for i, n in enumerate(dims)]
     assert np.allclose(prob.agent_values(x), direct, rtol=1e-14, atol=1e-14)
     assert prob.objective_value(x) == pytest.approx(sum(direct), rel=1e-14)
-    residual = sum(prob.A[i, :, :n] @ x[i, :n] - prob.b[i] for i, n in enumerate(prob.dims))
+    residual = sum(prob.A[i, :, :n] @ x[i, :n] - prob.b[i] for i, n in enumerate(dims))
     assert np.allclose(prob.coupling_residual(x), residual, rtol=1e-14, atol=1e-14)
 
     num = fig7_problem()

@@ -86,14 +86,15 @@ def test_stacked_solve_matches_one_agent_solves(prob, seed, scale):
     # for n_i = 1), so it agrees to rounding only.
     lam = np.random.default_rng(seed).normal(size=(prob.m, prob.p)) * scale
     x = solve_local(prob, lam)
-    n_max = max(prob.dims)
+    dims = (prob.lower < prob.upper).sum(axis=1).tolist()
+    n_max = max(dims)
     assert x.shape == (prob.m, n_max)
-    for i, (agent, n) in enumerate(zip(prob.agents, prob.dims)):
+    for i, (agent, n) in enumerate(zip(prob.agents, dims)):
         # Agent i alone at its own dimension n, without the padding.
         cut = lambda a: None if a is None else a[..., :n]
         agent = dataclasses.replace(agent, A=cut(agent.A), lower=cut(agent.lower),
                                     upper=cut(agent.upper), diag=cut(agent.diag),
-                                    lin=cut(agent.lin), dims=None)
+                                    lin=cut(agent.lin))
         alone = solve_local(agent, lam[i : i + 1])[0]
         if n == n_max:
             assert np.array_equal(x[i], alone)

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from drdga import (
     CoupledProblem,
     InfeasibleProblemError,
+    compute_G_bound,
     make_num_problem,
     make_quadratic_problem,
     solve_centralized,
+    solve_local,
 )
+from drdga import reference
 
 FIG7 = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
 
@@ -91,6 +96,29 @@ def test_weak_duality_certificate_on_quadratic():
             continue
         assert float(np.linalg.norm(prob.coupling_residual(xs))) <= 1e-6
         assert prob.objective_value(xs) >= sol.objective - slack - 1e-9
+
+
+@pytest.mark.parametrize("b, feasible", [(0.5, True), (1.0, False)], ids=["feasible", "infeasible"])
+def test_fully_fixed_box_decides_in_one_local_solve(monkeypatch, b, feasible):
+    # Every coordinate is fixed, so x is a constant and the modulus is inf:
+    # the L = 0 path decides at lambda = 0 instead of iterating to max_iter.
+    calls = []
+    monkeypatch.setattr(reference, "solve_local", lambda *a: calls.append(a) or solve_local(*a))
+    prob = CoupledProblem(
+        A=np.array([[[1.0, 1.0]]]), b=np.array([[b]]), lower=np.array([[0.2, 0.3]]),
+        upper=np.array([[0.2, 0.3]]), gammas=[1.0], diag=np.array([[4.0, 0.01]]),
+        lin=np.zeros((1, 2)),
+    )
+    assert prob.modulus.tolist() == [np.inf]
+    # G is |0.2 + 0.3 - b|, with or without coupling rows.
+    assert compute_G_bound(prob).tolist() == [abs(0.5 - b)]
+    assert compute_G_bound(dataclasses.replace(prob, A=prob.A[:, :0], b=prob.b[:, :0])) == [0.0]
+    if feasible:
+        assert solve_centralized(prob, max_iter=1000).x.tolist() == [[0.2, 0.3]]
+    else:
+        with pytest.raises(InfeasibleProblemError):
+            solve_centralized(prob, max_iter=1000)
+    assert len(calls) == 1
 
 
 def test_zero_coupling_maps():
