@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     InvalidProblemError,
     InvariantError,
+    UncertifiedSolutionError,
 )
 from .graph import (
     GraphSequence,
@@ -75,6 +76,7 @@ __all__ = [
     "ReferenceSolution",
     "RunConfig",
     "RunState",
+    "UncertifiedSolutionError",
     "advance_round",
     "build_weight_matrix",
     "cdda_run_until",

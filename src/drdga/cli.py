@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baseline, engine, metrics
 from .config import ALGORITHMS, Experiment, parse_config
-from .errors import ConfigError, InfeasibleProblemError
+from .errors import ConfigError, InfeasibleProblemError, UncertifiedSolutionError
 from .reference import solve_centralized
 
 # One column per field of metrics.Metrics, in order: t, then floats.
@@ -69,7 +69,7 @@ def run_experiment(exp: Experiment, out_path) -> tuple[str, metrics.Metrics]:
     """Execute the configured algorithm and write the CSV plus summary sidecar."""
     try:
         f_star = solve_centralized(exp.problem).objective
-    except InfeasibleProblemError:
+    except (InfeasibleProblemError, UncertifiedSolutionError):
         f_star = None
     if exp.algorithm == "cdda":
         _, rows, reason = baseline.cdda_run_until(exp.problem, exp.seq, exp.run, f_star=f_star)
@@ -115,6 +115,7 @@ def _cmd_reference(args) -> int:
         print(f"F* = {_fmt(solution.objective)}")
         print(f"lambda* = {solution.multiplier}")
         print(f"violation = {_fmt(solution.violation)}")
+        print(f"duality_gap = {_fmt(solution.duality_gap)}")
     return 0
 
 

@@ -18,7 +18,11 @@ class InvalidInputError(ValueError):
 
 
 class InfeasibleProblemError(RuntimeError):
-    """Centralized solver diverged: coupled constraint unsatisfiable or ill-posed."""
+    """No point of the boxes satisfies the coupled constraint, as a phase-1 LP proved."""
+
+
+class UncertifiedSolutionError(RuntimeError):
+    """The centralized solver's answer failed its certificate on a problem not proved infeasible."""
 
 
 class InvariantError(RuntimeError):

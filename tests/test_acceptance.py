@@ -48,7 +48,7 @@ def record(num, name, ok, detail=""):
 def fig7_run():
     """Criterion 4's experiment: the bundled three-source config, eps = 0.01."""
     exp = parse_config(FIG7_CFG)
-    reference = solve_centralized(exp.problem, tol=1e-6)
+    reference = solve_centralized(exp.problem)
     state, rows, reason = run_until(exp.problem, exp.seq, exp.run, f_star=reference.objective)
     return exp, reference, state, rows, reason
 
@@ -58,7 +58,7 @@ def quad_sweep():
     """Criteria 5-6: fixed-seed quadratic family swept to T = 10^4."""
     problem = make_quadratic_problem(m=5, p=3, dims=[2, 2, 2, 2, 2], seed=11, tau_min=1.0)
     seq = generate_graph_sequence(m=5, window=1, seed=3, pool_size=20)
-    f_star = solve_centralized(problem, tol=1e-8).objective
+    f_star = solve_centralized(problem).objective
     config = RunConfig(q=4.0, t_max=10_000, epsilon=1e-300)
     state, rows, reason = run_until(problem, seq, config, f_star=f_star)
     return problem, seq, state, rows

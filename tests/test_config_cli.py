@@ -434,6 +434,19 @@ q = 4
     assert "error" in capsys.readouterr().err
 
 
+def test_uncertified_oracle_exits_2_and_leaves_f_star_unavailable(tmp_path, monkeypatch,
+                                                                  capsys):
+    # No active-set pass: the fig7 oracle cannot certify, and fig7 is feasible.
+    monkeypatch.setattr(drdga.reference, "MAX_PASSES", 0)
+    assert main(["reference", "--config", FIG7_CFG]) == 2
+    assert "failed its certificate" in capsys.readouterr().err
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 0
+    assert "f_star = unavailable\n" in Path(str(out) + ".summary").read_text()
+    gap = out.read_text().splitlines()[0].split(",").index("gap")
+    assert all(row.split(",")[gap] == "nan" for row in out.read_text().splitlines()[1:])
+
+
 def test_cli_overflowing_iterates_exit_2_without_output(tmp_path, capsys):
     # theta0 = 1e308 everywhere makes fig7's iterates overflow within a few
     # rounds; solve_local's finiteness check stops the run before any output.
@@ -450,16 +463,16 @@ def test_cli_overflowing_iterates_exit_2_without_output(tmp_path, capsys):
 def test_cli_reference_prints_solution(capsys):
     assert main(["reference", "--config", FIG7_CFG]) == 0
     out = capsys.readouterr().out
-    assert "F* = 43.4587583412" in out
+    assert "F* = 43.4588758806" in out
     assert "violation = " in out
+    assert out.index("violation = ") < out.index("duality_gap = ")
     # The printout's precision does not leak into the rest of the process.
     assert np.get_printoptions()["precision"] == 8
 
 
-# num_s20 is left out: its oracle alone runs several seconds (about 7 s on a
-# 2-vCPU VM) before it fails, until the certified oracle replaces it.
 SMOKE_CASES = {
     "fig7": (FIG7_CFG, []),
+    "num_s20": (S20_CFG, []),
     "quadratic_m5": (QUAD_CFG, []),
     "quadratic_m5-cdda": (QUAD_CFG, ["--algorithm", "cdda"]),
     "file-schedule": (None, []),
@@ -523,11 +536,17 @@ def test_failed_summary_write_leaves_no_partial_file(tmp_path, monkeypatch, caps
 
 
 def test_import_loads_no_scipy():
-    # Every run pays for what `import drdga` loads; scipy stays out of it.
+    # Every run pays for what `import drdga` and a certified oracle load;
+    # scipy stays out of both.
     src = str(Path(drdga.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, drdga; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, drdga\n"
+        f"for path in {[FIG7_CFG, QUAD_CFG, S20_CFG]!r}:\n"
+        "    drdga.solve_centralized(drdga.parse_config(path).problem)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

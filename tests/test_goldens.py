@@ -18,6 +18,7 @@ import json
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drdga import baseline, cli, engine, parse_config
@@ -32,6 +33,7 @@ _spec.loader.exec_module(check)
 
 CASES = {
     "fig7": (CONFIGS / "fig7.cfg", None),
+    "num_s20": (CONFIGS / "num_s20.cfg", None),
     "quadratic_m5-cdda": (CONFIGS / "quadratic_m5.cfg", "cdda"),
     "quad_m100": (ROOT / "perfbench" / "quad_m100.cfg", None),
 }
@@ -49,6 +51,17 @@ SUMMARIES = {
         "empirical_D = 3.32756132323\n"
         "theorem2_bound = 120254.150065\n"
         "theorem3_bound = 90190.612549\n"
+    ),
+    "num_s20": (
+        "algorithm = drdga\n"
+        "stop_reason = t_max\n"
+        "terminal_round = 5000\n"
+        "objective = -4.11338670734\n"
+        "violation = 6.92820323028\n"
+        "violation_inst = 6.92820323028\n"
+        "empirical_D = 2.36321228011\n"
+        "theorem2_bound = 1.39388891737e+57\n"
+        "theorem3_bound = 6.96944458685e+57\n"
     ),
     "quadratic_m5-cdda": (
         "algorithm = cdda\n"
@@ -102,7 +115,9 @@ def test_csv_columns_match_goldens(tmp_path, monkeypatch, workload):
     assert len(lines) - 1 == golden["rows"]
     assert check.column_digests(lines) == golden["columns"]
     state, rows, reason = results["rounds"]
-    f_star = results["oracle"].objective if "oracle" in results else None
+    # Every workload's oracle certifies, so gap is finite in every row.
+    f_star = results["oracle"].objective
+    assert np.isfinite(rows.gap).all()
     assert check.check_output(out, summary_path, workload=workload, seed=None, exp=exp,
                               state=state, rows=rows, reason=reason, f_star=f_star) == []
     summary = summary_path.read_text().splitlines(keepends=True)

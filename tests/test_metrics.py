@@ -299,7 +299,7 @@ def test_empirical_values_stay_under_bounds():
     seq = generate_graph_sequence(3, 1, seed=9)
     from drdga import solve_centralized
 
-    f_star = solve_centralized(prob, tol=1e-8).objective
+    f_star = solve_centralized(prob).objective
     _, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=300, epsilon=1e-300), f_star=f_star)
     c = constants_from_run(prob, seq.window, 4.0, rows)
     for t, gap, violation in zip(rows.t.tolist(), rows.gap.tolist(), rows.violation.tolist()):

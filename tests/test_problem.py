@@ -334,7 +334,7 @@ def test_quadratic_family_admits_feasible_point():
     from drdga import solve_centralized
 
     prob = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
-    sol = solve_centralized(prob, tol=1e-6)
+    sol = solve_centralized(prob)
     assert sol.violation <= 1e-6
 
 

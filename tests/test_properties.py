@@ -242,8 +242,8 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
         assert np.all(state.rho == 1.0)
 
 
-# Config fuzzing. The num family is left out: an infeasible draw keeps the
-# oracle busy for seconds before it gives up. Large values are left out too:
+# Config fuzzing. The num family is left out: its mutations need their own
+# table of routing and capacity values. Large values are left out too:
 # a large m, p, dims or pool_size allocates before any check can run.
 _KEY_LINES = [i for i, line in enumerate(MINIMAL_QUAD.splitlines()) if "=" in line]
 _DROP, _DUPLICATE = "<drop>", "<duplicate>"

@@ -1,4 +1,7 @@
 import dataclasses
+import math
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +9,19 @@ import pytest
 from drdga import (
     CoupledProblem,
     InfeasibleProblemError,
+    UncertifiedSolutionError,
     compute_G_bound,
     make_num_problem,
     make_quadratic_problem,
+    parse_config,
     solve_centralized,
     solve_local,
 )
 from drdga import reference
 
 FIG7 = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
+CONFIGS = files("drdga") / "configs"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def scalar_quadratic(A, b, lower, upper):
@@ -27,10 +34,10 @@ def scalar_quadratic(A, b, lower, upper):
 
 
 def test_detects_infeasible_single_agent():
-    # A x ranges over [0, 1] but b = 5: the dual diverges.
+    # A x ranges over [0, 1] but b = 5: the phase-1 LP proves it.
     prob = scalar_quadratic(A=1.0, b=5.0, lower=0.0, upper=1.0)
     with pytest.raises(InfeasibleProblemError):
-        solve_centralized(prob, tol=1e-6, max_iter=5000)
+        solve_centralized(prob)
 
 
 def test_matches_kkt_linear_system_when_boxes_inactive():
@@ -52,7 +59,7 @@ def test_matches_kkt_linear_system_when_boxes_inactive():
     lam_kkt = np.linalg.solve(H, rhs)
     xs_kkt = [-(c + A_i.T @ lam_kkt) / d for A_i, c, d in zip(A, lin, diag)]
 
-    sol = solve_centralized(prob, tol=1e-8)
+    sol = solve_centralized(prob)
     assert np.max(np.abs(sol.multiplier - lam_kkt)) < 1e-6
     for x, x_ref in zip(sol.x, xs_kkt):
         assert np.max(np.abs(x - x_ref)) < 1e-6
@@ -60,7 +67,7 @@ def test_matches_kkt_linear_system_when_boxes_inactive():
 
 
 def test_fig7_solution_feasible_and_matches_grid_oracle():
-    sol = solve_centralized(FIG7, tol=1e-6)
+    sol = solve_centralized(FIG7)
     assert sol.violation <= 1e-6
     for x in sol.x:
         assert 0.0 <= float(x[0]) <= 1.0
@@ -80,7 +87,7 @@ def test_fig7_solution_feasible_and_matches_grid_oracle():
 def test_weak_duality_certificate_on_quadratic():
     prob = make_quadratic_problem(m=3, p=2, dims=2, seed=19, tau_min=1.0)
     tol = 1e-8
-    sol = solve_centralized(prob, tol=tol)
+    sol = solve_centralized(prob)
     slack = prob.p * tol * np.linalg.norm(sol.multiplier)
     rng = np.random.default_rng(2)
     # Coupling-feasible candidates: perturb the solution within the null space
@@ -101,7 +108,7 @@ def test_weak_duality_certificate_on_quadratic():
 @pytest.mark.parametrize("b, feasible", [(0.5, True), (1.0, False)], ids=["feasible", "infeasible"])
 def test_fully_fixed_box_decides_in_one_local_solve(monkeypatch, b, feasible):
     # Every coordinate is fixed, so x is a constant and the modulus is inf:
-    # the L = 0 path decides at lambda = 0 instead of iterating to max_iter.
+    # the L = 0 path decides at lambda = 0, and certifies without a second solve.
     calls = []
     monkeypatch.setattr(reference, "solve_local", lambda *a: calls.append(a) or solve_local(*a))
     prob = CoupledProblem(
@@ -114,20 +121,119 @@ def test_fully_fixed_box_decides_in_one_local_solve(monkeypatch, b, feasible):
     assert compute_G_bound(prob).tolist() == [abs(0.5 - b)]
     assert compute_G_bound(dataclasses.replace(prob, A=prob.A[:, :0], b=prob.b[:, :0])) == [0.0]
     if feasible:
-        assert solve_centralized(prob, max_iter=1000).x.tolist() == [[0.2, 0.3]]
+        assert solve_centralized(prob).x.tolist() == [[0.2, 0.3]]
     else:
         with pytest.raises(InfeasibleProblemError):
-            solve_centralized(prob, max_iter=1000)
+            solve_centralized(prob)
     assert len(calls) == 1
 
 
 def test_zero_coupling_maps():
-    sol = solve_centralized(scalar_quadratic(A=0.0, b=0.0, lower=-1.0, upper=1.0), tol=1e-9)
+    sol = solve_centralized(scalar_quadratic(A=0.0, b=0.0, lower=-1.0, upper=1.0))
     assert sol.violation == 0.0
     with pytest.raises(InfeasibleProblemError):
-        solve_centralized(scalar_quadratic(A=0.0, b=1.0, lower=-1.0, upper=1.0), tol=1e-9)
+        solve_centralized(scalar_quadratic(A=0.0, b=1.0, lower=-1.0, upper=1.0))
 
 
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        solve_centralized(FIG7, tol=0.0)
+# Each bundled config's optimum F*, from an independent polish of the same
+# problem.
+BUNDLED_OPTIMA = {
+    "fig7": (CONFIGS / "fig7.cfg", 43.45887588058007),
+    "num_s20": (CONFIGS / "num_s20.cfg", 48.920769787654),
+    "quadratic_m5": (CONFIGS / "quadratic_m5.cfg", 1.61063818799603),
+    "quad_m100": (PERFBENCH / "quad_m100.cfg", -4.131304790797335),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_OPTIMA))
+def test_bundled_configs_are_certified(name):
+    path, f_star = BUNDLED_OPTIMA[name]
+    sol = solve_centralized(parse_config(str(path)).problem)
+    assert sol.violation <= 1e-9
+    assert abs(sol.duality_gap) <= 1e-9 * max(1.0, abs(sol.objective))
+    assert abs(sol.objective - f_star) <= 1e-10
+    assert sol.active_set_passes >= 1 and sol.newton_steps >= 1
+
+
+def test_fig7_optimum_and_multiplier_ray():
+    # x = (1/2, 1/2, 0): sources 1 and 2 (w = 1) each give 20 ln(1/0.6), and
+    # source 3 (w = 1/2) gives 10 ln 10.
+    sol = solve_centralized(FIG7)
+    assert abs(sol.objective - (40 * math.log(1 / 0.6) + 10 * math.log(10))) <= 1e-12
+    # The dual optimum is a ray: lambda_1 + lambda_2 = 100/3 prices link
+    # sharers 1 and 2, and x_3 = 0 needs lambda_2 >= 100.
+    lam1, lam2 = sol.multiplier
+    assert abs(lam1 + lam2 - 100 / 3) <= 1e-9
+    assert lam2 >= 100 - 1e-9
+
+
+def test_uncertified_answer_is_never_returned(monkeypatch):
+    # With no active-set pass the warm start's point is returned to the
+    # certificate, which it fails; fig7 is feasible, so the LP proves nothing.
+    monkeypatch.setattr(reference, "MAX_PASSES", 0)
+    with pytest.raises(UncertifiedSolutionError, match=r"primal residual .* duality gap "):
+        solve_centralized(FIG7)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nnls_matches_scipy(seed):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(k) for k in rng.integers(2, 12, size=2))
+    if seed % 2:
+        # Rank-deficient: every column a combination of a few.
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    else:
+        M = rng.normal(size=(rows, cols))
+    y = rng.normal(size=rows)
+    v = reference.nnls(M, y)
+    expected, rnorm = scipy_optimize.nnls(M, y)
+    assert np.all(v >= 0)
+    assert abs(np.linalg.norm(M @ v - y) - rnorm) <= 1e-10 * max(1.0, rnorm)
+    if np.linalg.matrix_rank(M) == cols:
+        assert np.allclose(v, expected, rtol=0.0, atol=1e-10)
+
+
+def random_instance(rng):
+    """A diagonal quadratic with narrow boxes, some fixed coordinates, a
+    coupling row that is the sum of two others, and an offset b that is
+    sometimes unreachable."""
+    m, p, n = (int(k) for k in rng.integers(1, [10, 6, 4], endpoint=True))
+    A = rng.normal(size=(m, p, n)) * (rng.random((m, p, n)) < 0.6)
+    if p > 2:
+        A[:, -1] = A[:, 0] + A[:, 1]
+    lower = rng.uniform(-2.0, 0.0, (m, n))
+    upper = lower + rng.uniform(0.0, 2.0, (m, n)) * (rng.random((m, n)) < 0.85)
+    b = np.einsum("ipn,in->ip", A, rng.uniform(lower, upper))
+    if rng.random() < 0.3:
+        b = b + rng.normal(size=(m, p))
+    return CoupledProblem(A=A, b=b, lower=lower, upper=upper, gammas=np.ones(m),
+                          diag=rng.uniform(0.01, 10.0, (m, n)), lin=rng.normal(size=(m, n)) * 5)
+
+
+def test_random_instances_are_certified_or_proved_infeasible():
+    # The polish must not cycle: every feasible draw certifies, and an
+    # independent LP agrees with the oracle on which draws are feasible.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5)
+    outcomes = []
+    for _ in range(60):
+        prob = random_instance(rng)
+        A = prob.A.transpose(1, 0, 2).reshape(prob.p, -1)
+        lp = scipy_optimize.linprog(
+            np.zeros(A.shape[1]), A_eq=A, b_eq=prob.b.sum(axis=0),
+            bounds=np.column_stack([prob.lower.ravel(), prob.upper.ravel()]), method="highs")
+        try:
+            sol = solve_centralized(prob)
+        except InfeasibleProblemError:
+            outcomes.append(False)
+            assert lp.status == 2
+        else:
+            outcomes.append(True)
+            assert lp.status == 0
+            assert sol.violation <= reference.RESIDUAL_TOL
+            assert np.all((prob.lower <= sol.x) & (sol.x <= prob.upper))
+            # The LP's vertex is feasible, so it cannot beat the optimum.
+            assert prob.objective_value(lp.x.reshape(prob.lower.shape)) >= sol.objective - 1e-7
+    assert 0 < sum(outcomes) < len(outcomes)
