@@ -4,12 +4,16 @@ One table, ``_SECTIONS``, lists every key: [problem] has one set per
 ``family`` and [graph] one per ``mode``, and any other key is an error. Every
 validation failure raises ConfigError naming the offending "section.field".
 The checked keys go as keywords to the library functions, whose signatures
-hold the defaults. See drdga/configs/ for complete examples.
+hold the defaults. Sizes whose arrays would exceed MAX_ARRAY_BYTES are a
+ConfigError too, raised from the parsed sizes before those arrays are
+allocated. See drdga/configs/ for complete examples.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -61,6 +65,7 @@ class _Field(NamedTuple):
 
 
 _INT, _NUMBER = "an integer", "a number"
+_POOL_SIZE_DEFAULT = inspect.signature(generate_graph_sequence).parameters["pool_size"].default
 _WINDOW = _Field(int, _INT, minimum=1)
 # Section -> (selector key, its default, variant -> key -> _Field). The
 # selector's value picks the variant; a section without one has the variant None.
@@ -134,6 +139,22 @@ def _read_section(parser: configparser.ConfigParser, name: str):
     return variant, fields
 
 
+# The most bytes a config may ask one set of arrays to take: the problem's
+# (m, p, n_max) coupling array, or the graph pool's (pool, m, m) adjacency
+# bools with their float mixing matrices (9 bytes an entry). parse_config
+# estimates both from the parsed sizes before either is allocated.
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def _check_size(what: str, fields: tuple[str, ...], shape: tuple[int, ...], item_bytes: int):
+    """ConfigError naming the field of the longest axis when ``shape``
+    entries of ``item_bytes`` bytes each exceed MAX_ARRAY_BYTES."""
+    nbytes = item_bytes * math.prod(shape)
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{fields[shape.index(max(shape))]}: {what} of shape {shape} would "
+                          f"take {nbytes:.3g} bytes, over the limit of {MAX_ARRAY_BYTES}")
+
+
 def parse_config(
     path,
     *,
@@ -148,8 +169,10 @@ def parse_config(
     passes the same checks, and fails with the same messages, as the value
     it replaces. ``seed`` overrides the graph seed, so a file-mode config
     rejects it; the problem seed stays in the file, pinning the instance.
-    All four sections are checked before any library object is built; the
-    DRDGA step-size rule q * gamma / m >= 4 needs the problem and comes last.
+    All four sections, and the estimated sizes of the problem's coupling
+    array and of the graph pool, are checked before any library object is
+    built (a file-mode pool once its file is read); the DRDGA step-size rule
+    q * gamma / m >= 4 needs the problem and comes last.
     """
     path = Path(path)
     if not path.is_file():
@@ -174,6 +197,21 @@ def parse_config(
         _read_section(parser, name) for name in _SECTIONS
     )
 
+    # Sizes, estimated before anything of that size is allocated. A dims list
+    # without one entry per agent is left to the factory, which rejects it first.
+    if family == "num":
+        m, m_field = problem_fields["routing"].shape[1], "problem.routing"
+    else:
+        m, m_field = problem_fields["m"], "problem.m"
+    dims = problem_fields.get("dims")
+    sized = dims is None or len(dims) == m
+    if family == "quadratic" and sized:
+        _check_size("the coupling array", ("problem.m", "problem.p", "problem.dims"),
+                    (m, problem_fields["p"], max(dims or [1])), 8)
+    if mode == "random-pool" and sized:
+        pool = graph_fields.get("pool_size", _POOL_SIZE_DEFAULT)
+        _check_size("the graph pool", ("graph.pool_size", m_field, m_field), (pool, m, m), 9)
+
     # The factories are looked up in this module's namespace at call time.
     make_problem = make_num_problem if family == "num" else make_quadratic_problem
     try:
@@ -184,8 +222,11 @@ def parse_config(
         edges = path.parent / graph_fields.pop("path")  # an absolute path replaces the parent
         if not edges.is_file():
             raise ConfigError(f"graph.path: {edges} is not a file")
+        text = edges.read_text(encoding="utf-8")
+        _check_size("the graph pool", ("graph.path", m_field, m_field),
+                    (len(text.splitlines()), m, m), 9)
         try:
-            seq = parse_edge_list(edges.read_text(encoding="utf-8"), m=problem.m, **graph_fields)
+            seq = parse_edge_list(text, m=problem.m, **graph_fields)
         except ValueError as exc:
             raise ConfigError(f"graph.path: {exc}") from None
     else:

@@ -1,6 +1,13 @@
 """Per-round observables as column arrays (Metrics), computed a block of round
 states at a time, convergence-bound evaluators, and rate fitting.
 
+The disagreement column, the largest distance between two agents'
+multipliers, is exact. Below SCREEN_MIN_M agents every pair i < j is
+computed. From there on a triangle-inequality screen about the agents' mean
+leaves out the pairs that cannot be the largest, with a slack derived from
+the rounding model (see _disagreement), and computes the others as the pair
+form does, so the column has the same bits either way.
+
 The bound evaluators plug an empirical dual-norm cap D (the running max of
 max_i ||lambda_i[t]|| over a run) into the printed rate expressions. With the
 admissible network constants delta = m^(-m*window) and
@@ -50,21 +57,154 @@ class Metrics:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
-@functools.lru_cache(maxsize=8)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays of the agent pairs i < j."""
-    first, second = np.triu_indices(m, k=1)
+@functools.lru_cache(maxsize=64)
+def _pairs(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the pairs i < j with i < rows and j < cols."""
+    first, second = np.triu_indices(rows, k=1, m=cols)
     first.flags.writeable = second.flags.writeable = False
     return first, second
 
 
-def block_size(m: int, p: int) -> int:
-    """Rounds per block of observables: at most 64, and few enough that a
-    block's pair differences, (B, m(m-1)/2, p), hold about 2^15 floats.
+# From this many agents on, disagreement goes through the radius screen; below
+# it the pair form is as fast or faster (the crossover measured in README.md).
+SCREEN_MIN_M = 24
 
-    Down to one round once a single round's pairs fill that budget.
+
+def block_size(m: int, p: int) -> int:
+    """Rounds per block of observables, at most 64.
+
+    Below SCREEN_MIN_M agents a block's pair differences, (B, m(m-1)/2, p),
+    hold about 2^15 floats, down to one round once a single round's pairs
+    fill that budget. From SCREEN_MIN_M on the screen reads (B, m, p) arrays,
+    and a block holds about 2^13 of their floats: 8 rounds at m = 100, p = 10.
     """
+    if m >= SCREEN_MIN_M:
+        return min(64, max(1, (1 << 13) // (m * p)))
     return min(64, max(1, (1 << 15) // max(1, m * (m - 1) // 2 * p)))
+
+
+def _pair_max(lam: np.ndarray) -> np.ndarray:
+    """Largest squared distance over the agent pairs i < j of each round of a
+    (B, m, p) block: lam[i] - lam[j], squared, summed over p; 0 for m < 2."""
+    first, second = _pairs(lam.shape[1], lam.shape[1])
+    diffs = lam.take(first, axis=1)
+    diffs -= lam.take(second, axis=1)
+    diffs *= diffs
+    return diffs.sum(axis=2).max(axis=1, initial=0.0)
+
+
+def _squared_distances(lam: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """(B, m) squared distances of every lam[b, i] to point[b], summed in
+    whatever order einsum takes, fused or not (the screen's bounds allow any)."""
+    diffs = lam - point[:, None, :]
+    return np.einsum("bmp,bmp->bm", diffs, diffs)
+
+
+# The screen runs where every radius is at most 2^500 and L at least 2^-400:
+# no squared distance can overflow, and underflow is too small to count.
+_SCREEN_RANGE = (2.0**-400, 2.0**500)
+
+
+def _disagreement(lam: np.ndarray) -> np.ndarray:
+    """max_{i<j} ||lam[b, i] - lam[b, j]|| of each round of a (B, m, p) block,
+    with the bits of the pair form: every pair's lam[i] - lam[j], squared and
+    summed over p, then the largest, then one sqrt (sqrt is monotone).
+
+    Below SCREEN_MIN_M agents every pair is computed (``_pair_max``). From
+    there on a triangle-inequality screen leaves out the pairs that cannot be
+    the largest. With c the agents' mean as computed and r_i = ||lam_i - c||,
+    ||lam_i - lam_j|| <= r_i + r_j. Two farthest-point sweeps, from the agent
+    of largest radius and then from the agent farthest from it, give S, the
+    largest squared distance they computed, and L = sqrt(S). A pair stays
+    when fl(r_i + r_j) >= T = fl(L k), k = 1 - s. The pairs that stay are
+    computed as the pair form computes them, each as a row of a contiguous
+    array summed over its last axis (numpy reduces each row alike whatever
+    the leading shape), so their maximum has the pair form's bits.
+
+    The slack s = 4(p + 3)u, u = 2^-53, is derived from the model
+    fl(x op y) = (x op y)(1 + d), |d| <= u, for +, -, *, / and sqrt (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    2.2), with g = gamma_{p+2} = (p + 2)u / (1 - (p + 2)u) (Lemma 3.1 and
+    the notation of section 3.4):
+
+    * Pair values. A squared distance sigma(x, y) computed in any summation
+      order has |sigma - ||x - y||^2| <= g ||x - y||^2: each term
+      (x_k - y_k)^2 carries (1 + d)^2 (1 + d') from the subtraction and the
+      square, and the sum of p such terms, an inner product, at most
+      (1 + theta_p) per term in any order of evaluation (section 3.1; an
+      FMA rounds less). The sweeps, the radii and the pair form all sum in
+      their own orders; the bound covers each.
+    * Radii. The triangle inequality holds about any point, so c is taken to
+      be the float vector the mean rounded to, and rho_i = ||lam_i - c||
+      exactly. Each lam_ik - c_k is then one correctly rounded subtraction of
+      two floats, with relative error at most u however much cancels: a large
+      common offset in the multipliers makes the screen keep more pairs but
+      adds no absolute error term. The computed r_i >= rho_i sqrt(1 - g)(1 - u).
+    * Lower bound. S = sigma(lam_a, lam_b) for a pair a != b, so that pair's
+      value in the pair form is at least S (1 - g) / (1 + g), and
+      L <= sqrt(S)(1 + u), T <= L k (1 + u).
+    * A left-out pair, fl(r_i + r_j) < T, has
+      sigma_ij <= (1 + g)(rho_i + rho_j)^2
+               <= (1 + g) fl(r_i + r_j)^2 / ((1 - g)(1 - u)^4)
+               <  (1 + g) S k^2 (1 + u)^4 / ((1 - g)(1 - u)^4),
+      which is below the pair (a, b)'s value once
+      k <= (1 - g)(1 - u)^2 / ((1 + g)(1 + u)^2). The right side is at least
+      1 - 2g - 4u >= 1 - (2.02 p + 8.04)u for p below 10^13, so s = 4(p + 3)u
+      holds with a margin of at least 5.9u, and k is exact in binary64.
+      A left-out pair is therefore strictly below a pair that stays, and the
+      maximum is among the pairs computed.
+    * Candidates. Rounding is monotone, so a pair that stays has
+      fl(r_i + max r) >= T for both agents, and 2 max(r_i, r_j) >= T. Only
+      ranks a < b with a among the agents of radius >= T / 2 and b among
+      those with fl(r_b + max r) >= T, both counted over the block, are
+      tested against T.
+
+    The model excludes overflow and underflow. A round whose largest radius
+    exceeds 2^500 (or is not finite, as with a nan multiplier) or whose L is
+    below 2^-400 goes through the pair form, unless every lam of the round
+    is equal and finite: then every pair's difference is exactly 0, and so is
+    the answer. Within that range no squared distance exceeds 2^1003, and
+    gradual underflow adds at most p 2^-1075 to a squared distance (half the
+    smallest subnormal per product; Higham, chapter 2): below 2^-200
+    relative to S, inside the slack's margin. L
+    itself can be 0 with lam not all equal, when differences below 2^-537
+    square to 0, so the pair form, not L, decides those rounds.
+    """
+    B, m, p = lam.shape
+    if m < SCREEN_MIN_M:
+        return np.sqrt(_pair_max(lam))
+    rounds = np.arange(B)
+    radius = np.sqrt(_squared_distances(lam, np.matmul(np.full(m, 1.0 / m), lam)))
+    far = _squared_distances(lam, lam[rounds, radius.argmax(axis=1)])
+    farther = _squared_distances(lam, lam[rounds, far.argmax(axis=1)])
+    L = np.sqrt(np.maximum(far.max(axis=1), farther.max(axis=1)))
+    top = radius.max(axis=1)
+    screened = (L >= _SCREEN_RANGE[0]) & (top <= _SCREEN_RANGE[1])
+    out = np.zeros(B)
+    if not screened.all():
+        # Every lam equal and finite: every pair's difference is exactly 0.
+        same = (lam == lam[:, :1]).all(axis=(1, 2)) & np.isfinite(lam[:, 0]).all(axis=1)
+        paired = ~screened & ~same
+        out[paired] = _pair_max(lam[paired])
+        lam, radius, L, top = lam[screened], radius[screened], L[screened], top[screened]
+    if len(lam):
+        threshold = (L * (1.0 - 4 * (p + 3) * 2.0**-53))[:, None]
+        count = int(((radius + top[:, None]) >= threshold).sum(axis=1).max())
+        half = int((2.0 * radius >= threshold).sum(axis=1).max())
+        order = np.argsort(-radius, axis=1)[:, :count]
+        near = np.take_along_axis(radius, order, axis=1)
+        first, second = _pairs(half, count)
+        stays = near.take(first, axis=1) + near.take(second, axis=1) >= threshold
+        rnd, pair = np.nonzero(stays)
+        i, j = order[rnd, first[pair]], order[rnd, second[pair]]
+        diffs = lam[rnd, np.minimum(i, j)]  # lam[i] - lam[j] with i < j, as the pair form
+        diffs -= lam[rnd, np.maximum(i, j)]
+        diffs *= diffs
+        # Left-out pairs read 0: the pair (a, b) of L stays in every round.
+        kept = np.zeros(stays.shape)
+        kept[rnd, pair] = diffs.sum(axis=1)
+        out[screened] = kept.max(axis=1)
+    return np.sqrt(out)
 
 
 def evaluate_rounds(
@@ -87,12 +227,7 @@ def evaluate_rounds(
     objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
     residual = problem.coupling_residual(xs_avg)
     violation = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
-    # Largest pairwise distance; sqrt is monotone, so it is taken once.
-    first, second = _pairs(problem.m)
-    diffs = lam.take(first, axis=1)
-    diffs -= lam.take(second, axis=1)
-    diffs *= diffs
-    disagreement = np.sqrt(diffs.sum(axis=2).max(axis=1, initial=0.0))
+    disagreement = _disagreement(lam)
     max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
     gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
     inst = np.array([s.violation_inst for s in states])

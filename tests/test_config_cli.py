@@ -250,6 +250,66 @@ def test_huge_m_with_run_typo_fails_before_allocating(tmp_path, capsys):
     assert peak < 2**20
 
 
+NO_DIMS = MINIMAL_QUAD.replace("dims = 1 1\n", "")
+ONE_SOURCE_NUM = """
+[problem]
+family = num
+routing = {row}
+capacities = 1
+
+[run]
+q = 4
+"""
+
+
+@pytest.mark.parametrize(
+    "text, edges, message",
+    [  # (20, m, m) adjacency and mixing matrices: 9 bytes an entry, 72 GB at m = 20,000
+     (NO_DIMS.replace("m = 2", "m = 20000"), None, "problem.m: the graph pool"),
+     (ONE_SOURCE_NUM.format(row=" ".join(["1"] * 12000)), None, "problem.routing: the graph pool"),
+     (MINIMAL_QUAD.replace("[graph]\n", "[graph]\npool_size = 1000000000\n"), None,
+      "graph.pool_size: the graph pool"),
+     # (2, p, n_max) coupling array, 8 bytes an entry
+     (MINIMAL_QUAD.replace("p = 1", "p = 100000000000"), None, "problem.p: the coupling array"),
+     (MINIMAL_QUAD.replace("dims = 1 1", "dims = 1 100000000000"), None,
+      "problem.dims: the coupling array"),
+     # 600 rounds of a 500-agent schedule, 1.35 GB, fail before the edges are parsed
+     (NO_DIMS.replace("m = 2", "m = 500").replace("[graph]\nseed = 1",
+                                                "[graph]\nmode = file\npath = edges.txt"),
+      "1>2;2>1\n" * 600, "graph.path: the graph pool")],
+    ids=["m", "routing", "pool_size", "p", "dims", "file"],
+)
+def test_oversized_sizes_fail_before_allocating(tmp_path, capsys, text, edges, message):
+    # The estimate comes from the parsed sizes; nothing near the arrays'
+    # size (over MAX_ARRAY_BYTES, 1 GiB) is allocated before the error.
+    if edges is not None:
+        (tmp_path / "edges.txt").write_text(edges)
+    path = write_cfg(tmp_path, text)
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", path, "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "over the limit of 1073741824" in err
+    assert peak < 2**22
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sizes_at_the_limit_still_parse(tmp_path, monkeypatch):
+    # The limit is on the estimate alone: with it set to the exact bytes of
+    # MINIMAL_QUAD's graph pool (20 entries of 2 x 2 at 9 bytes) the config
+    # parses, and one byte less rejects it.
+    monkeypatch.setattr(drdga.config, "MAX_ARRAY_BYTES", 20 * 2 * 2 * 9)
+    path = write_cfg(tmp_path, MINIMAL_QUAD)
+    assert parse_config(path).seq.adj.shape == (20, 2, 2)
+    monkeypatch.setattr(drdga.config, "MAX_ARRAY_BYTES", 20 * 2 * 2 * 9 - 1)
+    with pytest.raises(ConfigError, match="graph.pool_size: the graph pool of shape"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize(
     "schedule, message",
     [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),

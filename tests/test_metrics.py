@@ -1,10 +1,14 @@
 import dataclasses
 import decimal
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drdga import (
     BoundConstants,
@@ -23,7 +27,7 @@ from drdga import (
     theorem2_bound,
     theorem3_bound,
 )
-from drdga.metrics import evaluate_rounds
+from drdga.metrics import SCREEN_MIN_M, _disagreement, evaluate_rounds
 
 CONSTANT_SETS = [
     dict(m=2, p=3, window=2, q=4.0, D=2.5, G=[1.0, 2.0], gammas=[0.5, 1.5], theta0_l1=1.2),
@@ -251,25 +255,36 @@ def test_metrics_rows_sane_on_run():
     assert np.all(np.isfinite(rows.objective))
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 100])
+def full_pairwise(lam):
+    """Largest distance over every ordered pair of one round's (m, p)
+    multipliers, diagonal included."""
+    diffs = lam[:, None, :] - lam[None, :, :]
+    return float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, SCREEN_MIN_M - 1, SCREEN_MIN_M, 100, 500])
 def test_disagreement_matches_full_pairwise_broadcast(m):
-    # The i < j pairs give the same bits as every ordered pair, diagonal included.
+    # The i < j pairs give the same bits as every ordered pair, diagonal
+    # included, below SCREEN_MIN_M by the pair form and from it on through
+    # the screen. One block holds an all-zero first round and three live ones.
     prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
     state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
     rng = np.random.default_rng(m)
-    for scale in (1e-8, 1.0, 1e6):
-        lam = scale * rng.normal(size=(m, prob.p))
-        rows = evaluate_rounds([dataclasses.replace(state, t=1, lam=lam)], prob)
-        (disagreement,) = rows.disagreement.tolist()
-        diffs = lam[:, None, :] - lam[None, :, :]
-        assert disagreement == float(np.sqrt((diffs * diffs).sum(axis=2)).max())
-        if m == 1:
-            assert disagreement == 0.0
+    lams = [np.zeros((m, prob.p))] + [scale * rng.normal(size=(m, prob.p))
+                                      for scale in (1e-8, 1.0, 1e6)]
+    block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
+    got = evaluate_rounds(block, prob).disagreement.tolist()
+    assert got == [full_pairwise(lam) for lam in lams]
+    assert got[0] == 0.0
+    if m == 1:
+        assert got == [0.0] * len(lams)
     if m < 3:
         return
     # Near tie, through a block of three rounds: every pair but one is at
     # squared distance 2.25, and the pair of agents 0 and 2 one ulp above it.
-    # Their square roots differ too, so picking a wrong pair shows.
+    # Their square roots differ too, so picking a wrong pair shows. From
+    # SCREEN_MIN_M on every radius sum r_0 + r_i equals the lower bound L to
+    # within rounding, so the screen's slack decides each of these pairs.
     e = 2.0**-25.5
     lam = np.zeros((m, prob.p))
     lam[1:, 0] = 1.5
@@ -279,6 +294,90 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
              for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1)]
     for disagreement in evaluate_rounds(block, prob).disagreement.tolist():
         assert disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
+
+
+def antipodal_rounds():
+    # 48 agents at every signed permutation of (1, 2, 3): antipodal pairs +-v
+    # about a mean of exactly 0, every radius sqrt(14), and every antipodal
+    # pair at the triangle bound r_i + r_j. Then the same about an offset, and
+    # with one agent moved out by an ulp in each coordinate.
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    perms = np.array(list(itertools.permutations((1.0, 2.0, 3.0))))
+    v = (signs[:, None, :] * perms[None, :, :]).reshape(-1, 3)
+    nudged = v.copy()
+    nudged[5] = np.nextafter(v[5], 2.0 * v[5])
+    return [v, v + np.array([0.25, -3.0, 7.5]), nudged, nudged[::-1].copy()]
+
+
+def offset_rounds():
+    # A common offset of 1e6 to 1e8 and a spread of a few ulps: every
+    # multiplier difference is exact, most radii tie, and L is ulps wide.
+    offset = np.array([1e6, 3e7, 1e8, -5e7])
+    rng = np.random.default_rng(4)
+    rounds = [offset + np.spacing(offset) * rng.integers(-3, 4, size=(40, 4)) for _ in range(3)]
+    one = np.tile(offset, (40, 1))
+    one[17, 2] = np.nextafter(offset[2], 0.0)  # one agent one ulp away
+    return rounds + [one]
+
+
+def collinear_rounds(scales=(1.0, 3.0, 0.1, 7.0), seeds=range(10), offset=True):
+    # 30 agents on a line through their mean: every pair on opposite sides
+    # of it is at its triangle bound, and the rounding of the radii decides
+    # whether the largest pair stays. Without the slack the screen drops it
+    # in about one round in eight.
+    rounds = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        alpha = rng.normal(size=30)
+        alpha -= alpha.mean()
+        center, direction = offset * 10.0 ** (seed % 5 - 2) * rng.normal(size=3), rng.normal(size=3)
+        rounds += [center + np.outer(scale * alpha, direction) for scale in scales]
+    return rounds
+
+
+def ranked_rounds():
+    # The largest pair, (0.55, 0) and (-0.45, 0), joins the smaller of the two
+    # radii above L / 2 to a radius below it, while (0, 0.6) has the largest
+    # radius: the ranks the screen pairs must reach past its first agent.
+    lam = np.zeros((30, 2))
+    lam[:3] = [[0.55, 0.0], [-0.45, 0.0], [0.0, 0.6]]
+    return [lam, lam[::-1].copy(), lam[:, ::-1].copy(), -lam]
+
+
+def out_of_range_rounds():
+    # Rounds the screen hands to the pair form: squares that overflow,
+    # squares that underflow (at random and on a line), a nan, every lam
+    # equal (0 without pairs), and every lam equal but infinite (nan, as inf - inf).
+    rng = np.random.default_rng(5)
+    huge = 1e200 * rng.normal(size=(30, 3))
+    tiny = 1e-170 * rng.normal(size=(30, 3))
+    tiny_line = collinear_rounds((1e-160, 1e-162), range(3), offset=False)
+    with_nan = rng.normal(size=(30, 3))
+    with_nan[7, 1] = math.nan
+    return [huge, tiny, *tiny_line, with_nan, np.full((30, 3), 2.5), np.full((30, 3), math.inf)]
+
+
+@pytest.mark.parametrize("rounds", [antipodal_rounds, offset_rounds, collinear_rounds,
+                                    ranked_rounds, out_of_range_rounds])
+def test_disagreement_screen_matches_broadcast_on_adversarial_rounds(rounds):
+    lams = rounds()
+    assert len(lams[0]) >= SCREEN_MIN_M
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _disagreement(np.array(lams))
+        want = np.array([full_pairwise(lam) for lam in lams])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 80), st.integers(1, 6), st.integers(1, 80),
+       st.sampled_from([0.0, 1.0, 1e6, 1e8]), st.sampled_from([1.0, 1e-9, 1e4]))
+def test_disagreement_equals_full_broadcast_property(data, B, m, p, distinct, offset, scale):
+    # Random (B, m, p) blocks with repeated agents, some offset far from 0.
+    rows = data.draw(hnp.arrays(np.float64, (B, distinct, p),
+                                elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0])))
+    pick = data.draw(st.lists(st.integers(0, distinct - 1), min_size=m, max_size=m))
+    lam = offset + scale * rows[:, pick]
+    assert _disagreement(lam).tolist() == [full_pairwise(round_lam) for round_lam in lam]
 
 
 def test_round_carries_coupling_terms_of_its_iterate():

@@ -16,7 +16,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from drdga import (
+    ConfigError,
     GraphSequence,
+    InfeasibleProblemError,
     InvalidEdgeError,
     RunConfig,
     advance_round,
@@ -28,9 +30,12 @@ from drdga import (
     make_num_problem,
     make_quadratic_problem,
     metropolis_matrix,
+    parse_config,
     run_until,
+    solve_centralized,
     solve_local,
 )
+from drdga.config import ALGORITHMS
 from drdga.cli import CSV_HEADER, main
 from test_config_cli import MINIMAL_QUAD
 from test_engine import assert_same_run, hand_run
@@ -242,9 +247,9 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
         assert np.all(state.rho == 1.0)
 
 
-# Config fuzzing. The num family is left out: its mutations need their own
-# table of routing and capacity values. Large values are left out too:
-# a large m, p, dims or pool_size allocates before any check can run.
+# Config fuzzing. Large values are left out: a large t_max runs that many
+# rounds. Sizes too large to allocate have their own tests in
+# test_config_cli.py; the num family has its own draws below.
 _KEY_LINES = [i for i, line in enumerate(MINIMAL_QUAD.splitlines()) if "=" in line]
 _DROP, _DUPLICATE = "<drop>", "<duplicate>"
 _VALUES = ("", "abc", "-1", "0", "0.5", "2", "nan", "inf", "-inf")
@@ -271,3 +276,56 @@ def test_mutated_config_is_a_clean_run_or_a_config_error(line_no, mutation):
             for row in out.read_text().splitlines()[1:]:
                 cells = row.split(",")
                 assert not any(math.isnan(float(cells[i])) for i in _NAN_FREE_COLUMNS), row
+
+
+_BAD_CAPACITIES = ("0", "-1", "nan", "inf", "abc")
+_FAULTS = (None, None, None, None, "zero column", "capacity count", "capacity value")
+_SECTION_NAMES = ("experiment", "problem", "graph", "run")
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.sampled_from(_FAULTS), st.data())
+def test_num_config_is_a_certified_run_or_a_named_config_error(links, sources, fault, data):
+    # Random routing matrices and capacities, written as config text, most of
+    # them valid and a few with one fault. A draw is rejected with a
+    # ConfigError naming its section or field, or it runs a few rounds
+    # against an oracle that either certified its answer or proved the
+    # problem infeasible (any other oracle outcome raises here). Capacities
+    # above a link's source count make a draw infeasible.
+    routing = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=sources,
+                                                   max_size=sources),
+                                          min_size=links, max_size=links)), dtype=int)
+    routing[data.draw(st.lists(st.integers(0, links - 1), min_size=sources,
+                               max_size=sources)), np.arange(sources)] = 1
+    capacities = [repr(c) for c in data.draw(st.lists(st.floats(0.05, 4.0), min_size=links,
+                                                      max_size=links))]
+    if fault == "zero column":
+        routing[:, data.draw(st.integers(0, sources - 1))] = 0
+    elif fault == "capacity count":
+        capacities.append("1")
+    elif fault == "capacity value":
+        capacities[data.draw(st.integers(0, links - 1))] = data.draw(
+            st.sampled_from(_BAD_CAPACITIES))
+    text = ("[experiment]\nalgorithm = {}\n\n[problem]\nfamily = num\nrouting =\n{}"
+            "capacities = {}\n\n[graph]\nseed = {}\n\n[run]\nq = {}\nt_max = 6\n").format(
+        data.draw(st.sampled_from(ALGORITHMS)),
+        "".join(f"    {' '.join(map(str, row))}\n" for row in routing), " ".join(capacities),
+        data.draw(seeds), data.draw(st.sampled_from(("1", "4", "10"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "exp.cfg"
+        config.write_text(text)
+        try:
+            exp = parse_config(config)
+        except ConfigError as exc:
+            assert str(exc).split(":")[0].split(".")[0] in _SECTION_NAMES, exc
+            return
+    try:
+        f_star = solve_centralized(exp.problem).objective
+    except InfeasibleProblemError:
+        f_star = None
+    loop = run_until if exp.algorithm == "drdga" else cdda_run_until
+    _, rows, _ = loop(exp.problem, exp.seq, exp.run, f_star=f_star)
+    assert 1 <= len(rows) <= exp.run.t_max
+    for name in CSV_HEADER.split(","):
+        if name != "gap":
+            assert np.all(np.isfinite(getattr(rows, name))), name
+    assert np.all(np.isfinite(rows.gap)) == (f_star is not None)
