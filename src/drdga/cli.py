@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +23,23 @@ from .reference import solve_centralized
 # One column per field of metrics.Metrics, in order: t, then floats.
 _COLUMNS = [f.name for f in dataclasses.fields(metrics.Metrics)]
 CSV_HEADER = ",".join(_COLUMNS)
+# One CSV row; "%.12g" prints nan, inf and -0 as format(v, ".12g") does.
+_ROW = "%d" + ",%.12g" * (len(_COLUMNS) - 1) + "\n"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over
-    ``path``: a failed write leaves neither a partial file nor the temporary."""
+def _write_atomic(path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to a temporary file beside ``path`` as they are made,
+    then rename it over ``path``: a failed write leaves neither a partial
+    file nor the temporary."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
+        with tmp.open("w", encoding="utf-8", newline="\n") as out:
+            out.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -42,9 +48,8 @@ def _write_atomic(path, text: str) -> None:
 
 def write_csv(rows: metrics.Metrics, path) -> None:
     """Serialize metric rows, one line per round, floats at 12 significant digits."""
-    cells = [map(str, rows.t.tolist())]
-    cells += [map(_fmt, getattr(rows, c).tolist()) for c in _COLUMNS[1:]]
-    _write_atomic(path, "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n")
+    columns = [getattr(rows, c).tolist() for c in _COLUMNS]
+    _write_atomic(path, itertools.chain([CSV_HEADER + "\n"], map(_ROW.__mod__, zip(*columns))))
 
 
 def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> None:
@@ -62,7 +67,7 @@ def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> N
         ("theorem2_bound", _fmt(metrics.theorem2_bound(T, constants))),
         ("theorem3_bound", _fmt(metrics.theorem3_bound(T, constants))),
     ]
-    _write_atomic(path, "\n".join(f"{k} = {v}" for k, v in pairs) + "\n")
+    _write_atomic(path, (f"{k} = {v}\n" for k, v in pairs))
 
 
 def run_experiment(exp: Experiment, out_path) -> tuple[str, metrics.Metrics]:

@@ -16,16 +16,19 @@ Every step acts on all agents at once, in the stacked layout of
 :class:`drdga.problem.CoupledProblem`.
 
 States are immutable snapshots: advance_round reads one round and returns the
-next. Each state carries its iterate's per-agent objective values and
-coupling violation, so the stop check and :func:`drdga.metrics.evaluate_rounds`
-are functions of states alone.
+next. Each state carries its iterate's coupling terms and violation; its
+per-agent objective values are computed when first read and then kept, so
+the stop check and :func:`drdga.metrics.evaluate_rounds` are functions of
+states alone, and a round whose violation already exceeds epsilon evaluates
+no objective.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -89,10 +92,11 @@ class RunState:
 
     theta and lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
     (m, n_max), padded like the problem's arrays. terms holds the coupling
-    terms A_i x_i - b_i of x, (m, p), values the per-agent objective values
-    f_i(x_i), (m,), and violation_inst the norm of sum_i (A_i x_i - b_i).
-    ergodic_sum holds sum_{s<=t} (s-1) x[s], the numerator of the weighted
-    running average.
+    terms A_i x_i - b_i of x, (m, p), and violation_inst the norm of
+    sum_i (A_i x_i - b_i). ergodic_sum holds sum_{s<=t} (s-1) x[s], the
+    numerator of the weighted running average. problem is the instance the
+    iterates belong to; values, the per-agent objective values of x, is
+    computed from it when first read.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
     one the agents solved at.
     """
@@ -103,11 +107,17 @@ class RunState:
     lam: np.ndarray
     x: np.ndarray
     terms: np.ndarray
-    values: np.ndarray
     violation_inst: float
     ergodic_sum: np.ndarray
     config: RunConfig
     push_sum: bool
+    problem: CoupledProblem = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Per-agent objective values f_i(x_i) of x, (m,): computed on first
+        read, then kept."""
+        return self.problem.agent_values(self.x)
 
 
 def _violation(terms: np.ndarray) -> float:
@@ -133,11 +143,11 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         lam=np.zeros((m, p)),
         x=x,
         terms=terms,
-        values=problem.agent_values(x),
         violation_inst=_violation(terms),
         ergodic_sum=np.zeros(problem.lower.shape),
         config=config,
         push_sum=push_sum,
+        problem=problem,
     )
 
 
@@ -167,11 +177,11 @@ def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> Ru
         lam=lam if state.push_sum else theta,
         x=x,
         terms=terms,
-        values=problem.agent_values(x),
         violation_inst=_violation(terms),
         ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
         config=state.config,
         push_sum=state.push_sum,
+        problem=problem,
     )
 
 
@@ -213,8 +223,10 @@ def run_rounds(
     state, :class:`drdga.metrics.Metrics` of every round, stop reason). The
     gap column is filled only when the centralized optimum f_star is supplied.
 
-    The stop check runs every round, on the previous and the new state. The
-    observables are computed a block of rounds at a time
+    The stop check tests each round's violation_inst first; only a round
+    whose violation is within epsilon computes the dual-movement and
+    objective-change residuals (:func:`stopping_residuals`) of the previous
+    and the new state. The observables are computed a block of rounds at a time
     (:func:`drdga.metrics.evaluate_rounds`): a block is evaluated when it is
     full, at the stop round and at t_max, and the blocks are joined once.
     """
@@ -229,7 +241,12 @@ def run_rounds(
         prev = state
         state = advance_round(state, problem, pool[state.t % len(pool)])
         block.append(state)
-        if all(r <= config.epsilon for r in stopping_residuals(prev, state)):
+        # The violation is one of the three residuals; testing it first keeps
+        # the decision (a NaN fails either test) and skips the other two
+        # while it stays above epsilon, as it does on every bundled run.
+        if state.violation_inst <= config.epsilon and all(
+            r <= config.epsilon for r in stopping_residuals(prev, state)
+        ):
             reason = STOP_CONVERGED
             break
         if len(block) == size:

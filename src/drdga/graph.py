@@ -72,10 +72,11 @@ def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
     where d_j = 1 + out-degree of j. Each column therefore sums to 1: agent j
     splits its broadcast evenly over itself and its d_j - 1 receivers. The
     result is C-contiguous, so ``W @ theta`` takes the same BLAS path for
-    every pool entry.
+    every pool entry; transposing the bool reach before the multiply makes
+    it so without copying the float product.
     """
     reach = adj | np.eye(len(adj), dtype=bool)
-    return np.ascontiguousarray(reach.T * (1 / (1 + adj.sum(axis=1)))[None, :])
+    return np.ascontiguousarray(reach.T) * (1 / (1 + adj.sum(axis=1)))[None, :]
 
 
 def generate_graph_sequence(

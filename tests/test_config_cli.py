@@ -558,20 +558,27 @@ def test_cli_smoke_run_writes_csv_and_summary(tmp_path, capsys, case):
 
 def _fail_summary_write(monkeypatch, stage):
     """Make the summary's write die halfway, or its rename fail."""
-    real_write, real_replace = Path.write_text, os.replace
+    real_open, real_replace = Path.open, os.replace
 
-    def write_text(self, text, *args, **kwargs):
+    def open_(self, *args, **kwargs):
+        out = real_open(self, *args, **kwargs)
         if stage == "write" and ".summary." in self.name:
-            real_write(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
-        return real_write(self, text, *args, **kwargs)
+            real_writelines = out.writelines
+
+            def writelines(lines):
+                lines = list(lines)
+                real_writelines(lines[: len(lines) // 2])
+                raise OSError("disk full")
+
+            out.writelines = writelines
+        return out
 
     def replace(src, dst):
         if stage == "replace" and str(dst).endswith(".summary"):
             raise OSError("rename refused")
         return real_replace(src, dst)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "open", open_)
     monkeypatch.setattr(os, "replace", replace)
 
 

@@ -232,31 +232,34 @@ def test_dual_norms_stay_bounded():
     assert last <= max(1.1 * first, 1.0)
 
 
-def test_stop_check_evaluates_each_iterate_once(monkeypatch):
-    # Each state carries its iterate's per-agent values, so the stop check
-    # recomputes none: one evaluation of x[0], then one of x[t] per round.
-    # The ergodic averages are evaluated a block of rounds at a time,
-    # (rounds, m, n) per call, and the blocks cover every row exactly once,
-    # in order.
-    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
-    seq = generate_graph_sequence(3, 1, seed=4)
+def count_agent_values(monkeypatch, prob):
+    """Record every array the problem's agent_values is called with, in order."""
     calls = []
     real = type(prob).agent_values
 
     def counting(self, x):
-        calls.append(np.array(x))
+        calls.append(x)
         return real(self, x)
 
     monkeypatch.setattr(type(prob), "agent_values", counting)
-    state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=30, epsilon=1e-300))
-    per_iterate = [x for x in calls if x.ndim == 2]
-    blocks = [x for x in calls if x.ndim == 3]
-    assert len(per_iterate) + len(blocks) == len(calls)
-    assert len(per_iterate) == 1 + len(rows)
-    assert np.array_equal(per_iterate[-1], state.x)
-    averages = np.concatenate(blocks)
+    return calls
+
+
+def test_stop_check_evaluates_no_iterate_while_violation_exceeds_epsilon(monkeypatch):
+    # At epsilon = 1e-300 every round's violation fails the stop test first,
+    # so no state's values are read and no iterate is evaluated. The ergodic
+    # averages are evaluated a block of rounds at a time, (rounds, m, n) per
+    # call, and the blocks cover every row exactly once, in order.
+    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
+    seq = generate_graph_sequence(3, 1, seed=4)
+    config = RunConfig(q=4.0, t_max=30, epsilon=1e-300)
+    x1 = step(init_state(prob, config), prob, seq).x
+    calls = count_agent_values(monkeypatch, prob)
+    state, rows, _ = run_until(prob, seq, config)
+    assert len(rows) == 30 and all(np.ndim(x) == 3 for x in calls)
+    averages = np.concatenate(calls)
     assert len(averages) == len(rows)
-    assert np.array_equal(averages[0], per_iterate[1])  # at t = 1 the average is x[1]
+    assert np.array_equal(averages[0], x1)  # at t = 1 the average is x[1]
     assert np.array_equal(averages[-1], ergodic_average(state))
 
 
@@ -349,3 +352,32 @@ def test_block_flushes_match_per_round_evaluation(loop, push_sum, case):
     got = loop(prob, seq, config, f_star=f_star)
     assert got[0].t == len(got[1]) == stop and got[2] == reason
     assert_same_run(got, hand_run(prob, seq, config, f_star, push_sum))
+
+
+@pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],
+                         ids=["drdga", "cdda"])
+def test_violation_first_stop_matches_full_rule(monkeypatch, loop, push_sum):
+    # An epsilon that the violation meets on earlier rounds whose dual or
+    # objective residual is still above it: the run goes on past those rounds
+    # and stops where the full three-residual rule of hand_run stops. Only
+    # the rounds whose violation passes read values, of their own iterate and
+    # the one before, and each iterate is evaluated at most once.
+    prob, seq, theta0 = converging_setup()
+    probe = RunConfig(q=4.0, t_max=100, epsilon=1e-300, theta0=theta0)
+    _, probe_rows, _, worst = hand_run(prob, seq, probe, None, push_sum)
+    violation = probe_rows.violation_inst
+    stop = first_new_low(worst, lambda t: any(
+        violation[s - 1] <= worst[t - 1] < worst[s - 1] for s in range(1, t)))
+    config = dataclasses.replace(probe, epsilon=worst[stop - 1])
+    passing = [t for t in range(1, stop + 1) if violation[t - 1] <= config.epsilon]
+    assert len(passing) >= 2  # a round past the violation test that did not stop
+
+    want = hand_run(prob, seq, config, None, push_sum)
+    calls = count_agent_values(monkeypatch, prob)
+    got = loop(prob, seq, config)
+    assert got[0].t == stop and got[2] == STOP_CONVERGED
+    assert_same_run(got, want)
+    per_iterate = [x for x in calls if np.ndim(x) == 2]
+    assert len({id(x) for x in per_iterate}) == len(per_iterate)
+    assert len(per_iterate) == len({*passing, *(t - 1 for t in passing)})
+    assert per_iterate[-1] is got[0].x

@@ -45,6 +45,20 @@ def test_weight_matrix_directed_ring():
     assert np.array_equal(W, expected)
 
 
+@pytest.mark.parametrize("m", [3, 100])
+def test_weight_matrix_bytes_match_transposed_float_product(m):
+    # Transposing the bool reach before the multiply gives the bytes of the
+    # former expression, which transposed the float product and copied it.
+    rng = np.random.default_rng(m)
+    for adj in rng.random((5, m, m)) < rng.random((5, 1, 1)):
+        np.fill_diagonal(adj, False)
+        reach = adj | np.eye(m, dtype=bool)
+        former = np.ascontiguousarray(reach.T * (1 / (1 + adj.sum(axis=1)))[None, :])
+        W = build_weight_matrix(adj)
+        assert W.flags.c_contiguous and W.dtype == former.dtype
+        assert W.tobytes() == former.tobytes()
+
+
 def test_weight_matrix_rejects_out_of_range_and_self_loops():
     # Edges are checked once, when the sequence is read or built.
     with pytest.raises(InvalidEdgeError, match=r"edge \(1, 4\) references an agent outside \[1, 3\]"):
