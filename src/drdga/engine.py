@@ -15,12 +15,13 @@ lambda = u, and the step is unregularized.
 Every step acts on all agents at once, in the stacked layout of
 :class:`drdga.problem.CoupledProblem`.
 
-States are immutable snapshots: advance_round reads one round and returns the
-next. Each state carries its iterate's coupling terms and violation; its
-per-agent objective values are computed when first read and then kept, so
-the stop check and :func:`drdga.metrics.evaluate_rounds` are functions of
-states alone, and a round whose violation already exceeds epsilon evaluates
-no objective.
+The run loop computes a block of rounds at a time. Its kernel
+(:func:`_advance_block`) runs only the recurrence, into preallocated rows;
+the checks (rho > 0, lambda finite), violations, ergodic sums and stop test
+then run once per block as array operations, and each round keeps the
+result and exception it would have had alone. Rounds computed past a stop
+or failed check are dropped. A :class:`RunState` snapshot of one round is
+built only where one is read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import metrics
 from .errors import ConfigError, InvalidInputError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
-from .problem import CoupledProblem, _sum_agents, solve_local
+from .problem import CoupledProblem, _sum_agents, minimize_lagrangian
 
 STOP_CONVERGED = "converged"
 STOP_T_MAX = "t_max"
@@ -98,7 +99,8 @@ class RunState:
     iterates belong to; values, the per-agent objective values of x, is
     computed from it when first read.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
-    one the agents solved at.
+    one the agents solved at. The run loop builds a state only for the
+    rounds its stop test reads and for each block's last round.
     """
 
     t: int
@@ -120,12 +122,6 @@ class RunState:
         return self.problem.agent_values(self.x)
 
 
-def _violation(terms: np.ndarray) -> float:
-    """Norm of sum_i (A_i x_i - b_i) of one iterate, from its (m, p) coupling terms."""
-    residual = _sum_agents(terms)
-    return math.sqrt(residual.dot(residual))  # np.linalg.norm's own sqrt(x.dot(x))
-
-
 def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
     """Round-0 state: rho = 1, everything else zero unless theta0 is given.
 
@@ -143,7 +139,7 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         lam=np.zeros((m, p)),
         x=x,
         terms=terms,
-        violation_inst=_violation(terms),
+        violation_inst=float(metrics.norms(_sum_agents(terms))),
         ergodic_sum=np.zeros(problem.lower.shape),
         config=config,
         push_sum=push_sum,
@@ -151,38 +147,127 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
     )
 
 
-def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> RunState:
-    """One synchronous round on mixing matrix W: mix, normalize, solve locally, ascend the dual."""
-    t_next = state.t + 1
-    beta = state.config.beta(t_next)
+class _Block:
+    """Preallocated rows for up to ``size`` consecutive rounds, reused block
+    after block. lam is the multiplier the agents solved at (u / rho, or u
+    with push-sum off); ergodic row k + 1 is the sum of row k's round, and
+    row 0 the sum the block starts from."""
 
-    u = W @ state.theta
+    def __init__(self, problem: CoupledProblem, size: int):
+        m, p, n = problem.m, problem.p, problem.lower.shape[1]
+        self.theta, self.lam, self.terms = (np.empty((size, m, p)) for _ in range(3))
+        self.rho, self.x = np.empty((size, m)), np.empty((size, m, n))
+        self.violation, self.ergodic = np.empty(size), np.empty((size + 1, m, n))
+
+    def state(self, k: int, start: RunState) -> RunState:
+        """Row k, copied, as the state it is; ``start`` is the block's starting state."""
+        theta, push_sum = self.theta[k].copy(), start.push_sum
+        return RunState(
+            start.t + k + 1, theta, self.rho[k].copy() if push_sum else start.rho,
+            self.lam[k].copy() if push_sum else theta, self.x[k].copy(), self.terms[k].copy(),
+            float(self.violation[k]), self.ergodic[k + 1].copy(), start.config, push_sum,
+            start.problem)
+
+
+def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
+                   fails: str | None = None) -> None:
+    """The round kernel: the recurrence alone for the ``count`` rounds after
+    ``state``, into block rows 0 ... count - 1. Round t mixes with
+    pool[(t - 1) % len(pool)]. Nothing is checked; a non-finite or
+    non-positive value only propagates. ``fails``, "rho" or "lam", ends the
+    last round where the check it fails would run."""
+    theta, rho, config, push_sum = state.theta, state.rho, state.config, state.push_sum
+    gammas = problem.gammas[:, None]
+    for k in range(count):
+        t = state.t + k + 1
+        W = pool[(t - 1) % len(pool)]
+        u = W @ theta
+        if push_sum:
+            rho = block.rho[k] = W @ rho
+            if fails == "rho" and k == count - 1:
+                return
+            lam = u / rho[:, None]
+        else:
+            lam = u
+        if fails == "lam" and k == count - 1:
+            return
+        x = minimize_lagrangian(problem, lam)
+        terms = problem.coupling_terms(x)
+        step = terms - gammas * lam if push_sum else terms
+        theta = u + config.beta(t) * step
+        block.theta[k], block.lam[k], block.x[k], block.terms[k] = theta, lam, x, terms
+
+
+def _fill_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block) -> int:
+    """The kernel, then the rounds' violations, ergodic sums and checks as
+    array operations. Returns the first row whose rho is non-positive or
+    whose lam is not finite, or count."""
+    _advance_block(state, problem, pool, count, block)
+    block.violation[:count] = metrics.norms(_sum_agents(block.terms[:count], axis=1))
+    # A running sum over time of [carry, (t-1) x_t, ...] adds round after round.
+    sums = block.ergodic[: count + 1]
+    sums[0] = state.ergodic_sum
+    np.multiply(np.arange(state.t, state.t + count)[:, None, None], block.x[:count], out=sums[1:])
+    np.add.accumulate(sums, axis=0, out=sums)
+    bad = ~np.isfinite(block.lam[:count]).all(axis=(1, 2))
     if state.push_sum:
-        rho = W @ state.rho
-        if (rho <= 0).any():
-            raise InvariantError(f"push-sum weight became non-positive at round {t_next}")
-        lam = u / rho[:, None]
-    else:
-        rho, lam = state.rho, u
+        bad |= (block.rho[:count] <= 0).any(axis=1)
+    return int(bad.argmax()) if bad.any() else count
 
-    x = solve_local(problem, lam)
-    terms = problem.coupling_terms(x)
-    step = terms - problem.gammas[:, None] * lam if state.push_sum else terms
-    theta = u + beta * step
 
-    return RunState(
-        t=t_next,
-        theta=theta,
-        rho=rho,
-        lam=lam if state.push_sum else theta,
-        x=x,
-        terms=terms,
-        violation_inst=_violation(terms),
-        ergodic_sum=state.ergodic_sum + (t_next - 1) * x,
-        config=state.config,
-        push_sum=state.push_sum,
-        problem=problem,
-    )
+def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
+               epsilon: float | None = None) -> tuple[int, RunState, bool]:
+    """The ``count`` rounds after ``state``, checked, and stop-tested when
+    ``epsilon`` is given. Returns (rounds kept, last kept state, converged).
+
+    The rounds are computed speculatively, floating-point errors recorded,
+    not raised. A failed check raises as round by round: the first failing
+    round, rho before lam, unless an earlier round stopped the run. The stop
+    test reads a round's violation first, then :func:`stopping_residuals`
+    of it and the round before, each state built once. Rounds past the stop
+    or failure are dropped silently; after a recorded error the rounds kept,
+    and a failing round up to its check, run again to warn as they would.
+    """
+    flagged = []
+    with np.errstate(all="call", call=lambda *error: flagged.append(error)):
+        failed = _fill_block(state, problem, pool, count, block)
+
+    @functools.cache
+    def at(k: int) -> RunState:
+        return state if k < 0 else block.state(k, state)
+
+    kept, converged, fails = failed, False, None
+    if epsilon is not None:
+        # A NaN violation fails either test; while it exceeds epsilon, as on
+        # every bundled run, the other two residuals are not computed.
+        for k in np.flatnonzero(block.violation[:failed] <= epsilon).tolist():
+            if all(r <= epsilon for r in stopping_residuals(at(k - 1), at(k))):
+                kept, converged = k + 1, True
+                break
+    if not converged and failed < count:
+        fails = "rho" if state.push_sum and (block.rho[failed] <= 0).any() else "lam"
+    if flagged and kept:
+        _fill_block(state, problem, pool, kept, block)
+    if flagged and fails:
+        _advance_block(at(failed - 1), problem, pool, 1, block, fails)
+    if fails == "rho":
+        raise InvariantError(f"push-sum weight became non-positive at round {state.t + failed + 1}")
+    if fails == "lam":
+        raise InvalidInputError("lambda must be finite")
+    return kept, at(kept - 1), converged
+
+
+def _mixing_pool(matrices, m: int) -> tuple:
+    """The round matrices as a tuple, each checked to be (m, m)."""
+    for W in matrices:
+        if np.shape(W) != (m, m):
+            raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
+    return tuple(matrices)
+
+
+def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> RunState:
+    """One synchronous round on mixing matrix W: the kernel and checks of a block of one."""
+    return _run_block(state, problem, _mixing_pool([W], problem.m), 1, _Block(problem, 1))[1]
 
 
 def ergodic_average(state: RunState) -> np.ndarray:
@@ -223,38 +308,25 @@ def run_rounds(
     state, :class:`drdga.metrics.Metrics` of every round, stop reason). The
     gap column is filled only when the centralized optimum f_star is supplied.
 
-    The stop check tests each round's violation_inst first; only a round
-    whose violation is within epsilon computes the dual-movement and
-    objective-change residuals (:func:`stopping_residuals`) of the previous
-    and the new state. The observables are computed a block of rounds at a time
-    (:func:`drdga.metrics.evaluate_rounds`): a block is evaluated when it is
-    full, at the stop round and at t_max, and the blocks are joined once.
+    The rounds run a block at a time (:func:`_run_block`); the observables
+    of the rounds a block keeps are computed in one batched pass
+    (:func:`drdga.metrics.evaluate_rounds`), and the blocks joined once.
     """
     if seq.m != problem.m:
         raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
     state = init_state(problem, config, push_sum)
-    pool = [mixing(adj) for adj in seq.adj]
-    size = metrics.block_size(problem.m, problem.p)
-    block, parts = [], []
-    reason = STOP_T_MAX
-    while state.t < config.t_max:
-        prev = state
-        state = advance_round(state, problem, pool[state.t % len(pool)])
-        block.append(state)
-        # The violation is one of the three residuals; testing it first keeps
-        # the decision (a NaN fails either test) and skips the other two
-        # while it stays above epsilon, as it does on every bundled run.
-        if state.violation_inst <= config.epsilon and all(
-            r <= config.epsilon for r in stopping_residuals(prev, state)
-        ):
-            reason = STOP_CONVERGED
-            break
-        if len(block) == size:
-            parts.append(metrics.evaluate_rounds(block, problem, f_star))
-            block = []
-    if block:
-        parts.append(metrics.evaluate_rounds(block, problem, f_star))
-    return state, metrics.Metrics.concat(parts), reason
+    pool = _mixing_pool([mixing(adj) for adj in seq.adj], problem.m)
+    block = _Block(problem, metrics.block_size(problem.m, problem.p))
+    parts, converged = [], False
+    while not converged and state.t < config.t_max:
+        count = min(len(block.violation), config.t_max - state.t)
+        start = state.t
+        kept, state, converged = _run_block(state, problem, pool, count, block, config.epsilon)
+        lam = block.lam if push_sum else block.theta
+        parts.append(metrics.evaluate_rounds(
+            np.arange(start + 1, start + kept + 1), lam[:kept], block.x[:kept],
+            block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star))
+    return state, metrics.Metrics.concat(parts), STOP_CONVERGED if converged else STOP_T_MAX
 
 
 def run_until(

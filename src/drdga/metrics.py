@@ -1,5 +1,5 @@
-"""Per-round observables as column arrays (Metrics), computed a block of round
-states at a time, convergence-bound evaluators, and rate fitting.
+"""Per-round observables as column arrays (Metrics), computed a block of rounds
+at a time from their stacked arrays, convergence-bound evaluators, and rate fitting.
 
 The disagreement column, the largest distance between two agents'
 multipliers, is exact. Below SCREEN_MIN_M agents every pair i < j is
@@ -207,10 +207,18 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def evaluate_rounds(
-    states: list[RunState], problem: CoupledProblem, f_star: float | None = None
-) -> Metrics:
-    """Observables of completed rounds of one run, in order, in one batched pass.
+def norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of a (..., p) stack, with the bits of its own
+    np.linalg.norm: sqrt(r . r)."""
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
+def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: CoupledProblem,
+                    f_star: float | None = None) -> Metrics:
+    """Observables of completed rounds of one run, in one batched pass over
+    their stacked arrays: rounds t (B,), reported multipliers lam (B, m, p),
+    iterates x and ergodic sums (B, m, n_max), and violations (B,); q is
+    the step-size constant.
 
     At t = 1 the ergodic average is not yet defined and the instantaneous
     iterate stands in for it. gap is nan without f_star. Each round has the
@@ -218,21 +226,18 @@ def evaluate_rounds(
     calls, sums over agents run left to right, and the violation norm is each
     round's sqrt(r . r).
     """
-    t = np.array([s.t for s in states])
-    lam = np.array([s.lam for s in states])
     # t(t-1)/2 is 0 at t = 1, where x stands in: dividing by 1 keeps it.
     denom = np.maximum(t * (t - 1) / 2.0, 1.0)
-    xs_avg = np.array([s.ergodic_sum if s.t >= 2 else s.x for s in states])
-    xs_avg /= denom[:, None, None]
+    xs_avg = ergodic_sum / denom[:, None, None]
+    first = t == 1
+    xs_avg[first] = x[first]
     objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
-    residual = problem.coupling_residual(xs_avg)
-    violation = np.sqrt(np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0])
+    violation = norms(problem.coupling_residual(xs_avg))
     disagreement = _disagreement(lam)
     max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
     gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
-    inst = np.array([s.violation_inst for s in states])
-    beta = states[0].config.beta(t)
-    return Metrics(t, objective, gap, violation, inst, disagreement, max_lambda, beta)
+    inst = violation_inst.copy()  # the caller's rows may be reused
+    return Metrics(t, objective, gap, violation, inst, disagreement, max_lambda, q / t)
 
 
 @dataclass(frozen=True)

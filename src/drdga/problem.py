@@ -56,7 +56,9 @@ class CoupledProblem:
     ``family`` (the family's tag class) and ``modulus``, the (m,)
     strong-convexity moduli of the f_i on their boxes: the smallest diag entry
     over each agent's free coordinates, or 20 w / 1.21 for the log family,
-    and inf for an agent with no free coordinate.
+    and inf for an agent with no free coordinate. ``A_T`` (each A_i
+    transposed, (m, n, p)) and, for the log family, ``scale`` (20 w, (m, 1))
+    are the local solve's constants.
     """
 
     A: np.ndarray
@@ -110,7 +112,10 @@ class CoupledProblem:
         # Free coordinates only: a fixed one is a constant and has no curvature.
         modulus = np.where(self.lower < self.upper, curvature, np.inf).min(axis=1)
         family = DiagonalQuadratic if quadratic else LogUtility
-        for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus)):
+        # The local solve's constants, derived once rather than every round.
+        scale = None if quadratic else RATE_UTILITY_SCALE * self.weights[:, None]
+        for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus),
+                            ("A_T", self.A.swapaxes(1, 2)), ("scale", scale)):
             object.__setattr__(self, name, value)
 
     @property
@@ -168,8 +173,15 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(lam).all():
         raise InvalidInputError("lambda must be finite")
+    return minimize_lagrangian(problem, lam)
+
+
+def minimize_lagrangian(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
+    """:func:`solve_local` without its checks, for a float (m, p) ``lam``;
+    a non-finite one gives a meaningless x. The round kernel checks its
+    rounds a block at a time."""
     # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
-    price = np.matmul(problem.A.swapaxes(1, 2), lam[:, :, None])[:, :, 0]
+    price = np.matmul(problem.A_T, lam[:, :, None])[:, :, 0]
     if problem.family is DiagonalQuadratic:
         # Stationarity diag*x + lin + price = 0, clipped to the box.
         x = (-problem.lin - price) / problem.diag
@@ -179,8 +191,7 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
         positive = price > 0
         x = np.where(
             positive,
-            RATE_UTILITY_SCALE * problem.weights[:, None] / np.where(positive, price, 1.0)
-            - RATE_UTILITY_OFFSET,
+            problem.scale / np.where(positive, price, 1.0) - RATE_UTILITY_OFFSET,
             problem.upper,
         )
     # np.clip's bits for finite and NaN input, at less call overhead.

@@ -33,7 +33,7 @@ from drdga import (
     theorem3_bound,
 )
 from drdga.cli import main as cli_main
-from drdga.metrics import evaluate_rounds
+from test_engine import evaluate_states
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")
 S20_CFG = str(files("drdga") / "configs" / "num_s20.cfg")
@@ -223,7 +223,7 @@ def test_criterion_9_descent_inequality_residuals():
     for _ in range(50):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], problem, W))
-    rows = evaluate_rounds(states[1:], problem)
+    rows = evaluate_states(states[1:], problem)
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)
     worst = np.inf

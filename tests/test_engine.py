@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from drdga import (
     ConfigError,
     GraphSequence,
     InvalidInputError,
+    InvariantError,
     RunConfig,
     advance_round,
     build_weight_matrix,
@@ -24,7 +26,7 @@ from drdga import (
 )
 from drdga import baseline, engine
 from drdga.engine import STOP_CONVERGED, STOP_T_MAX, stopping_residuals
-from drdga.metrics import Metrics, block_size, evaluate_rounds
+from drdga.metrics import SCREEN_MIN_M, Metrics, block_size, evaluate_rounds
 
 
 def fig7():
@@ -191,6 +193,20 @@ def test_graph_of_the_wrong_size_rejected_before_mixing(monkeypatch, module, bui
     assert calls == []
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (4, 3), (3, 4), (3,)])
+def test_mixing_matrix_of_the_wrong_shape_rejected(shape):
+    # The kernel runs unchecked: a (1, 3) matrix would broadcast into every
+    # agent's row. advance_round and the run loop check each matrix first.
+    prob, seq = fig7(), generate_graph_sequence(3, 1, seed=1)
+    state = init_state(prob, RunConfig(q=4.0))
+    message = rf"mixing matrix has shape \({', '.join(map(str, shape))},?\), expected \(3, 3\)"
+    with pytest.raises(InvalidInputError, match=message):
+        advance_round(state, prob, np.full(shape, 0.5))
+    with pytest.raises(InvalidInputError, match=message):
+        engine.run_rounds(prob, seq, RunConfig(q=4.0, t_max=10), None,
+                          lambda adj: np.full(shape, 0.5), True)
+
+
 def test_run_until_hits_round_cap():
     prob, seq = single_agent_setup()
     state, rows, reason = run_until(prob, seq, RunConfig(q=1.0, t_max=2, epsilon=1e-300))
@@ -269,8 +285,14 @@ def assert_carries_its_iterate(state, prob):
     assert state.violation_inst == float(np.linalg.norm(prob.coupling_residual(state.x)))
 
 
+def evaluate_states(states, prob, f_star=None):
+    """evaluate_rounds of a list of round states, their arrays stacked."""
+    return evaluate_rounds(*(np.array([getattr(s, name) for s in states]) for name in (
+        "t", "lam", "x", "ergodic_sum", "violation_inst")), states[0].config.q, prob, f_star)
+
+
 def hand_run(prob, seq, config, f_star, push_sum):
-    """The run loop spelled out: advance_round stepped by hand, evaluate_rounds
+    """The run loop spelled out: advance_round stepped by hand, evaluate_states
     of every state alone, and the stop rule on each round, after checking the
     values it reads against an evaluation of the iterate itself.
 
@@ -284,7 +306,7 @@ def hand_run(prob, seq, config, f_star, push_sum):
         prev = state
         state = advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
         assert_carries_its_iterate(state, prob)
-        blocks.append(evaluate_rounds([state], prob, f_star=f_star))
+        blocks.append(evaluate_states([state], prob, f_star=f_star))
         measures = stopping_residuals(prev, state)
         worst.append(max(measures))
         if all(r <= config.epsilon for r in measures):
@@ -330,19 +352,40 @@ def first_new_low(worst, wanted):
     raise AssertionError("no such round")
 
 
+def log_setup():
+    """fig7's log-utility problem on its graph seed, from theta0 = 0."""
+    return fig7(), generate_graph_sequence(3, 1, seed=7), None
+
+
+def wide_setup():
+    """A quadratic instance past SCREEN_MIN_M agents, in blocks of 8 rounds."""
+    prob = make_quadratic_problem(m=100, p=10, dims=2, seed=3, tau_min=1.0, gamma=1.0)
+    return prob, generate_graph_sequence(100, 1, seed=5, pool_size=5), None
+
+
 @pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],
                          ids=["drdga", "cdda"])
-@pytest.mark.parametrize("case", ["converged-mid-block", "converged-on-block-end",
-                                  "t_max-mid-block"])
-def test_block_flushes_match_per_round_evaluation(loop, push_sum, case):
-    prob, seq, theta0 = converging_setup()
+@pytest.mark.parametrize("setup, case", [
+    (converging_setup, "converged-mid-block"),
+    (converging_setup, "converged-on-block-end"),
+    (converging_setup, "t_max-mid-block"),
+    (log_setup, "t_max-mid-block"),
+    (wide_setup, "t_max-mid-block"),
+], ids=["converged-mid-block", "converged-on-block-end", "t_max-mid-block",
+        "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block"])
+def test_block_flushes_match_per_round_evaluation(loop, push_sum, setup, case):
+    prob, seq, theta0 = setup()
     B = block_size(prob.m, prob.p)
-    assert B == 64
+    if setup is wide_setup:  # the disagreement screen, in short blocks
+        assert prob.m >= SCREEN_MIN_M and B <= 8
+    else:
+        assert B == 64
     f_star = -0.25
     probe = RunConfig(q=4.0, t_max=3 * B, epsilon=1e-300, theta0=theta0)
     worst = hand_run(prob, seq, probe, f_star, push_sum)[3]
     if case == "t_max-mid-block":
-        config, stop, reason = dataclasses.replace(probe, t_max=2 * B + 13), 2 * B + 13, STOP_T_MAX
+        stop = 2 * B + min(13, B // 2 + 1)
+        config, reason = dataclasses.replace(probe, t_max=stop), STOP_T_MAX
     else:
         if case == "converged-mid-block":  # a quarter or more into a later block
             stop = first_new_low(worst, lambda t: t > B and t % B >= B // 4)
@@ -352,6 +395,133 @@ def test_block_flushes_match_per_round_evaluation(loop, push_sum, case):
     got = loop(prob, seq, config, f_star=f_star)
     assert got[0].t == len(got[1]) == stop and got[2] == reason
     assert_same_run(got, hand_run(prob, seq, config, f_star, push_sum))
+
+
+def edited_pool(seq, push_sum, entry, edit):
+    """The run's mixing matrices with pool entry ``entry`` (first used in
+    round entry + 1) replaced by edit(W), and a ``mixing`` for run_rounds
+    that hands them out in order."""
+    builder = build_weight_matrix if push_sum else metropolis_matrix
+    pool = [builder(adj) for adj in seq.adj]
+    pool[entry] = edit(pool[entry].copy())
+    matrices = iter(pool)
+    return pool, lambda adj: next(matrices)
+
+
+def stepped_by_hand(prob, pool, config, push_sum):
+    """advance_round stepped by hand to t_max; returns the exception raised
+    and the round it was raised in."""
+    state = init_state(prob, config, push_sum)
+    try:
+        while state.t < config.t_max:
+            state = advance_round(state, prob, pool[state.t % len(pool)])
+    except Exception as error:
+        return error, state.t + 1
+    raise AssertionError("no round failed")
+
+
+def zero_first_row(W):
+    W[0] = 0.0  # rho_0 = 0, and u_0 / rho_0 = 0 / 0 in the rounds computed after
+    return W
+
+
+def nan_corner(W):
+    W[0, 0] = np.nan  # lambda_0 = nan: quiet NaNs raise no floating-point flag
+    return W
+
+
+@pytest.mark.parametrize("push_sum, edit, error, message", [
+    (True, zero_first_row, InvariantError, "push-sum weight became non-positive at round 21"),
+    (True, nan_corner, InvalidInputError, "lambda must be finite"),
+    (False, nan_corner, InvalidInputError, "lambda must be finite"),
+], ids=["drdga-rho", "drdga-lambda", "cdda-lambda"])
+def test_failing_round_mid_block_raises_as_stepped_by_hand(push_sum, edit, error, message):
+    # Round 21 fails a check a third of the way into the first block, whose
+    # other rounds the kernel has computed too. The run raises what stepping
+    # advance_round by hand raises, in the same round, and warns of nothing.
+    prob, _, theta0 = converging_setup()
+    seq = generate_graph_sequence(3, 1, seed=4, pool_size=30)
+    pool, mixing = edited_pool(seq, push_sum, 20, edit)
+    config = RunConfig(q=4.0, t_max=200, epsilon=1e-300, theta0=theta0)
+    assert block_size(prob.m, prob.p) > 21
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_hand, round_failed = stepped_by_hand(prob, pool, config, push_sum)
+        with pytest.raises(error) as raised:
+            engine.run_rounds(prob, seq, config, None, mixing, push_sum)
+    assert round_failed == 21 and type(by_hand) is error
+    assert str(raised.value) == str(by_hand) == message
+    if edit is zero_first_row:
+        # Unchecked, round 21 and those after it divide 0 / 0: the warnings
+        # the run swallowed were there to raise.
+        state = init_state(prob, config, push_sum)
+        for _ in range(20):
+            state = advance_round(state, prob, pool[state.t % len(pool)])
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            engine._advance_block(state, prob, pool, 10, engine._Block(prob, 10))
+
+
+@pytest.mark.parametrize("ignored, error, message", [
+    (("over", "invalid"), InvalidInputError, "lambda must be finite"),
+    (("over",), RuntimeWarning, "invalid value encountered in matmul"),
+], ids=["overflow-and-invalid-ignored", "overflow-ignored"])
+def test_lambda_overflow_raises_as_stepped_by_hand(ignored, error, message):
+    # theta0 = 1e308 overflows fig7's multipliers to inf, and round 2 fails
+    # the finiteness check; the rest of the block is computed after it. With
+    # overflow and invalid operations ignored (as a caller running such a
+    # config would) the run raises that error. With only overflow ignored,
+    # round 2's own mixing meets inf - inf before its check, and the run
+    # raises that warning first, as stepping advance_round by hand does.
+    prob, seq = fig7(), generate_graph_sequence(3, 1, seed=7)
+    config = RunConfig(q=4.0, t_max=100, epsilon=0.01, theta0=np.full((3, 2), 1e308))
+    pool = [build_weight_matrix(adj) for adj in seq.adj]
+    with warnings.catch_warnings(), np.errstate(**dict.fromkeys(ignored, "ignore")):
+        warnings.simplefilter("error")
+        by_hand, round_failed = stepped_by_hand(prob, pool, config, True)
+        with pytest.raises(error) as raised:
+            run_until(prob, seq, config)
+    assert type(by_hand) is error and str(raised.value) == str(by_hand) == message
+    assert round_failed == 2 < block_size(prob.m, prob.p)
+
+
+def test_failing_round_raises_before_its_stop_test():
+    # At epsilon = float max round 1 passes the stop test, but its rho is
+    # negative: the check comes first, as it does round by round.
+    prob, seq = fig7(), generate_graph_sequence(3, 1, seed=7)
+
+    def negate_first_row(W):
+        W[0] = -W[0]
+        return W
+
+    pool, mixing = edited_pool(seq, True, 0, negate_first_row)
+    config = RunConfig(q=4.0, t_max=100, epsilon=sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantError, match="non-positive at round 1$"):
+            engine.run_rounds(prob, seq, config, None, mixing, True)
+    assert run_until(prob, seq, config)[2] == STOP_CONVERGED
+
+
+@pytest.mark.parametrize("push_sum, edit", [(True, zero_first_row), (False, nan_corner)],
+                         ids=["drdga", "cdda"])
+def test_stop_before_failing_round_in_same_block(push_sum, edit):
+    # The run converges in round k and round k + 5 of the same block would
+    # fail its check: the run stops converged at k, as hand_run does, and
+    # the rounds computed past k neither raise nor warn.
+    prob, _, theta0 = converging_setup()
+    seq = generate_graph_sequence(3, 1, seed=4, pool_size=64)
+    probe = RunConfig(q=4.0, t_max=64, epsilon=1e-300, theta0=theta0)
+    worst = hand_run(prob, seq, probe, None, push_sum)[3]
+    stop = first_new_low(worst, lambda t: 16 <= t <= 40)
+    config = dataclasses.replace(probe, epsilon=worst[stop - 1])
+    pool, mixing = edited_pool(seq, push_sum, stop + 4, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine.run_rounds(prob, seq, config, None, mixing, push_sum)
+        error, round_failed = stepped_by_hand(prob, pool, probe, push_sum)
+    assert isinstance(error, (InvariantError, InvalidInputError)) and round_failed == stop + 5
+    assert got[0].t == stop and got[2] == STOP_CONVERGED
+    assert_same_run(got, hand_run(prob, seq, config, None, push_sum))
 
 
 @pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],

@@ -27,7 +27,8 @@ from drdga import (
     theorem2_bound,
     theorem3_bound,
 )
-from drdga.metrics import SCREEN_MIN_M, _disagreement, evaluate_rounds
+from drdga.metrics import SCREEN_MIN_M, _disagreement
+from test_engine import evaluate_states
 
 CONSTANT_SETS = [
     dict(m=2, p=3, window=2, q=4.0, D=2.5, G=[1.0, 2.0], gammas=[0.5, 1.5], theta0_l1=1.2),
@@ -137,7 +138,7 @@ def quad_run(rounds=12, m=3, seed=2):
     for _ in range(rounds):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = evaluate_rounds(states[1:], prob)
+    rows = evaluate_states(states[1:], prob)
     return prob, seq, states, rows
 
 
@@ -160,7 +161,7 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     for _ in range(6):
         W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
         states.append(advance_round(states[-1], prob, W))
-    rows = evaluate_rounds(states[1:], prob)
+    rows = evaluate_states(states[1:], prob)
     c = constants_from_run(prob, seq.window, 1.0, rows)
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     for k in range(len(states) - 1):
@@ -273,7 +274,7 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     lams = [np.zeros((m, prob.p))] + [scale * rng.normal(size=(m, prob.p))
                                       for scale in (1e-8, 1.0, 1e6)]
     block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
-    got = evaluate_rounds(block, prob).disagreement.tolist()
+    got = evaluate_states(block, prob).disagreement.tolist()
     assert got == [full_pairwise(lam) for lam in lams]
     assert got[0] == 0.0
     if m == 1:
@@ -292,7 +293,7 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     assert 1.5**2 + e * e == np.nextafter(2.25, 3.0)
     block = [dataclasses.replace(state, t=t, lam=near_tie)
              for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1)]
-    for disagreement in evaluate_rounds(block, prob).disagreement.tolist():
+    for disagreement in evaluate_states(block, prob).disagreement.tolist():
         assert disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
 
 
