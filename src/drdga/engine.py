@@ -151,13 +151,18 @@ class _Block:
     """Preallocated rows for up to ``size`` consecutive rounds, reused block
     after block. lam is the multiplier the agents solved at (u / rho, or u
     with push-sum off); ergodic row k + 1 is the sum of row k's round, and
-    row 0 the sum the block starts from."""
+    row 0 the sum the block starts from. The kernel's row views (``rows``),
+    (m, p) scratch arrays and gamma broadcast to (m, p) are made once."""
 
     def __init__(self, problem: CoupledProblem, size: int):
         m, p, n = problem.m, problem.p, problem.lower.shape[1]
         self.theta, self.lam, self.terms = (np.empty((size, m, p)) for _ in range(3))
         self.rho, self.x = np.empty((size, m)), np.empty((size, m, n))
         self.violation, self.ergodic = np.empty(size), np.empty((size + 1, m, n))
+        self.rows = list(zip(self.theta, self.rho, self.rho[..., None], self.lam, self.x,
+                             self.terms))
+        self.u, self.step = np.empty((m, p)), np.empty((m, p))
+        self.gammas = np.repeat(problem.gammas[:, None], p, axis=1)
 
     def state(self, k: int, start: RunState) -> RunState:
         """Row k, copied, as the state it is; ``start`` is the block's starting state."""
@@ -175,27 +180,37 @@ def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int, b
     ``state``, into block rows 0 ... count - 1. Round t mixes with
     pool[(t - 1) % len(pool)]. Nothing is checked; a non-finite or
     non-positive value only propagates. ``fails``, "rho" or "lam", ends the
-    last round where the check it fails would run."""
-    theta, rho, config, push_sum = state.theta, state.rho, state.config, state.push_sum
-    gammas = problem.gammas[:, None]
-    for k in range(count):
-        t = state.t + k + 1
-        W = pool[(t - 1) % len(pool)]
-        u = W @ theta
+    last round where the check it fails would run.
+
+    Each step is one numpy call into a block row or scratch array, on full
+    arrays derived once where a round alone would broadcast, in that round's
+    order, so every bit and floating-point error is its own; beta comes from
+    one q / (t, ..., t + count - 1) row, bit for bit q / t."""
+    theta, rho, push_sum = state.theta, state.rho, state.push_sum
+    u, step, gammas = block.u, block.step, block.gammas
+    last = count - 1 if fails else -1
+    betas = state.config.q / np.arange(state.t + 1, state.t + count + 1)
+    mixing = [pool[t % len(pool)] for t in range(state.t, state.t + count)]
+    for k, W, (theta_k, rho_k, rho_col, lam, x, terms) in zip(range(count), mixing, block.rows):
         if push_sum:
-            rho = block.rho[k] = W @ rho
-            if fails == "rho" and k == count - 1:
+            np.matmul(W, theta, out=u)
+            rho = np.matmul(W, rho, out=rho_k)
+            if k == last and fails == "rho":
                 return
-            lam = u / rho[:, None]
+            np.divide(u, rho_col, out=lam)
         else:
-            lam = u
-        if fails == "lam" and k == count - 1:
+            u = np.matmul(W, theta, out=lam)
+        if k == last:
             return
-        x = minimize_lagrangian(problem, lam)
-        terms = problem.coupling_terms(x)
-        step = terms - gammas * lam if push_sum else terms
-        theta = u + config.beta(t) * step
-        block.theta[k], block.lam[k], block.x[k], block.terms[k] = theta, lam, x, terms
+        minimize_lagrangian(problem, lam, out=x)
+        problem.coupling_terms(x, out=terms)
+        if push_sum:
+            np.multiply(gammas, lam, out=step)
+            np.subtract(terms, step, out=step)
+            np.multiply(betas[k, ...], step, out=step)
+        else:
+            np.multiply(betas[k, ...], terms, out=step)
+        theta = np.add(u, step, out=theta_k)
 
 
 def _fill_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block) -> int:
@@ -310,16 +325,18 @@ def run_rounds(
 
     The rounds run a block at a time (:func:`_run_block`); the observables
     of the rounds a block keeps are computed in one batched pass
-    (:func:`drdga.metrics.evaluate_rounds`), and the blocks joined once.
+    (:func:`drdga.metrics.evaluate_rounds`), and the blocks joined once. A
+    block started after round t has at most max(64, t // 4) rounds, so a run
+    that stops at round k has computed at most max(63, k // 4) rounds past k.
     """
     if seq.m != problem.m:
         raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
     state = init_state(problem, config, push_sum)
     pool = _mixing_pool([mixing(adj) for adj in seq.adj], problem.m)
-    block = _Block(problem, metrics.block_size(problem.m, problem.p))
+    block = _Block(problem, min(metrics.block_size(problem.m, problem.p), config.t_max))
     parts, converged = [], False
     while not converged and state.t < config.t_max:
-        count = min(len(block.violation), config.t_max - state.t)
+        count = min(len(block.violation), max(64, state.t // 4), config.t_max - state.t)
         start = state.t
         kept, state, converged = _run_block(state, problem, pool, count, block, config.epsilon)
         lam = block.lam if push_sum else block.theta

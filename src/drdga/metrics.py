@@ -71,16 +71,21 @@ SCREEN_MIN_M = 24
 
 
 def block_size(m: int, p: int) -> int:
-    """Rounds per block of observables, at most 64.
+    """Rounds per block of the run loop's kernel and observables.
 
     Below SCREEN_MIN_M agents a block's pair differences, (B, m(m-1)/2, p),
-    hold about 2^15 floats, down to one round once a single round's pairs
-    fill that budget. From SCREEN_MIN_M on the screen reads (B, m, p) arrays,
-    and a block holds about 2^13 of their floats: 8 rounds at m = 100, p = 10.
+    hold about 2^15 floats, at most 256 rounds (the kernel keeps six row
+    views a round, about 0.8 KiB) and down to one round once a single
+    round's pairs fill that budget: 256 for fig7. The run loop
+    starts no block longer than max(64, t // 4) rounds at round t, so short
+    runs and early stops keep blocks of 64. From SCREEN_MIN_M on the screen
+    reads (B, m, p) arrays, and a block holds about 2^13 of their floats, at
+    most 64 rounds: 8 at m = 100, p = 10 (README.md gives the measured
+    time and memory of longer blocks there).
     """
     if m >= SCREEN_MIN_M:
         return min(64, max(1, (1 << 13) // (m * p)))
-    return min(64, max(1, (1 << 15) // max(1, m * (m - 1) // 2 * p)))
+    return min(256, max(1, (1 << 15) // max(1, m * (m - 1) // 2 * p)))
 
 
 def _pair_max(lam: np.ndarray) -> np.ndarray:
@@ -207,6 +212,31 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _max_norm(lam: np.ndarray) -> np.ndarray:
+    """max_i ||lam[b, i]|| of each round of a (B, m, p) block."""
+    return np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
+
+
+def _rescaled(norm, lam: np.ndarray) -> np.ndarray:
+    """norm(lam), for a norm of each round of a (B, m, p) block, without a
+    spurious overflow. Its squares overflow from about 1.3e154; a round
+    whose result is then not finite while its lam is finite is computed
+    again at lam 2^-e, exactly, with max |lam| < 2^e, and scaled back by
+    2^e: inf only where the norm itself exceeds the float range. The other
+    rounds keep their bits."""
+    with np.errstate(over="ignore"):
+        out = norm(lam)
+    redo = ~np.isfinite(out)
+    if redo.any():
+        redo &= np.isfinite(lam).all(axis=(1, 2))
+    if redo.any():
+        e = np.frexp(abs(lam[redo]).max(axis=(1, 2)))[1]
+        # Entries below 2^(e - 1074) lose bits to underflow, far below the norm's last bit.
+        with np.errstate(under="ignore"):
+            out[redo] = np.ldexp(norm(np.ldexp(lam[redo], -e[:, None, None])), e)
+    return out
+
+
 def norms(rows: np.ndarray) -> np.ndarray:
     """The norm of each row of a (..., p) stack, with the bits of its own
     np.linalg.norm: sqrt(r . r)."""
@@ -233,8 +263,8 @@ def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: C
     xs_avg[first] = x[first]
     objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
     violation = norms(problem.coupling_residual(xs_avg))
-    disagreement = _disagreement(lam)
-    max_lambda = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
+    disagreement = _rescaled(_disagreement, lam)
+    max_lambda = _rescaled(_max_norm, lam)
     gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
     inst = violation_inst.copy()  # the caller's rows may be reused
     return Metrics(t, objective, gap, violation, inst, disagreement, max_lambda, q / t)

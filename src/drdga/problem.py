@@ -57,8 +57,9 @@ class CoupledProblem:
     strong-convexity moduli of the f_i on their boxes: the smallest diag entry
     over each agent's free coordinates, or 20 w / 1.21 for the log family,
     and inf for an agent with no free coordinate. ``A_T`` (each A_i
-    transposed, (m, n, p)) and, for the log family, ``scale`` (20 w, (m, 1))
-    are the local solve's constants.
+    transposed, (m, n, p)) and ``minus_lin`` (-lin) or, for the log family,
+    ``scale`` (20 w) and ``offset`` (0.1), each (m, n), are the local
+    solve's constants.
     """
 
     A: np.ndarray
@@ -112,10 +113,14 @@ class CoupledProblem:
         # Free coordinates only: a fixed one is a constant and has no curvature.
         modulus = np.where(self.lower < self.upper, curvature, np.inf).min(axis=1)
         family = DiagonalQuadratic if quadratic else LogUtility
-        # The local solve's constants, derived once rather than every round.
-        scale = None if quadratic else RATE_UTILITY_SCALE * self.weights[:, None]
+        # The local solve's constants, derived once rather than every round,
+        # as full (m, n) arrays: a ufunc broadcasts a column or a scalar slower.
+        minus_lin, scale, offset = (-self.lin, None, None) if quadratic else (
+            None, np.full((m, n), RATE_UTILITY_SCALE) * self.weights[:, None],
+            np.full((m, n), RATE_UTILITY_OFFSET))
         for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus),
-                            ("A_T", self.A.swapaxes(1, 2)), ("scale", scale)):
+                            ("A_T", self.A.swapaxes(1, 2)), ("minus_lin", minus_lin),
+                            ("scale", scale), ("offset", offset)):
             object.__setattr__(self, name, value)
 
     @property
@@ -147,12 +152,15 @@ class CoupledProblem:
     def objective_value(self, x) -> float:
         return float(_sum_agents(self.agent_values(x)))
 
-    def coupling_terms(self, x) -> np.ndarray:
+    def coupling_terms(self, x, out=None) -> np.ndarray:
         """Per-agent coupling terms A_i x_i - b_i of stacked iterates x,
         (..., m, n_max) to (..., m, p), with leading batch dimensions as in
-        :meth:`agent_values`."""
+        :meth:`agent_values`. Written into ``out`` when given, an array of
+        the result's shape that does not overlap x (the round kernel's row)."""
         x = np.asarray(x, dtype=float)
-        return np.matmul(self.A, x[..., None])[..., 0] - self.b
+        out = np.empty(x.shape[:-1] + (self.p,)) if out is None else out
+        np.matmul(self.A, x[..., None], out=out[..., None])
+        return np.subtract(out, self.b, out=out)
 
     def coupling_residual(self, x) -> np.ndarray:
         """sum_i (A_i x_i - b_i), (..., p); zero exactly on coupling-feasible points."""
@@ -176,26 +184,28 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
     return minimize_lagrangian(problem, lam)
 
 
-def minimize_lagrangian(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
+def minimize_lagrangian(problem: CoupledProblem, lam: np.ndarray, out=None) -> np.ndarray:
     """:func:`solve_local` without its checks, for a float (m, p) ``lam``;
     a non-finite one gives a meaningless x. The round kernel checks its
-    rounds a block at a time."""
+    rounds a block at a time and passes its (m, n_max) row as ``out``,
+    which x is written into."""
+    x = np.empty(problem.lower.shape) if out is None else out
     # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
-    price = np.matmul(problem.A_T, lam[:, :, None])[:, :, 0]
+    price = np.matmul(problem.A_T, lam[..., None])[..., 0]
     if problem.family is DiagonalQuadratic:
         # Stationarity diag*x + lin + price = 0, clipped to the box.
-        x = (-problem.lin - price) / problem.diag
+        np.subtract(problem.minus_lin, price, out=x)
+        np.divide(x, problem.diag, out=x)
     else:
-        # Stationarity 20 w / (x + 0.1) = price. A non-positive price leaves
-        # the inner objective decreasing on the box: x sits at the upper bound.
-        positive = price > 0
-        x = np.where(
-            positive,
-            problem.scale / np.where(positive, price, 1.0) - RATE_UTILITY_OFFSET,
-            problem.upper,
-        )
+        # Stationarity 20 w / (x + 0.1) = price. A non-positive (or NaN) price
+        # leaves the inner objective decreasing on the box: x = inf, divided by
+        # nothing, which the clip takes to the upper bound.
+        x.fill(np.inf)
+        np.divide(problem.scale, price, out=x, where=price > 0.0)
+        np.subtract(x, problem.offset, out=x)
     # np.clip's bits for finite and NaN input, at less call overhead.
-    return np.minimum(np.maximum(x, problem.lower), problem.upper)
+    np.maximum(x, problem.lower, out=x)
+    return np.minimum(x, problem.upper, out=x)
 
 
 def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:

@@ -333,8 +333,8 @@ def assert_same_run(got, want):
 def converging_setup():
     """A ragged quadratic instance whose unconstrained minimizer is
     coupling-feasible: from theta0 != 0 both algorithms keep reaching new
-    lows of their largest stop measure past the first block of rounds."""
-    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
+    lows of their largest stop measure past round 1,000, in grown blocks."""
+    prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=1.0)
     x0 = solve_local(prob, np.zeros((3, 2)))
     prob = dataclasses.replace(prob, b=prob.b + prob.coupling_terms(x0))
     theta0 = np.full((3, 2), 2.0)
@@ -363,6 +363,29 @@ def wide_setup():
     return prob, generate_graph_sequence(100, 1, seed=5, pool_size=5), None
 
 
+def stop_measures(prob, seq, config, push_sum):
+    """The largest stop measure of each round, advance_round stepped by hand."""
+    mixing = build_weight_matrix if push_sum else metropolis_matrix
+    state, worst = init_state(prob, config, push_sum), []
+    while state.t < config.t_max:
+        prev, state = state, advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
+        worst.append(max(stopping_residuals(prev, state)))
+    return worst
+
+
+def kernel_calls(monkeypatch):
+    """Record (first round, rounds) of every call of the round kernel."""
+    calls = []
+    real = engine._advance_block
+
+    def recording(state, problem, pool, count, block, fails=None):
+        calls.append((state.t + 1, count))
+        return real(state, problem, pool, count, block, fails)
+
+    monkeypatch.setattr(engine, "_advance_block", recording)
+    return calls
+
+
 @pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],
                          ids=["drdga", "cdda"])
 @pytest.mark.parametrize("setup, case", [
@@ -371,30 +394,70 @@ def wide_setup():
     (converging_setup, "t_max-mid-block"),
     (log_setup, "t_max-mid-block"),
     (wide_setup, "t_max-mid-block"),
+    (converging_setup, "t_max-past-growth"),
+    (log_setup, "t_max-past-growth"),
 ], ids=["converged-mid-block", "converged-on-block-end", "t_max-mid-block",
-        "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block"])
-def test_block_flushes_match_per_round_evaluation(loop, push_sum, setup, case):
+        "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block",
+        "t_max-past-growth", "log_fig7-t_max-past-growth"])
+def test_block_flushes_match_per_round_evaluation(monkeypatch, loop, push_sum, setup, case):
+    # The run loop starts blocks of 64 rounds through round 320, then blocks
+    # of a quarter of the rounds run, up to block_size: the cases sit in the
+    # grown block of rounds 321-400 (80 rounds), and "past-growth" runs to
+    # round 1,500, through blocks of 100 to 244 rounds and a block of
+    # block_size's 256 rounds from round 1,221. At m = 100 the blocks stay
+    # at block_size's 8 rounds; the case sits in the third block, rounds 17-24.
     prob, seq, theta0 = setup()
     B = block_size(prob.m, prob.p)
     if setup is wide_setup:  # the disagreement screen, in short blocks
         assert prob.m >= SCREEN_MIN_M and B <= 8
+        start, end = 2 * B, 3 * B
     else:
-        assert B == 64
+        assert B == 256
+        start, end = 320, 400
     f_star = -0.25
-    probe = RunConfig(q=4.0, t_max=3 * B, epsilon=1e-300, theta0=theta0)
-    worst = hand_run(prob, seq, probe, f_star, push_sum)[3]
-    if case == "t_max-mid-block":
-        stop = 2 * B + min(13, B // 2 + 1)
+    probe = RunConfig(q=4.0, t_max=end, epsilon=1e-300, theta0=theta0)
+    if case == "t_max-past-growth":
+        stop = 1500
+        config, reason = dataclasses.replace(probe, t_max=stop), STOP_T_MAX
+    elif case == "t_max-mid-block":
+        stop = start + min(13, (end - start) // 2 + 1)
         config, reason = dataclasses.replace(probe, t_max=stop), STOP_T_MAX
     else:
-        if case == "converged-mid-block":  # a quarter or more into a later block
-            stop = first_new_low(worst, lambda t: t > B and t % B >= B // 4)
+        worst = stop_measures(prob, seq, probe, push_sum)
+        if case == "converged-mid-block":  # a quarter or more into the block
+            stop = first_new_low(worst, lambda t: start + (end - start) // 4 <= t < end)
         else:
-            stop = first_new_low(worst, lambda t: t % B == 0)
+            stop = first_new_low(worst, lambda t: t == end)
         config, reason = dataclasses.replace(probe, epsilon=worst[stop - 1]), STOP_CONVERGED
+    calls = kernel_calls(monkeypatch)
     got = loop(prob, seq, config, f_star=f_star)
     assert got[0].t == len(got[1]) == stop and got[2] == reason
+    if case != "t_max-past-growth":
+        assert (start + 1, min(end, config.t_max) - start) in calls
+    else:
+        assert [count for _, count in calls] == [64] * 5 + [80, 100, 125, 156, 195, 244, 256, 24]
     assert_same_run(got, hand_run(prob, seq, config, f_star, push_sum))
+
+
+@pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],
+                         ids=["drdga", "cdda"])
+def test_rounds_computed_past_a_stop_are_bounded(monkeypatch, loop, push_sum):
+    # A run that converges in round k computes at most max(63, k // 4)
+    # rounds past k, counted over every kernel call: a block started at
+    # round t has at most max(64, t // 4) rounds.
+    prob, seq, theta0 = converging_setup()
+    probe = RunConfig(q=4.0, t_max=1500, epsilon=1e-300, theta0=theta0)
+    worst = stop_measures(prob, seq, probe, push_sum)
+    calls = kernel_calls(monkeypatch)
+    past = []
+    for after in (0, 100, 330, 700, 1400):
+        stop = first_new_low(worst, lambda t: t > after)
+        calls.clear()
+        state, _, reason = loop(prob, seq, dataclasses.replace(probe, epsilon=worst[stop - 1]))
+        assert state.t == stop and reason == STOP_CONVERGED
+        past.append(max(first + count - 1 for first, count in calls) - stop)
+        assert past[-1] <= max(63, stop // 4)
+    assert max(past) > 63  # a grown block was cut short
 
 
 def edited_pool(seq, push_sum, entry, edit):
@@ -461,27 +524,60 @@ def test_failing_round_mid_block_raises_as_stepped_by_hand(push_sum, edit, error
             engine._advance_block(state, prob, pool, 10, engine._Block(prob, 10))
 
 
-@pytest.mark.parametrize("ignored, error, message", [
-    (("over", "invalid"), InvalidInputError, "lambda must be finite"),
-    (("over",), RuntimeWarning, "invalid value encountered in matmul"),
-], ids=["overflow-and-invalid-ignored", "overflow-ignored"])
-def test_lambda_overflow_raises_as_stepped_by_hand(ignored, error, message):
+def huge_first_row(W):
+    W[0] = 1e308  # u_0 and rho_0 overflow to inf, and lambda_0 = inf / inf
+    return W
+
+
+@pytest.mark.parametrize("failing_round, ignored, error, message", [
+    (2, ("over", "invalid"), InvalidInputError, "lambda must be finite"),
+    (2, ("over",), RuntimeWarning, "invalid value encountered in matmul"),
+    (350, ("over", "invalid"), InvalidInputError, "lambda must be finite"),
+    (350, ("over",), RuntimeWarning, "invalid value encountered in divide"),
+    (350, (), RuntimeWarning, "overflow encountered in matmul"),
+], ids=["overflow-and-invalid-ignored", "overflow-ignored", "late-overflow-and-invalid-ignored",
+        "late-overflow-ignored", "late-nothing-ignored"])
+def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, ignored, error,
+                                                   message):
     # theta0 = 1e308 overflows fig7's multipliers to inf, and round 2 fails
     # the finiteness check; the rest of the block is computed after it. With
     # overflow and invalid operations ignored (as a caller running such a
     # config would) the run raises that error. With only overflow ignored,
     # round 2's own mixing meets inf - inf before its check, and the run
     # raises that warning first, as stepping advance_round by hand does.
-    prob, seq = fig7(), generate_graph_sequence(3, 1, seed=7)
-    config = RunConfig(q=4.0, t_max=100, epsilon=0.01, theta0=np.full((3, 2), 1e308))
-    pool = [build_weight_matrix(adj) for adj in seq.adj]
-    with warnings.catch_warnings(), np.errstate(**dict.fromkeys(ignored, "ignore")):
-        warnings.simplefilter("error")
-        by_hand, round_failed = stepped_by_hand(prob, pool, config, True)
-        with pytest.raises(error) as raised:
-            run_until(prob, seq, config)
-    assert type(by_hand) is error and str(raised.value) == str(by_hand) == message
-    assert round_failed == 2 < block_size(prob.m, prob.p)
+    # In the late cases a mixing matrix whose first row is 1e308 fails round
+    # 350, inside the grown block of rounds 321-400: the block's recorded
+    # errors make the run compute rounds 321-349, and round 350 up to its
+    # check, again with errors reported. With every warning shown instead of
+    # raised, the run shows the warnings stepping by hand shows, in order.
+    prob = fig7()
+    late = failing_round > 2
+    seq = generate_graph_sequence(3, 1, seed=7, pool_size=400 if late else 20)
+    config = RunConfig(q=4.0, t_max=500, epsilon=0.01,
+                       theta0=None if late else np.full((3, 2), 1e308))
+    edit = huge_first_row if late else (lambda W: W)
+    pool = edited_pool(seq, True, failing_round - 1, edit)[0]
+    calls = kernel_calls(monkeypatch)
+    for action, raises, text in (("error", error, message),
+                                 ("always", InvalidInputError, "lambda must be finite")):
+        with warnings.catch_warnings(record=True) as shown, \
+                np.errstate(**dict.fromkeys(ignored, "ignore")):
+            warnings.simplefilter(action)
+            by_hand, round_failed = stepped_by_hand(prob, pool, config, True)
+            by_hand_shown = [str(w.message) for w in shown]
+            shown.clear()
+            calls.clear()
+            with pytest.raises(raises) as raised:
+                engine.run_rounds(prob, seq, config, None,
+                                  edited_pool(seq, True, failing_round - 1, edit)[1], True)
+        assert type(by_hand) is raises and str(raised.value) == str(by_hand) == text
+        assert [str(w.message) for w in shown] == by_hand_shown
+        assert round_failed == failing_round
+    assert by_hand_shown[:1] == ([message] if error is RuntimeWarning else [])
+    if late:
+        assert calls[-3:] == [(321, 80), (321, 29), (350, 1)]
+    else:
+        assert calls[0] == (1, 64)
 
 
 def test_failing_round_raises_before_its_stop_test():

@@ -21,6 +21,7 @@ from drdga import (
     generate_graph_sequence,
     init_state,
     lemma2_residual,
+    make_num_problem,
     make_quadratic_problem,
     rate_fit,
     run_until,
@@ -379,6 +380,69 @@ def test_disagreement_equals_full_broadcast_property(data, B, m, p, distinct, of
     pick = data.draw(st.lists(st.integers(0, distinct - 1), min_size=m, max_size=m))
     lam = offset + scale * rows[:, pick]
     assert _disagreement(lam).tolist() == [full_pairwise(round_lam) for round_lam in lam]
+
+
+def huge_rounds(m):
+    """A live round at scale 1, then rounds of (m, 3) multipliers whose
+    squares overflow, some with entries that underflow once scaled."""
+    rng = np.random.default_rng(m)
+    mixed = 1e300 * rng.normal(size=(m, 3))
+    mixed[::2, 1] = 1e-300
+    return [rng.normal(size=(m, 3)), 1e200 * rng.normal(size=(m, 3)), mixed,
+            np.full((m, 3), 1e250)]
+
+
+@pytest.mark.parametrize("m", [5, SCREEN_MIN_M + 6])
+def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
+    # Finite multipliers above about 1.3e154 square to inf. A round whose
+    # max_lambda or disagreement is then not finite while its lam is finite
+    # is computed again at an exact power-of-two scale, without warning; it
+    # is inf, with an overflow warning, only where the norm itself exceeds
+    # the float range. Every other round keeps the bits of the plain
+    # sqrt(r . r), a non-finite lam's too.
+    prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
+    state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
+    lams = huge_rounds(m)
+    block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = evaluate_states(block, prob)
+    live = lams[0]
+    assert rows.max_lambda[0] == np.sqrt((live * live).sum(axis=1)).max()
+    assert rows.disagreement[0] == full_pairwise(live)
+    for lam, got_max, got_pairs in zip(lams[1:], rows.max_lambda[1:], rows.disagreement[1:]):
+        want_max = max(math.hypot(*agent) for agent in lam)
+        want_pairs = max(math.dist(lam[i], lam[j]) for i, j in itertools.combinations(range(m), 2))
+        assert math.isfinite(want_max) and math.isclose(got_max, want_max, rel_tol=1e-15)
+        assert got_pairs == want_pairs or math.isclose(got_pairs, want_pairs, rel_tol=1e-15)
+    assert rows.disagreement[-1] == 0.0
+    apart = np.zeros((m, 3))
+    apart[0, 0], apart[1, 0] = 1.5e308, -1.5e308  # 3e308 apart
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rows = evaluate_states([dataclasses.replace(state, t=1, lam=apart)], prob)
+    assert rows.max_lambda[0] == 1.5e308 and rows.disagreement[0] == math.inf
+    with_inf = live.copy()
+    with_inf[1, 2] = math.inf
+    with np.errstate(invalid="ignore"):
+        rows = evaluate_states([dataclasses.replace(state, t=1, lam=with_inf)], prob)
+        want = _disagreement(with_inf[None])
+    assert rows.max_lambda[0] == math.inf and rows.disagreement.tobytes() == want.tobytes()
+
+
+def test_fig7_with_huge_theta0_keeps_finite_dual_norms():
+    # theta0 = 1e200: fig7's multipliers stay finite, near 1e192-1e200, and
+    # so do max_lambda, disagreement from round 2 on, and the bound constant D.
+    prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
+    seq = generate_graph_sequence(3, 1, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=50,
+                                                        theta0=np.full((3, 2), 1e200)))
+    assert abs(state.lam).max() > 1e154 and np.isfinite(rows.max_lambda).all()
+    assert np.isfinite(rows.disagreement).all() and rows.disagreement[1] > 1e154
+    assert math.isclose(rows.max_lambda[-1], max(math.hypot(*agent) for agent in state.lam),
+                        rel_tol=1e-15)
+    assert math.isfinite(constants_from_run(prob, 1, 4.0, rows).D)
 
 
 def test_round_carries_coupling_terms_of_its_iterate():
