@@ -17,7 +17,6 @@ from .config import Experiment, parse_config
 from .engine import (
     RunConfig,
     RunState,
-    advance_round,
     ergodic_average,
     init_state,
     run_until,
@@ -77,7 +76,6 @@ __all__ = [
     "RunConfig",
     "RunState",
     "UncertifiedSolutionError",
-    "advance_round",
     "build_weight_matrix",
     "cdda_run_until",
     "compute_G_bound",

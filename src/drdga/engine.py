@@ -16,12 +16,13 @@ Every step acts on all agents at once, in the stacked layout of
 :class:`drdga.problem.CoupledProblem`.
 
 The run loop computes a block of rounds at a time. Its kernel
-(:func:`_advance_block`) runs only the recurrence, into preallocated rows;
-the checks (rho > 0, lambda finite), violations, ergodic sums and stop test
-then run once per block as array operations, and each round keeps the
-result and exception it would have had alone. Rounds computed past a stop
-or failed check are dropped. A :class:`RunState` snapshot of one round is
-built only where one is read.
+(:func:`_advance_block`) runs only the recurrence, into preallocated rows,
+with numpy's floating-point errors ignored; the checks (rho > 0, lambda
+finite), violations, ergodic sums and stop test then run once per block as
+array operations. The two checks are a round's only failures: each round
+keeps the result and exception it would have had alone. Rounds computed
+past a stop or failed check are dropped. A :class:`RunState` snapshot of
+one round is built only where one is read.
 """
 
 from __future__ import annotations
@@ -174,34 +175,29 @@ class _Block:
             start.problem)
 
 
-def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
-                   fails: str | None = None) -> None:
+def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int,
+                   block: _Block) -> None:
     """The round kernel: the recurrence alone for the ``count`` rounds after
     ``state``, into block rows 0 ... count - 1. Round t mixes with
     pool[(t - 1) % len(pool)]. Nothing is checked; a non-finite or
-    non-positive value only propagates. ``fails``, "rho" or "lam", ends the
-    last round where the check it fails would run.
+    non-positive value only propagates, and :func:`_run_block` runs the
+    kernel with floating-point errors ignored.
 
     Each step is one numpy call into a block row or scratch array, on full
     arrays derived once where a round alone would broadcast, in that round's
-    order, so every bit and floating-point error is its own; beta comes from
-    one q / (t, ..., t + count - 1) row, bit for bit q / t."""
+    order, so every bit is its own; beta comes from one
+    q / (t, ..., t + count - 1) row, bit for bit q / t."""
     theta, rho, push_sum = state.theta, state.rho, state.push_sum
     u, step, gammas = block.u, block.step, block.gammas
-    last = count - 1 if fails else -1
     betas = state.config.q / np.arange(state.t + 1, state.t + count + 1)
     mixing = [pool[t % len(pool)] for t in range(state.t, state.t + count)]
     for k, W, (theta_k, rho_k, rho_col, lam, x, terms) in zip(range(count), mixing, block.rows):
         if push_sum:
             np.matmul(W, theta, out=u)
             rho = np.matmul(W, rho, out=rho_k)
-            if k == last and fails == "rho":
-                return
             np.divide(u, rho_col, out=lam)
         else:
             u = np.matmul(W, theta, out=lam)
-        if k == last:
-            return
         minimize_lagrangian(problem, lam, out=x)
         problem.coupling_terms(x, out=terms)
         if push_sum:
@@ -213,11 +209,22 @@ def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int, b
         theta = np.add(u, step, out=theta_k)
 
 
-def _fill_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block) -> int:
-    """The kernel, then the rounds' violations, ergodic sums and checks as
-    array operations. Returns the first row whose rho is non-positive or
-    whose lam is not finite, or count."""
-    _advance_block(state, problem, pool, count, block)
+def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
+               epsilon: float | None = None) -> tuple[int, RunState, bool]:
+    """The ``count`` rounds after ``state``, checked, and stop-tested when
+    ``epsilon`` is given. Returns (rounds kept, last kept state, converged).
+
+    The kernel runs speculatively with floating-point errors ignored; the
+    rest runs under the caller's errstate, where a failed round's NaNs set
+    no flag. A round can only fail its checks, raised as round by round: the
+    first failing round, rho (InvariantError) before lam (InvalidInputError),
+    unless an earlier round stopped the run. The stop test reads a round's
+    violation first, then :func:`stopping_residuals` of it and the round
+    before, each state built once. Rounds past the stop or failure are
+    dropped silently.
+    """
+    with np.errstate(all="ignore"):
+        _advance_block(state, problem, pool, count, block)
     block.violation[:count] = metrics.norms(_sum_agents(block.terms[:count], axis=1))
     # A running sum over time of [carry, (t-1) x_t, ...] adds round after round.
     sums = block.ergodic[: count + 1]
@@ -227,62 +234,26 @@ def _fill_block(state: RunState, problem: CoupledProblem, pool, count: int, bloc
     bad = ~np.isfinite(block.lam[:count]).all(axis=(1, 2))
     if state.push_sum:
         bad |= (block.rho[:count] <= 0).any(axis=1)
-    return int(bad.argmax()) if bad.any() else count
-
-
-def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
-               epsilon: float | None = None) -> tuple[int, RunState, bool]:
-    """The ``count`` rounds after ``state``, checked, and stop-tested when
-    ``epsilon`` is given. Returns (rounds kept, last kept state, converged).
-
-    The rounds are computed speculatively, floating-point errors recorded,
-    not raised. A failed check raises as round by round: the first failing
-    round, rho before lam, unless an earlier round stopped the run. The stop
-    test reads a round's violation first, then :func:`stopping_residuals`
-    of it and the round before, each state built once. Rounds past the stop
-    or failure are dropped silently; after a recorded error the rounds kept,
-    and a failing round up to its check, run again to warn as they would.
-    """
-    flagged = []
-    with np.errstate(all="call", call=lambda *error: flagged.append(error)):
-        failed = _fill_block(state, problem, pool, count, block)
+    failed = int(bad.argmax()) if bad.any() else count
 
     @functools.cache
     def at(k: int) -> RunState:
         return state if k < 0 else block.state(k, state)
 
-    kept, converged, fails = failed, False, None
+    kept, converged = failed, False
     if epsilon is not None:
-        # A NaN violation fails either test; while it exceeds epsilon, as on
+        # A NaN violation passes neither test; while it exceeds epsilon, as on
         # every bundled run, the other two residuals are not computed.
         for k in np.flatnonzero(block.violation[:failed] <= epsilon).tolist():
             if all(r <= epsilon for r in stopping_residuals(at(k - 1), at(k))):
                 kept, converged = k + 1, True
                 break
     if not converged and failed < count:
-        fails = "rho" if state.push_sum and (block.rho[failed] <= 0).any() else "lam"
-    if flagged and kept:
-        _fill_block(state, problem, pool, kept, block)
-    if flagged and fails:
-        _advance_block(at(failed - 1), problem, pool, 1, block, fails)
-    if fails == "rho":
-        raise InvariantError(f"push-sum weight became non-positive at round {state.t + failed + 1}")
-    if fails == "lam":
+        if state.push_sum and (block.rho[failed] <= 0).any():
+            raise InvariantError(
+                f"push-sum weight became non-positive at round {state.t + failed + 1}")
         raise InvalidInputError("lambda must be finite")
     return kept, at(kept - 1), converged
-
-
-def _mixing_pool(matrices, m: int) -> tuple:
-    """The round matrices as a tuple, each checked to be (m, m)."""
-    for W in matrices:
-        if np.shape(W) != (m, m):
-            raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
-    return tuple(matrices)
-
-
-def advance_round(state: RunState, problem: CoupledProblem, W: np.ndarray) -> RunState:
-    """One synchronous round on mixing matrix W: the kernel and checks of a block of one."""
-    return _run_block(state, problem, _mixing_pool([W], problem.m), 1, _Block(problem, 1))[1]
 
 
 def ergodic_average(state: RunState) -> np.ndarray:
@@ -332,7 +303,10 @@ def run_rounds(
     if seq.m != problem.m:
         raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
     state = init_state(problem, config, push_sum)
-    pool = _mixing_pool([mixing(adj) for adj in seq.adj], problem.m)
+    m, pool = problem.m, tuple(mixing(adj) for adj in seq.adj)
+    for W in pool:
+        if np.shape(W) != (m, m):
+            raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
     block = _Block(problem, min(metrics.block_size(problem.m, problem.p), config.t_max))
     parts, converged = [], False
     while not converged and state.t < config.t_max:

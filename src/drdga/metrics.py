@@ -341,7 +341,8 @@ def _rate_bound(T: int, c: BoundConstants, lead: float, k: float, tail: float) -
     """lead/(T delta) s1 [k eta/(1-eta) theta0_l1 + k q m B_grad/(1-eta) (1 + ln T)] + tail/T s2,
     the shape of both printed rate bounds, with s1 = sum_i (G_i + gamma_i D)
     and s2 = sum_i (G_i + gamma_i D)^2; infinite once delta or 1 - eta underflowed.
-    T becomes a Python float, so overflow is inf without a numpy warning for any int type.
+    T becomes a Python float and s2's squares overflow to inf (from D ~ 1e154),
+    so overflow is inf without a numpy warning for any int type of T and any D.
     """
     T = float(T)
     if T < 1:
@@ -350,7 +351,8 @@ def _rate_bound(T: int, c: BoundConstants, lead: float, k: float, tail: float) -
         return math.inf
     coeffs = c.G + c.gammas * c.D
     s1 = float(np.sum(coeffs))
-    s2 = float(np.sum(coeffs**2))
+    with np.errstate(over="ignore"):
+        s2 = float(np.sum(coeffs**2))
     bracket = (k * c.eta / c.one_minus_eta) * c.theta0_l1 + (
         k * c.q * c.m * c.B_grad / c.one_minus_eta
     ) * (1.0 + math.log(T))

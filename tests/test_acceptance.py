@@ -16,7 +16,6 @@ from drdga import (
     CoupledProblem,
     DiagonalQuadratic,
     RunConfig,
-    advance_round,
     build_weight_matrix,
     cdda_run_until,
     constants_from_run,
@@ -33,7 +32,7 @@ from drdga import (
     theorem3_bound,
 )
 from drdga.cli import main as cli_main
-from test_engine import evaluate_states
+from test_engine import evaluate_states, stepper
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")
 S20_CFG = str(files("drdga") / "configs" / "num_s20.cfg")
@@ -70,9 +69,9 @@ def pushsum_run():
     problem = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(m=5, window=3, seed=2)
     state = init_state(problem, RunConfig(q=4.0, t_max=5001, epsilon=1e-300))
-    mass_dev, rho_min, lam_max = 0.0, np.inf, []
+    step, mass_dev, rho_min, lam_max = stepper(problem, seq), 0.0, np.inf, []
     for _ in range(5000):
-        state = advance_round(state, problem, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
+        state = step(state)
         mass_dev = max(mass_dev, abs(float(state.rho.sum()) - 5.0))
         rho_min = min(rho_min, float(state.rho.min()))
         lam_max.append(float(np.sqrt((state.lam * state.lam).sum(axis=1)).max()))
@@ -219,10 +218,9 @@ def test_criterion_9_descent_inequality_residuals():
     problem = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(m=5, window=1, seed=3)
     config = RunConfig(q=4.0, t_max=51, epsilon=1e-300)
-    states = [init_state(problem, config)]
+    states, step = [init_state(problem, config)], stepper(problem, seq)
     for _ in range(50):
-        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
-        states.append(advance_round(states[-1], problem, W))
+        states.append(step(states[-1]))
     rows = evaluate_states(states[1:], problem)
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)

@@ -5,7 +5,6 @@ import numpy as np
 from drdga import (
     GraphSequence,
     RunConfig,
-    advance_round,
     cdda_run_until,
     generate_graph_sequence,
     init_state,
@@ -13,6 +12,7 @@ from drdga import (
     metropolis_matrix,
     solve_local,
 )
+from test_engine import hand_stepper
 
 
 def test_metropolis_is_doubly_stochastic_and_symmetric():
@@ -30,9 +30,9 @@ def test_single_agent_is_plain_dual_subgradient():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     A, b = prob.A[0], prob.b[0]
     state = init_state(prob, RunConfig(q=1.0, t_max=50, epsilon=1e-300), push_sum=False)
-    lam = np.zeros(2)
+    advance, lam = hand_stepper(prob), np.zeros(2)
     for t in range(1, 31):
-        state = advance_round(state, prob, np.array([[1.0]]))
+        state = advance(state, np.array([[1.0]]))
         x = solve_local(prob, lam[None])[0]
         lam = lam + (1.0 / t) * (A @ x - b)
         assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -513,10 +514,31 @@ def test_cli_overflowing_iterates_exit_2_without_output(tmp_path, capsys):
     theta0 = "theta0 =\n" + "    1e308 1e308\n" * 3
     text = Path(FIG7_CFG).read_text().replace("epsilon = 0.01\n", "epsilon = 0.01\n" + theta0)
     path = write_cfg(tmp_path, text)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", path, "--out", str(tmp_path / "run.csv")])
+    code = main(["run", "--config", path, "--out", str(tmp_path / "run.csv")])
     assert code == 2
     assert "lambda must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("setting", ["warnings-as-errors", "errstate-raise"])
+def test_cli_fig7_at_q1280_exits_2_on_the_finiteness_check(tmp_path, capsys, setting):
+    # q = 1,280 passes the step rule, and the early rounds amplify the
+    # multipliers until they overflow in round 312. The kernel ignores its
+    # floating-point errors, so neither a warnings filter nor np.errstate
+    # turns them into the run's error: the finiteness check stops it,
+    # before any output.
+    text = Path(FIG7_CFG).read_text().replace("q = 4\n", "q = 1280\n")
+    path = write_cfg(tmp_path, text)
+    argv = ["run", "--config", path, "--out", str(tmp_path / "run.csv")]
+    if setting == "errstate-raise":
+        with np.errstate(all="raise"):
+            code = main(argv)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: lambda must be finite\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 

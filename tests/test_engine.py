@@ -12,7 +12,6 @@ from drdga import (
     InvalidInputError,
     InvariantError,
     RunConfig,
-    advance_round,
     build_weight_matrix,
     cdda_run_until,
     ergodic_average,
@@ -33,9 +32,17 @@ def fig7():
     return make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def step(state, prob, seq):
-    """One round on the column-stochastic matrix of the sequence's current graph."""
-    return advance_round(state, prob, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
+def hand_stepper(prob):
+    """advance(state, W): one round on mixing matrix W, through the run
+    loop's kernel and checks on a one-round block that every call reuses."""
+    block = engine._Block(prob, 1)
+    return lambda state, W: engine._run_block(state, prob, (W,), 1, block)[1]
+
+
+def stepper(prob, seq):
+    """step(state): one round on the column-stochastic matrix of the sequence's current graph."""
+    advance = hand_stepper(prob)
+    return lambda state: advance(state, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
 
 
 def single_agent_setup(gamma=9.0):
@@ -77,7 +84,7 @@ def test_initial_state_and_first_round_lambda():
     assert np.all(state.rho == 1.0)
     assert np.all(state.theta == 0.0)
     # mixing zeros keeps the first multipliers at zero
-    state = step(state, prob, seq)
+    state = stepper(prob, seq)(state)
     assert np.all(state.lam == 0.0)
     assert state.t == 1
 
@@ -95,10 +102,10 @@ def test_single_agent_matches_centralized_recursion():
     # regularized ascent step; compare against a direct implementation.
     prob, seq = single_agent_setup()
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
-    state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300))
+    state, step = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300)), stepper(prob, seq)
     theta = np.zeros(2)
     for t in range(1, 51):
-        state = step(state, prob, seq)
+        state = step(state)
         lam = theta.copy()
         x = solve_local(prob, lam[None])[0]
         theta = lam + (1.0 / t) * (A @ x - b - gamma * lam)
@@ -110,10 +117,10 @@ def test_single_agent_matches_centralized_recursion():
 def test_mass_conservation_and_positivity():
     prob = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(5, 3, seed=2)
-    state = init_state(prob, RunConfig(q=4.0, t_max=600, epsilon=1e-300))
+    state, step = init_state(prob, RunConfig(q=4.0, t_max=600, epsilon=1e-300)), stepper(prob, seq)
     floor = 5.0 ** (-5 * 3)
     for _ in range(500):
-        state = step(state, prob, seq)
+        state = step(state)
         assert abs(state.rho.sum() - 5.0) <= 1e-9
         assert state.rho.min() >= floor - 1e-15
 
@@ -121,10 +128,10 @@ def test_mass_conservation_and_positivity():
 def test_ergodic_average_formulas():
     prob = make_quadratic_problem(m=2, p=2, dims=1, seed=1, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(2, 1, seed=0)
-    s0 = init_state(prob, RunConfig(q=2.0, t_max=10, epsilon=1e-300))
-    s1 = step(s0, prob, seq)
-    s2 = step(s1, prob, seq)
-    s3 = step(s2, prob, seq)
+    s0, step = init_state(prob, RunConfig(q=2.0, t_max=10, epsilon=1e-300)), stepper(prob, seq)
+    s1 = step(s0)
+    s2 = step(s1)
+    s3 = step(s2)
     with pytest.raises(ValueError):
         ergodic_average(s1)
     for avg, x in zip(ergodic_average(s2), s2.x):
@@ -138,9 +145,9 @@ def test_ergodic_average_of_constant_iterates():
     prob = make_quadratic_problem(m=1, p=1, dims=[2], seed=3, tau_min=1.0, gamma=4.0)
     prob = dataclasses.replace(prob, A=np.zeros_like(prob.A), b=np.zeros((1, 1)))
     seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
-    state = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300))
+    state, step = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300)), stepper(prob, seq)
     for _ in range(10):
-        state = step(state, prob, seq)
+        state = step(state)
     c = solve_local(prob, np.zeros((1, 1)))[0]
     for avg in ergodic_average(state):
         assert np.allclose(avg, c, atol=1e-12)
@@ -196,12 +203,9 @@ def test_graph_of_the_wrong_size_rejected_before_mixing(monkeypatch, module, bui
 @pytest.mark.parametrize("shape", [(1, 3), (4, 3), (3, 4), (3,)])
 def test_mixing_matrix_of_the_wrong_shape_rejected(shape):
     # The kernel runs unchecked: a (1, 3) matrix would broadcast into every
-    # agent's row. advance_round and the run loop check each matrix first.
+    # agent's row. The run loop checks each matrix first.
     prob, seq = fig7(), generate_graph_sequence(3, 1, seed=1)
-    state = init_state(prob, RunConfig(q=4.0))
     message = rf"mixing matrix has shape \({', '.join(map(str, shape))},?\), expected \(3, 3\)"
-    with pytest.raises(InvalidInputError, match=message):
-        advance_round(state, prob, np.full(shape, 0.5))
     with pytest.raises(InvalidInputError, match=message):
         engine.run_rounds(prob, seq, RunConfig(q=4.0, t_max=10), None,
                           lambda adj: np.full(shape, 0.5), True)
@@ -269,7 +273,7 @@ def test_stop_check_evaluates_no_iterate_while_violation_exceeds_epsilon(monkeyp
     prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=4)
     config = RunConfig(q=4.0, t_max=30, epsilon=1e-300)
-    x1 = step(init_state(prob, config), prob, seq).x
+    x1 = stepper(prob, seq)(init_state(prob, config)).x
     calls = count_agent_values(monkeypatch, prob)
     state, rows, _ = run_until(prob, seq, config)
     assert len(rows) == 30 and all(np.ndim(x) == 3 for x in calls)
@@ -292,19 +296,19 @@ def evaluate_states(states, prob, f_star=None):
 
 
 def hand_run(prob, seq, config, f_star, push_sum):
-    """The run loop spelled out: advance_round stepped by hand, evaluate_states
-    of every state alone, and the stop rule on each round, after checking the
+    """The run loop spelled out: rounds stepped by hand, evaluate_states of
+    every state alone, and the stop rule on each round, after checking the
     values it reads against an evaluation of the iterate itself.
 
     Returns (final state, rows, stop reason, largest stop measure per round).
     """
     mixing = build_weight_matrix if push_sum else metropolis_matrix
-    state = init_state(prob, config, push_sum)
+    state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
     assert_carries_its_iterate(state, prob)
     blocks, worst, reason = [], [], STOP_T_MAX
     while state.t < config.t_max:
         prev = state
-        state = advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
+        state = advance(state, mixing(seq.adj[state.t % len(seq.adj)]))
         assert_carries_its_iterate(state, prob)
         blocks.append(evaluate_states([state], prob, f_star=f_star))
         measures = stopping_residuals(prev, state)
@@ -364,11 +368,11 @@ def wide_setup():
 
 
 def stop_measures(prob, seq, config, push_sum):
-    """The largest stop measure of each round, advance_round stepped by hand."""
+    """The largest stop measure of each round, the rounds stepped by hand."""
     mixing = build_weight_matrix if push_sum else metropolis_matrix
-    state, worst = init_state(prob, config, push_sum), []
+    state, advance, worst = init_state(prob, config, push_sum), hand_stepper(prob), []
     while state.t < config.t_max:
-        prev, state = state, advance_round(state, prob, mixing(seq.adj[state.t % len(seq.adj)]))
+        prev, state = state, advance(state, mixing(seq.adj[state.t % len(seq.adj)]))
         worst.append(max(stopping_residuals(prev, state)))
     return worst
 
@@ -378,9 +382,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = engine._advance_block
 
-    def recording(state, problem, pool, count, block, fails=None):
+    def recording(state, problem, pool, count, block):
         calls.append((state.t + 1, count))
-        return real(state, problem, pool, count, block, fails)
+        return real(state, problem, pool, count, block)
 
     monkeypatch.setattr(engine, "_advance_block", recording)
     return calls
@@ -472,12 +476,12 @@ def edited_pool(seq, push_sum, entry, edit):
 
 
 def stepped_by_hand(prob, pool, config, push_sum):
-    """advance_round stepped by hand to t_max; returns the exception raised
-    and the round it was raised in."""
-    state = init_state(prob, config, push_sum)
+    """The rounds stepped by hand to t_max; returns the exception raised and
+    the round it was raised in."""
+    state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
     try:
         while state.t < config.t_max:
-            state = advance_round(state, prob, pool[state.t % len(pool)])
+            state = advance(state, pool[state.t % len(pool)])
     except Exception as error:
         return error, state.t + 1
     raise AssertionError("no round failed")
@@ -493,6 +497,11 @@ def nan_corner(W):
     return W
 
 
+# The three numpy floating-point settings a caller may run under; the kernel
+# ignores its own errors under each, and only the two checks fail a round.
+FP_SETTINGS = ("ignore", "warn", "raise")
+
+
 @pytest.mark.parametrize("push_sum, edit, error, message", [
     (True, zero_first_row, InvariantError, "push-sum weight became non-positive at round 21"),
     (True, nan_corner, InvalidInputError, "lambda must be finite"),
@@ -500,26 +509,29 @@ def nan_corner(W):
 ], ids=["drdga-rho", "drdga-lambda", "cdda-lambda"])
 def test_failing_round_mid_block_raises_as_stepped_by_hand(push_sum, edit, error, message):
     # Round 21 fails a check a third of the way into the first block, whose
-    # other rounds the kernel has computed too. The run raises what stepping
-    # advance_round by hand raises, in the same round, and warns of nothing.
+    # other rounds the kernel has computed too. Under each floating-point
+    # setting the run raises what stepping by hand raises, in the same
+    # round, and warns of nothing.
     prob, _, theta0 = converging_setup()
     seq = generate_graph_sequence(3, 1, seed=4, pool_size=30)
-    pool, mixing = edited_pool(seq, push_sum, 20, edit)
+    pool, _ = edited_pool(seq, push_sum, 20, edit)
     config = RunConfig(q=4.0, t_max=200, epsilon=1e-300, theta0=theta0)
     assert block_size(prob.m, prob.p) > 21
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        by_hand, round_failed = stepped_by_hand(prob, pool, config, push_sum)
-        with pytest.raises(error) as raised:
-            engine.run_rounds(prob, seq, config, None, mixing, push_sum)
-    assert round_failed == 21 and type(by_hand) is error
-    assert str(raised.value) == str(by_hand) == message
+    for setting in FP_SETTINGS:
+        with warnings.catch_warnings(), np.errstate(all=setting):
+            warnings.simplefilter("error")
+            by_hand, round_failed = stepped_by_hand(prob, pool, config, push_sum)
+            with pytest.raises(error) as raised:
+                engine.run_rounds(prob, seq, config, None, edited_pool(seq, push_sum, 20, edit)[1],
+                                  push_sum)
+        assert round_failed == 21 and type(by_hand) is error
+        assert str(raised.value) == str(by_hand) == message
     if edit is zero_first_row:
-        # Unchecked, round 21 and those after it divide 0 / 0: the warnings
-        # the run swallowed were there to raise.
-        state = init_state(prob, config, push_sum)
+        # Unchecked, round 21 and those after it divide 0 / 0: the kernel's
+        # own floating-point errors are there, and the run ignores them.
+        state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
         for _ in range(20):
-            state = advance_round(state, prob, pool[state.t % len(pool)])
+            state = advance(state, pool[state.t % len(pool)])
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             engine._advance_block(state, prob, pool, 10, engine._Block(prob, 10))
 
@@ -529,27 +541,24 @@ def huge_first_row(W):
     return W
 
 
-@pytest.mark.parametrize("failing_round, ignored, error, message", [
-    (2, ("over", "invalid"), InvalidInputError, "lambda must be finite"),
-    (2, ("over",), RuntimeWarning, "invalid value encountered in matmul"),
-    (350, ("over", "invalid"), InvalidInputError, "lambda must be finite"),
-    (350, ("over",), RuntimeWarning, "invalid value encountered in divide"),
-    (350, (), RuntimeWarning, "overflow encountered in matmul"),
+@pytest.mark.parametrize("failing_round, ignored", [
+    (2, ("over", "invalid")),
+    (2, ("over",)),
+    (350, ("over", "invalid")),
+    (350, ("over",)),
+    (350, ()),
 ], ids=["overflow-and-invalid-ignored", "overflow-ignored", "late-overflow-and-invalid-ignored",
         "late-overflow-ignored", "late-nothing-ignored"])
-def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, ignored, error,
-                                                   message):
+def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, ignored):
     # theta0 = 1e308 overflows fig7's multipliers to inf, and round 2 fails
-    # the finiteness check; the rest of the block is computed after it. With
-    # overflow and invalid operations ignored (as a caller running such a
-    # config would) the run raises that error. With only overflow ignored,
-    # round 2's own mixing meets inf - inf before its check, and the run
-    # raises that warning first, as stepping advance_round by hand does.
-    # In the late cases a mixing matrix whose first row is 1e308 fails round
-    # 350, inside the grown block of rounds 321-400: the block's recorded
-    # errors make the run compute rounds 321-349, and round 350 up to its
-    # check, again with errors reported. With every warning shown instead of
-    # raised, the run shows the warnings stepping by hand shows, in order.
+    # the finiteness check; the rest of the block is computed after it. In
+    # the late cases a mixing matrix whose first row is 1e308 fails round
+    # 350, inside the grown block of rounds 321-400. The kernel meets
+    # overflow, inf - inf and inf / inf on the way, and ignores them: under
+    # each floating-point setting, with the case's errors ignored and every
+    # other one warned of or raised, the run and stepping by hand raise
+    # the same error in the same round, warn of nothing, and the block is
+    # computed once.
     prob = fig7()
     late = failing_round > 2
     seq = generate_graph_sequence(3, 1, seed=7, pool_size=400 if late else 20)
@@ -558,26 +567,20 @@ def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, i
     edit = huge_first_row if late else (lambda W: W)
     pool = edited_pool(seq, True, failing_round - 1, edit)[0]
     calls = kernel_calls(monkeypatch)
-    for action, raises, text in (("error", error, message),
-                                 ("always", InvalidInputError, "lambda must be finite")):
+    for setting in FP_SETTINGS:
         with warnings.catch_warnings(record=True) as shown, \
-                np.errstate(**dict.fromkeys(ignored, "ignore")):
-            warnings.simplefilter(action)
+                np.errstate(all=setting, **dict.fromkeys(ignored, "ignore")):
+            warnings.simplefilter("always")
             by_hand, round_failed = stepped_by_hand(prob, pool, config, True)
-            by_hand_shown = [str(w.message) for w in shown]
-            shown.clear()
             calls.clear()
-            with pytest.raises(raises) as raised:
+            with pytest.raises(InvalidInputError) as raised:
                 engine.run_rounds(prob, seq, config, None,
                                   edited_pool(seq, True, failing_round - 1, edit)[1], True)
-        assert type(by_hand) is raises and str(raised.value) == str(by_hand) == text
-        assert [str(w.message) for w in shown] == by_hand_shown
+        assert type(by_hand) is InvalidInputError
+        assert str(raised.value) == str(by_hand) == "lambda must be finite"
+        assert [str(w.message) for w in shown] == []
         assert round_failed == failing_round
-    assert by_hand_shown[:1] == ([message] if error is RuntimeWarning else [])
-    if late:
-        assert calls[-3:] == [(321, 80), (321, 29), (350, 1)]
-    else:
-        assert calls[0] == (1, 64)
+        assert calls[-1] == ((321, 80) if late else (1, 64))
 
 
 def test_failing_round_raises_before_its_stop_test():

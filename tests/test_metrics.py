@@ -15,8 +15,6 @@ from drdga import (
     GraphSequence,
     Metrics,
     RunConfig,
-    advance_round,
-    build_weight_matrix,
     constants_from_run,
     generate_graph_sequence,
     init_state,
@@ -29,7 +27,7 @@ from drdga import (
     theorem3_bound,
 )
 from drdga.metrics import SCREEN_MIN_M, _disagreement
-from test_engine import evaluate_states
+from test_engine import evaluate_states, stepper
 
 CONSTANT_SETS = [
     dict(m=2, p=3, window=2, q=4.0, D=2.5, G=[1.0, 2.0], gammas=[0.5, 1.5], theta0_l1=1.2),
@@ -108,6 +106,20 @@ def test_bounds_survive_eta_rounding_to_one(m, window):
             assert math.isinf(bound(100, c)) == (m == 100)
 
 
+def test_bounds_at_fig7_q640_peak_are_inf_without_warning():
+    # fig7 at q = 640 peaks at max_lambda = 1.19e194, and D is that peak:
+    # (G_i + gamma_i D)^2 overflows, and both bounds are inf without an
+    # overflow warning.
+    prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
+    rows = dataclasses.replace(NO_ROUNDS, max_lambda=np.array([1.19e194]))
+    c = constants_from_run(prob, 1, 640.0, rows)
+    assert c.D == 1.19e194
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (theorem2_bound, theorem3_bound):
+            assert bound(1, c) == bound(5000, c) == math.inf
+
+
 def test_bound_rejects_bad_T():
     c = BoundConstants(**CONSTANT_SETS[0])
     with pytest.raises(ValueError):
@@ -134,11 +146,9 @@ def quad_run(rounds=12, m=3, seed=2):
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(m, 1, seed=9)
     cfg = RunConfig(q=4.0, t_max=rounds + 1, epsilon=1e-300)
-    state = init_state(prob, cfg)
-    states = [state]
+    states, step = [init_state(prob, cfg)], stepper(prob, seq)
     for _ in range(rounds):
-        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
-        states.append(advance_round(states[-1], prob, W))
+        states.append(step(states[-1]))
     rows = evaluate_states(states[1:], prob)
     return prob, seq, states, rows
 
@@ -158,10 +168,9 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
-    states = [init_state(prob, cfg)]
+    states, step = [init_state(prob, cfg)], stepper(prob, seq)
     for _ in range(6):
-        W = build_weight_matrix(seq.adj[states[-1].t % len(seq.adj)])
-        states.append(advance_round(states[-1], prob, W))
+        states.append(step(states[-1]))
     rows = evaluate_states(states[1:], prob)
     c = constants_from_run(prob, seq.window, 1.0, rows)
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]

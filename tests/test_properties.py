@@ -20,8 +20,8 @@ from drdga import (
     GraphSequence,
     InfeasibleProblemError,
     InvalidEdgeError,
+    Metrics,
     RunConfig,
-    advance_round,
     build_weight_matrix,
     cdda_run_until,
     ergodic_average,
@@ -36,9 +36,10 @@ from drdga import (
     solve_local,
 )
 from drdga.config import ALGORITHMS
+from drdga.engine import STOP_CONVERGED
 from drdga.cli import CSV_HEADER, main
 from test_config_cli import MINIMAL_QUAD
-from test_engine import assert_same_run, hand_run
+from test_engine import assert_same_run, hand_run, hand_stepper
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
                           database=None)
@@ -131,6 +132,74 @@ def test_run_loop_rows_equal_per_round_evaluation(prob, seed, t_max, epsilon, pu
     loop = run_until if push_sum else cdda_run_until
     assert_same_run(loop(prob, seq, config, f_star=f_star),
                     hand_run(prob, seq, config, f_star, push_sum))
+
+
+def transcribed_run(prob, seq, config, f_star, push_sum, rounds):
+    """DRDGA (push_sum) or CDDA for ``rounds`` rounds, agent by agent as the
+    recurrence is written, on matrices built edge by edge: with beta = q / t,
+    u_i = sum_j W_ij theta_j, rho_i = sum_j W_ij rho_j, lambda_i = u_i / rho_i,
+    x = solve_local(lambda) and theta_i = u_i + beta (A_i x_i - b_i - gamma_i lambda_i);
+    CDDA keeps rho_i = 1 and drops the gamma term. Returns the final
+    (theta, rho, reported lambda, x, ergodic sum) and every round's Metrics,
+    each column from its definition."""
+    m, mixing = prob.m, reference_weight_matrix if push_sum else reference_metropolis_matrix
+    theta = np.zeros((m, prob.p)) if config.theta0 is None else np.array(config.theta0)
+    rho, ergodic, rows = np.ones(m), np.zeros(prob.lower.shape), []
+    for t in range(1, rounds + 1):
+        W, beta = mixing(seq.adj[(t - 1) % len(seq.adj)]), config.q / t
+        u = [sum(W[i, j] * theta[j] for j in range(m)) for i in range(m)]
+        if push_sum:
+            rho = np.array([sum(W[i, j] * rho[j] for j in range(m)) for i in range(m)])
+        lam = np.array([u[i] / rho[i] for i in range(m)])
+        x = solve_local(prob, lam)
+        terms = [prob.A[i] @ x[i] - prob.b[i] for i in range(m)]
+        gamma = prob.gammas if push_sum else np.zeros(m)
+        theta = np.array([u[i] + beta * (terms[i] - gamma[i] * lam[i]) for i in range(m)])
+        ergodic = ergodic + (t - 1) * x
+        avg = x if t == 1 else ergodic / (t * (t - 1) / 2)
+        if prob.weights is None:
+            objective = sum(0.5 * prob.diag[i] @ avg[i] ** 2 + prob.lin[i] @ avg[i]
+                            for i in range(m))
+        else:
+            objective = sum(-20.0 * prob.weights[i] * math.log(avg[i, 0] + 0.1) for i in range(m))
+        reported = lam if push_sum else theta
+        rows.append((t, objective, objective - f_star,
+                     np.linalg.norm(sum(prob.A[i] @ avg[i] - prob.b[i] for i in range(m))),
+                     np.linalg.norm(sum(terms)),
+                     max(np.linalg.norm(a - b) for a in reported for b in reported),
+                     max(np.linalg.norm(a) for a in reported), beta))
+    return (theta, rho, reported, x, ergodic), Metrics(*map(np.array, zip(*rows)))
+
+
+@given(problems, seeds, st.integers(1, 2), st.integers(1, 5), st.integers(2, 120),
+       st.booleans(), st.floats(0.0, 10.0), st.floats(-10.0, 10.0))
+def test_run_follows_transcribed_recurrence(prob, seed, window, pool, t_max, push_sum,
+                                            theta0_scale, f_star):
+    # The run loop's kernel, block bookkeeping and observables against the
+    # recurrence written out agent by agent. Summation orders differ, so the
+    # two agree to rounding, not bit for bit: to 1e-12 relative to each value
+    # or, where a value cancels to near 0, to its array's largest magnitude.
+    # Rounding in a multiplier stays at the scale of the largest multiplier
+    # the run has had, so theta, lambda and their norms use that scale.
+    seq = generate_graph_sequence(prob.m, window, seed=seed, pool_size=pool)
+    theta0 = theta0_scale * np.random.default_rng(seed).normal(size=(prob.m, prob.p))
+    config = RunConfig(q=valid_q(prob), t_max=t_max, epsilon=1e-300, theta0=theta0)
+    loop = run_until if push_sum else cdda_run_until
+    state, rows, reason = loop(prob, seq, config, f_star=f_star)
+    # Even at epsilon = 1e-300 a run stops where its three stop measures are
+    # exactly 0, as CDDA on sources that all sit at their capacity can.
+    assert state.t == t_max or reason == STOP_CONVERGED
+    final, want = transcribed_run(prob, seq, config, f_star, push_sum, state.t)
+    assert len(rows) == len(want) == state.t
+    peak = max(want.max_lambda.max(), np.abs(theta0).max(), np.abs(final[0]).max())
+    multipliers = ("disagreement", "max_lambda", "theta", "lam")
+    pairs = [(f.name, getattr(rows, f.name), getattr(want, f.name))
+             for f in dataclasses.fields(Metrics)]
+    pairs += [(name, getattr(state, name), value)
+              for name, value in zip(("theta", "rho", "lam", "x", "ergodic_sum"), final)]
+    for name, got, value in pairs:
+        scale = peak if name in multipliers else np.abs(value).max()
+        np.testing.assert_allclose(got, value, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 @st.composite
@@ -232,8 +301,9 @@ def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(adj, seed):
     pool = [build_weight_matrix(entry | ring) for entry in adj]
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
     state = init_state(prob, RunConfig(q=4.0, t_max=100, epsilon=1e-300))
+    advance = hand_stepper(prob)
     for _ in range(40):
-        state = advance_round(state, prob, pool[state.t % len(pool)])
+        state = advance(state, pool[state.t % len(pool)])
         assert abs(state.rho.sum() - m) <= 1e-12
         assert state.rho.min() > 0.0
 
@@ -242,8 +312,9 @@ def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(adj, seed):
 def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=4)
     state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300), push_sum=False)
+    advance = hand_stepper(prob)
     for _ in range(30):
-        state = advance_round(state, prob, metropolis_matrix(seq.adj[state.t % len(seq.adj)]))
+        state = advance(state, metropolis_matrix(seq.adj[state.t % len(seq.adj)]))
         assert np.all(state.rho == 1.0)
 
 
