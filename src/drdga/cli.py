@@ -25,6 +25,8 @@ _COLUMNS = [f.name for f in dataclasses.fields(metrics.Metrics)]
 CSV_HEADER = ",".join(_COLUMNS)
 # One CSV row; "%.12g" prints nan, inf and -0 as format(v, ".12g") does.
 _ROW = "%d" + ",%.12g" * (len(_COLUMNS) - 1) + "\n"
+# Rows write_csv formats at a time: one chunk's text is all it holds.
+_CHUNK = 256
 
 
 def _fmt(value: float) -> str:
@@ -47,9 +49,12 @@ def _write_atomic(path, lines: Iterable[str]) -> None:
 
 
 def write_csv(rows: metrics.Metrics, path) -> None:
-    """Serialize metric rows, one line per round, floats at 12 significant digits."""
-    columns = [getattr(rows, c).tolist() for c in _COLUMNS]
-    _write_atomic(path, itertools.chain([CSV_HEADER + "\n"], map(_ROW.__mod__, zip(*columns))))
+    """Serialize metric rows, one line per round, floats at 12 significant digits,
+    formatted _CHUNK rows at a time and streamed through :func:`_write_atomic`."""
+    chunks = (rows[start : start + _CHUNK] for start in range(0, len(rows), _CHUNK))
+    text = ("".join(map(_ROW.__mod__, zip(*(getattr(chunk, c).tolist() for c in _COLUMNS))))
+            for chunk in chunks)
+    _write_atomic(path, itertools.chain([CSV_HEADER + "\n"], text))
 
 
 def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> None:

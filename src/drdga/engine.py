@@ -46,6 +46,9 @@ STOP_T_MAX = "t_max"
 # Relative change with a denominator below this is treated as zero.
 _RATIO_GUARD = 1e-12
 
+# Rows a run's output starts with: 64 MiB of address space, paged in as filled.
+_ROWS = 1 << 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -296,9 +299,11 @@ def run_rounds(
 
     The rounds run a block at a time (:func:`_run_block`); the observables
     of the rounds a block keeps are computed in one batched pass
-    (:func:`drdga.metrics.evaluate_rounds`), and the blocks joined once. A
+    (:func:`drdga.metrics.evaluate_rounds`) and copied into the run's
+    columns: min(t_max, _ROWS) rows, doubled (up to t_max) when outgrown. A
     block started after round t has at most max(64, t // 4) rounds, so a run
     that stops at round k has computed at most max(63, k // 4) rounds past k.
+    A final theta that is not finite raises InvalidInputError.
     """
     if seq.m != problem.m:
         raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
@@ -308,16 +313,21 @@ def run_rounds(
         if np.shape(W) != (m, m):
             raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
     block = _Block(problem, min(metrics.block_size(problem.m, problem.p), config.t_max))
-    parts, converged = [], False
+    rows, converged = metrics.Metrics.empty(min(config.t_max, _ROWS)), False
     while not converged and state.t < config.t_max:
         count = min(len(block.violation), max(64, state.t // 4), config.t_max - state.t)
         start = state.t
         kept, state, converged = _run_block(state, problem, pool, count, block, config.epsilon)
+        if state.t > len(rows):
+            rows, old = metrics.Metrics.empty(min(config.t_max, 2 * state.t)), rows
+            rows[:start] = old[:start]
         lam = block.lam if push_sum else block.theta
-        parts.append(metrics.evaluate_rounds(
-            np.arange(start + 1, start + kept + 1), lam[:kept], block.x[:kept],
-            block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star))
-    return state, metrics.Metrics.concat(parts), STOP_CONVERGED if converged else STOP_T_MAX
+        rows[start : state.t] = metrics.evaluate_rounds(
+            np.arange(start + 1, state.t + 1), lam[:kept], block.x[:kept],
+            block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star)
+    if not np.isfinite(state.theta).all():
+        raise InvalidInputError(f"theta is not finite after round {state.t}")
+    return state, rows[: state.t], STOP_CONVERGED if converged else STOP_T_MAX
 
 
 def run_until(

@@ -35,7 +35,8 @@ if TYPE_CHECKING:
 class Metrics:
     """Observables of consecutive rounds, one array per CSV column, in CSV order;
     objective, gap and violation use the ergodic average. Indexing applies to
-    every column: ``rows[-1].t`` is the last round, ``rows[rows.t >= 100]`` a subset."""
+    every column: ``rows[-1].t`` is the last round, ``rows[rows.t >= 100]`` a
+    subset; ``rows[a:b] = other`` copies other's columns into rows a ... b - 1."""
 
     t: np.ndarray
     objective: np.ndarray
@@ -52,9 +53,14 @@ class Metrics:
     def __getitem__(self, index) -> Metrics:
         return Metrics(*(getattr(self, f.name)[index] for f in fields(self)))
 
+    def __setitem__(self, index, rows: Metrics) -> None:
+        for f in fields(self):
+            getattr(self, f.name)[index] = getattr(rows, f.name)
+
     @classmethod
-    def concat(cls, parts) -> Metrics:
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+    def empty(cls, size: int) -> Metrics:
+        """``size`` unfilled rows: integer rounds, float observables."""
+        return cls(np.empty(size, dtype=np.int64), *(np.empty(size) for _ in fields(cls)[1:]))
 
 
 @functools.lru_cache(maxsize=64)

@@ -181,7 +181,8 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(lam).all():
         raise InvalidInputError("lambda must be finite")
-    return minimize_lagrangian(problem, lam)
+    with np.errstate(over="ignore"):  # a tiny price gives inf, clipped to the upper bound
+        return minimize_lagrangian(problem, lam)
 
 
 def minimize_lagrangian(problem: CoupledProblem, lam: np.ndarray, out=None) -> np.ndarray:

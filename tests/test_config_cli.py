@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import drdga
-from drdga import ConfigError, parse_config
+from drdga import ConfigError, cli, parse_config
 from drdga.cli import main, run_experiment
+from test_engine import traced_peak
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")
 QUAD_CFG = str(files("drdga") / "configs" / "quadratic_m5.cfg")
@@ -542,6 +543,15 @@ def test_cli_fig7_at_q1280_exits_2_on_the_finiteness_check(tmp_path, capsys, set
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+def test_cli_non_finite_final_theta_exits_2_without_output(tmp_path, capsys):
+    # At q = 1,280 fig7's theta overflows in round 311, one round before its
+    # multiplier: a run capped there fails on theta, before any output.
+    path = write_cfg(tmp_path, Path(FIG7_CFG).read_text().replace("q = 4\n", "q = 1280\n"))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run.csv"), "--tmax", "311"]) == 2
+    assert capsys.readouterr().err == "error: theta is not finite after round 311\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_cli_reference_prints_solution(capsys):
     assert main(["reference", "--config", FIG7_CFG]) == 0
     out = capsys.readouterr().out
@@ -579,7 +589,8 @@ def test_cli_smoke_run_writes_csv_and_summary(tmp_path, capsys, case):
 
 
 def _fail_summary_write(monkeypatch, stage):
-    """Make the summary's write die halfway, or its rename fail."""
+    """Make the summary's write die halfway, or its rename fail, or the CSV's
+    write die halfway through its second chunk of rows."""
     real_open, real_replace = Path.open, os.replace
 
     def open_(self, *args, **kwargs):
@@ -593,6 +604,17 @@ def _fail_summary_write(monkeypatch, stage):
                 raise OSError("disk full")
 
             out.writelines = writelines
+        elif stage == "csv-chunk" and self.name == f".run.csv.{os.getpid()}.tmp":
+            real_write = out.write
+
+            def writelines(texts):  # the header, then one text per chunk of rows
+                for k, text in enumerate(texts):
+                    if k == 2:
+                        real_write(text[: len(text) // 2])
+                        raise OSError("disk full")
+                    real_write(text)
+
+            out.writelines = writelines
         return out
 
     def replace(src, dst):
@@ -604,24 +626,60 @@ def _fail_summary_write(monkeypatch, stage):
     monkeypatch.setattr(os, "replace", replace)
 
 
-@pytest.mark.parametrize("stage", ["write", "replace"])
+@pytest.mark.parametrize("stage", ["write", "replace", "csv-chunk"])
 def test_failed_summary_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, stage):
     out = tmp_path / "run.csv"
     _fail_summary_write(monkeypatch, stage)
-    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 2
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "300"]) == 2
     assert "error: " in capsys.readouterr().err
-    # The CSV is complete; no summary and no temporary file is left behind.
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
-    assert len(out.read_text().splitlines()) == 6
+    if stage == "csv-chunk":
+        # Neither a partial CSV nor its temporary file is left behind.
+        assert list(tmp_path.iterdir()) == []
+    else:
+        # The CSV is complete; no summary and no temporary file is left behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+        assert len(out.read_text().splitlines()) == 301
 
-    # A summary from an earlier run survives a failed rewrite unchanged.
+    # A summary from an earlier run survives a failed rewrite unchanged, and
+    # so does its CSV when the CSV's own write fails.
     monkeypatch.undo()
     assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "4"]) == 0
-    earlier = Path(str(out) + ".summary").read_bytes()
+    earlier, earlier_csv = Path(str(out) + ".summary").read_bytes(), out.read_bytes()
     _fail_summary_write(monkeypatch, stage)
-    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "5"]) == 2
+    assert main(["run", "--config", FIG7_CFG, "--out", str(out), "--tmax", "300"]) == 2
     assert Path(str(out) + ".summary").read_bytes() == earlier
+    if stage == "csv-chunk":
+        assert out.read_bytes() == earlier_csv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.summary"]
+
+
+def fig7_rows(t_max):
+    """Every round of a fig7 run to t_max, with f_star: the CSV's rows."""
+    exp = parse_config(FIG7_CFG, t_max=str(t_max), epsilon="1e-300")
+    f_star = drdga.solve_centralized(exp.problem).objective
+    return drdga.run_until(exp.problem, exp.seq, exp.run, f_star=f_star)[1]
+
+
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # The writer holds one chunk of rows' text at a time: writing 6,000 more
+    # rows raises its traced peak by less than 0.1 MiB.
+    rows = fig7_rows(8000)
+    short, long = (traced_peak(cli.write_csv, rows[:n], tmp_path / f"run{n}.csv")
+                   for n in (2000, 8000))
+    assert long - short < 0.1 * 2**20
+
+
+def one_shot_csv(rows):
+    """The CSV text as formatted all at once: every column's .tolist(), then every row."""
+    columns = [getattr(rows, c).tolist() for c in cli._COLUMNS]
+    return cli.CSV_HEADER + "\n" + "".join(map(cli._ROW.__mod__, zip(*columns)))
+
+
+def test_write_csv_chunks_write_the_one_shot_bytes(tmp_path):
+    rows = fig7_rows(513)
+    for n in (1, 255, 256, 257, 513):
+        cli.write_csv(rows[:n], tmp_path / "run.csv")
+        assert (tmp_path / "run.csv").read_bytes() == one_shot_csv(rows[:n]).encode()
 
 
 def test_import_loads_no_scipy():

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from drdga import (
     make_num_problem,
     make_quadratic_problem,
     metropolis_matrix,
+    parse_config,
     run_until,
     solve_local,
 )
@@ -316,7 +319,9 @@ def hand_run(prob, seq, config, f_star, push_sum):
         if all(r <= config.epsilon for r in measures):
             reason = STOP_CONVERGED
             break
-    return state, Metrics.concat(blocks), reason, worst
+    rows = Metrics(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                     for f in dataclasses.fields(Metrics)))
+    return state, rows, reason, worst
 
 
 def assert_same_run(got, want):
@@ -650,3 +655,72 @@ def test_violation_first_stop_matches_full_rule(monkeypatch, loop, push_sum):
     assert len({id(x) for x in per_iterate}) == len(per_iterate)
     assert len(per_iterate) == len({*passing, *(t - 1 for t in passing)})
     assert per_iterate[-1] is got[0].x
+
+
+def fig7_experiment(q=4.0, t_max=5000, epsilon=0.01):
+    """The bundled fig7 instance and graph sequence, with these run settings."""
+    exp = parse_config(str(files("drdga") / "configs" / "fig7.cfg"))
+    return exp.problem, exp.seq, RunConfig(q=q, t_max=t_max, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("t_max, message", [
+    (311, "theta is not finite after round 311"), (312, "lambda must be finite")])
+def test_drdga_run_returns_no_non_finite_theta(t_max, message):
+    # At q = 1,280 fig7's surrogates overflow in round 311 while its
+    # multiplier stays finite; round 312's multiplier, mixed from them,
+    # fails its check. A run that ends at round 311 fails on theta instead
+    # of returning it.
+    with pytest.raises(InvalidInputError, match=message):
+        run_until(*fig7_experiment(q=1280.0, t_max=t_max))
+
+
+@pytest.mark.parametrize("t_max, message", [
+    (2, "theta is not finite after round 2"), (3, "lambda must be finite")])
+def test_cdda_run_returns_no_non_finite_theta(t_max, message):
+    # With every coupling term at 1.8, fig7's rates cannot meet the
+    # constraint and theta only grows: from 0.5e308 it reaches 1.58e308 in
+    # round 1 and overflows in round 2, where it is CDDA's multiplier. The
+    # reported columns of that round overflow first, silenced here.
+    prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0])
+    prob = dataclasses.replace(prob, b=np.full_like(prob.b, -1.8))
+    config = RunConfig(q=0.6e308, t_max=t_max, epsilon=0.01, theta0=np.full((3, 2), 0.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match=message):
+            cdda_run_until(prob, generate_graph_sequence(3, 1, seed=4), config)
+
+
+def traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak, past what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_output_costs_its_columns_alone():
+    # A round's output is its eight 8-byte column entries, held once: 64
+    # bytes, and 6,000 more rounds add at most 70 bytes each to the peak.
+    prob, seq, config = fig7_experiment(epsilon=1e-300)
+    run_until(prob, seq, dataclasses.replace(config, t_max=100))  # warm every cache
+    short, long = (traced_peak(run_until, prob, seq, dataclasses.replace(config, t_max=t_max))
+                   for t_max in (2000, 8000))
+    assert (long - short) / 6000 <= 70
+
+
+def test_huge_t_max_run_stops_early():
+    # The columns start at 2^20 rows, not t_max's 10^12.
+    prob, seq, config = fig7_experiment(t_max=10**12, epsilon=10.0)
+    state, rows, reason = run_until(prob, seq, config)
+    assert reason == STOP_CONVERGED and state.t == len(rows) < 64
+
+
+@pytest.mark.parametrize("loop", [run_until, cdda_run_until], ids=["drdga", "cdda"])
+def test_outgrown_columns_keep_every_row(monkeypatch, loop):
+    # From 100 rows the columns grow to 256, 640 and then t_max's 1,000 rows.
+    prob, seq, config = fig7_experiment(t_max=1000, epsilon=1e-300)
+    want = loop(prob, seq, config)
+    monkeypatch.setattr(engine, "_ROWS", 100)
+    assert_same_run(loop(prob, seq, config), want)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,16 @@ def test_dual_gradient_lipschitz():
         unreg1 = dual_gradient(prob, l1) + gamma * l1
         unreg2 = dual_gradient(prob, l2) + gamma * l2
         assert np.linalg.norm(unreg1 - unreg2) <= L * np.linalg.norm(l1 - l2) + 1e-8
+
+
+def test_tiny_price_gives_the_upper_bound_without_a_warning():
+    # At lambda = 1e-310 the closed form 20 w / price overflows to inf, and
+    # the clip takes it to the upper bound, which is the minimizer.
+    prob = fig7_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_local(prob, np.full((prob.m, prob.p), 1e-310))
+    assert np.array_equal(x, prob.upper)
 
 
 def test_rejects_bad_lambda():
