@@ -229,8 +229,9 @@ def _rescaled(norm, lam: np.ndarray) -> np.ndarray:
     whose result is then not finite while its lam is finite is computed
     again at lam 2^-e, exactly, with max |lam| < 2^e, and scaled back by
     2^e: inf only where the norm itself exceeds the float range. The other
-    rounds keep their bits."""
-    with np.errstate(over="ignore"):
+    rounds keep their bits. A round with a non-finite lam reads inf or nan,
+    without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
         out = norm(lam)
     redo = ~np.isfinite(out)
     if redo.any():
@@ -238,7 +239,7 @@ def _rescaled(norm, lam: np.ndarray) -> np.ndarray:
     if redo.any():
         e = np.frexp(abs(lam[redo]).max(axis=(1, 2)))[1]
         # Entries below 2^(e - 1074) lose bits to underflow, far below the norm's last bit.
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             out[redo] = np.ldexp(norm(np.ldexp(lam[redo], -e[:, None, None])), e)
     return out
 
@@ -260,7 +261,9 @@ def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: C
     iterate stands in for it. gap is nan without f_star. Each round has the
     bits of its round alone: the batched products repeat each round's own BLAS
     calls, sums over agents run left to right, and the violation norm is each
-    round's sqrt(r . r).
+    round's sqrt(r . r). The result's ``violation_inst`` is the argument
+    itself, not a copy: the run loop copies each block's result into its
+    columns at once.
     """
     # t(t-1)/2 is 0 at t = 1, where x stands in: dividing by 1 keeps it.
     denom = np.maximum(t * (t - 1) / 2.0, 1.0)
@@ -272,8 +275,7 @@ def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: C
     disagreement = _rescaled(_disagreement, lam)
     max_lambda = _rescaled(_max_norm, lam)
     gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
-    inst = violation_inst.copy()  # the caller's rows may be reused
-    return Metrics(t, objective, gap, violation, inst, disagreement, max_lambda, q / t)
+    return Metrics(t, objective, gap, violation, violation_inst, disagreement, max_lambda, q / t)
 
 
 @dataclass(frozen=True)

@@ -498,8 +498,8 @@ q = 4
 
 def test_uncertified_oracle_exits_2_and_leaves_f_star_unavailable(tmp_path, monkeypatch,
                                                                   capsys):
-    # No active-set pass: the fig7 oracle cannot certify, and fig7 is feasible.
-    monkeypatch.setattr(drdga.reference, "MAX_PASSES", 0)
+    # No Newton step: the fig7 oracle cannot certify, and fig7 is feasible.
+    monkeypatch.setattr(drdga.reference, "MAX_STEPS", 0)
     assert main(["reference", "--config", FIG7_CFG]) == 2
     assert "failed its certificate" in capsys.readouterr().err
     out = tmp_path / "run.csv"

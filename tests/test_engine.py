@@ -680,11 +680,12 @@ def test_cdda_run_returns_no_non_finite_theta(t_max, message):
     # With every coupling term at 1.8, fig7's rates cannot meet the
     # constraint and theta only grows: from 0.5e308 it reaches 1.58e308 in
     # round 1 and overflows in round 2, where it is CDDA's multiplier. The
-    # reported columns of that round overflow first, silenced here.
+    # reported columns of that round read inf or nan without a warning.
     prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0])
     prob = dataclasses.replace(prob, b=np.full_like(prob.b, -1.8))
     config = RunConfig(q=0.6e308, t_max=t_max, epsilon=0.01, theta0=np.full((3, 2), 0.5e308))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=message):
             cdda_run_until(prob, generate_graph_sequence(3, 1, seed=4), config)
 

@@ -405,10 +405,9 @@ def huge_rounds(m):
 def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
     # Finite multipliers above about 1.3e154 square to inf. A round whose
     # max_lambda or disagreement is then not finite while its lam is finite
-    # is computed again at an exact power-of-two scale, without warning; it
-    # is inf, with an overflow warning, only where the norm itself exceeds
-    # the float range. Every other round keeps the bits of the plain
-    # sqrt(r . r), a non-finite lam's too.
+    # is computed again at an exact power-of-two scale; it is inf only where
+    # the norm itself exceeds the float range. Every other round keeps the
+    # bits of the plain sqrt(r . r), a non-finite lam's too. No round warns.
     prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
     state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
     lams = huge_rounds(m)
@@ -427,15 +426,19 @@ def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
     assert rows.disagreement[-1] == 0.0
     apart = np.zeros((m, 3))
     apart[0, 0], apart[1, 0] = 1.5e308, -1.5e308  # 3e308 apart
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        rows = evaluate_states([dataclasses.replace(state, t=1, lam=apart)], prob)
-    assert rows.max_lambda[0] == 1.5e308 and rows.disagreement[0] == math.inf
+    beyond = np.zeros((m, 3))
+    beyond[0, :2] = 1.5e308  # a norm of 2.1e308
     with_inf = live.copy()
     with_inf[1, 2] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = evaluate_states([dataclasses.replace(state, t=1, lam=lam)
+                                for lam in (apart, beyond, with_inf)], prob)
+    assert rows.max_lambda[0] == 1.5e308 and rows.disagreement[0] == math.inf
+    assert rows.max_lambda[1] == rows.disagreement[1] == math.inf
     with np.errstate(invalid="ignore"):
-        rows = evaluate_states([dataclasses.replace(state, t=1, lam=with_inf)], prob)
         want = _disagreement(with_inf[None])
-    assert rows.max_lambda[0] == math.inf and rows.disagreement.tobytes() == want.tobytes()
+    assert rows.max_lambda[2] == math.inf and rows.disagreement[2:].tobytes() == want.tobytes()
 
 
 def test_fig7_with_huge_theta0_keeps_finite_dual_norms():

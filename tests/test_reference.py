@@ -135,8 +135,8 @@ def test_zero_coupling_maps():
         solve_centralized(scalar_quadratic(A=0.0, b=1.0, lower=-1.0, upper=1.0))
 
 
-# Each bundled config's optimum F*, from an independent polish of the same
-# problem.
+# Each bundled config's optimum F*, as an earlier active-set oracle (an
+# independent method) certified it.
 BUNDLED_OPTIMA = {
     "fig7": (CONFIGS / "fig7.cfg", 43.45887588058007),
     "num_s20": (CONFIGS / "num_s20.cfg", 48.920769787654),
@@ -151,8 +151,8 @@ def test_bundled_configs_are_certified(name):
     sol = solve_centralized(parse_config(str(path)).problem)
     assert sol.violation <= 1e-9
     assert abs(sol.duality_gap) <= 1e-9 * max(1.0, abs(sol.objective))
-    assert abs(sol.objective - f_star) <= 1e-10
-    assert sol.active_set_passes >= 1 and sol.newton_steps >= 1
+    assert abs(sol.objective - f_star) <= 1e-12
+    assert sol.newton_steps >= 1
 
 
 def test_fig7_optimum_and_multiplier_ray():
@@ -168,31 +168,11 @@ def test_fig7_optimum_and_multiplier_ray():
 
 
 def test_uncertified_answer_is_never_returned(monkeypatch):
-    # With no active-set pass the warm start's point is returned to the
+    # With no Newton step the point at lambda = 0 is returned to the
     # certificate, which it fails; fig7 is feasible, so the LP proves nothing.
-    monkeypatch.setattr(reference, "MAX_PASSES", 0)
+    monkeypatch.setattr(reference, "MAX_STEPS", 0)
     with pytest.raises(UncertifiedSolutionError, match=r"primal residual .* duality gap "):
         solve_centralized(FIG7)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_nnls_matches_scipy(seed):
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(seed)
-    rows, cols = (int(k) for k in rng.integers(2, 12, size=2))
-    if seed % 2:
-        # Rank-deficient: every column a combination of a few.
-        rank = int(rng.integers(1, min(rows, cols) + 1))
-        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-    else:
-        M = rng.normal(size=(rows, cols))
-    y = rng.normal(size=rows)
-    v = reference.nnls(M, y)
-    expected, rnorm = scipy_optimize.nnls(M, y)
-    assert np.all(v >= 0)
-    assert abs(np.linalg.norm(M @ v - y) - rnorm) <= 1e-10 * max(1.0, rnorm)
-    if np.linalg.matrix_rank(M) == cols:
-        assert np.allclose(v, expected, rtol=0.0, atol=1e-10)
 
 
 def random_instance(rng):
@@ -212,14 +192,29 @@ def random_instance(rng):
                           diag=rng.uniform(0.01, 10.0, (m, n)), lin=rng.normal(size=(m, n)) * 5)
 
 
-def test_random_instances_are_certified_or_proved_infeasible():
-    # The polish must not cycle: every feasible draw certifies, and an
-    # independent LP agrees with the oracle on which draws are feasible.
+def random_network(rng):
+    """A rate-allocation network on 2 to 8 links whose capacities a random
+    rate vector meets, some of its rates at 1, or that sometimes ask for more
+    than any rates can carry. Link 1 carries source 1 alone, which pins that
+    rate; pinned at its bound, the rate leaves the multipliers a ray."""
+    links, sources = (int(k) for k in rng.integers([2, 1], [8, 12], endpoint=True))
+    routing = rng.random((links, sources)) < 0.3
+    routing[rng.integers(1, links, size=sources), np.arange(sources)] = True
+    routing[0] = np.arange(sources) == 0
+    rates = rng.uniform(0.0, 1.0, sources)
+    rates[rng.random(sources) < 0.3] = 1.0
+    capacities = routing @ rates
+    if rng.random() < 0.3:
+        capacities = capacities + rng.uniform(0.0, 1.0, links)
+    return make_num_problem(routing.astype(int), np.maximum(capacities, 1e-3))
+
+
+def assert_oracle_agrees_with_lp(problems):
+    """Every feasible problem certifies, an independent LP agrees with the
+    oracle on which are feasible, and both outcomes occur."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(5)
     outcomes = []
-    for _ in range(60):
-        prob = random_instance(rng)
+    for prob in problems:
         A = prob.A.transpose(1, 0, 2).reshape(prob.p, -1)
         lp = scipy_optimize.linprog(
             np.zeros(A.shape[1]), A_eq=A, b_eq=prob.b.sum(axis=0),
@@ -237,3 +232,15 @@ def test_random_instances_are_certified_or_proved_infeasible():
             # The LP's vertex is feasible, so it cannot beat the optimum.
             assert prob.objective_value(lp.x.reshape(prob.lower.shape)) >= sol.objective - 1e-7
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_random_instances_are_certified_or_proved_infeasible():
+    # The dual Newton must not stall short of the certificate on a feasible draw.
+    rng = np.random.default_rng(5)
+    assert_oracle_agrees_with_lp(random_instance(rng) for _ in range(60))
+
+
+def test_random_networks_are_certified_or_proved_infeasible():
+    # The log family, its multiplier rays included.
+    rng = np.random.default_rng(8)
+    assert_oracle_agrees_with_lp(random_network(rng) for _ in range(40))
