@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,30 +81,26 @@ class RunConfig:
             raise ConfigError(f"theta0 has shape {np.shape(self.theta0)}, expected ({m}, {p})")
         gamma = problem.gamma_total
         if push_sum and self.q * gamma / m < 4.0:
+            least = float(f"{4.0 * m / gamma:g}")  # may round to a q this test rejects
+            while least * gamma / m < 4.0:
+                least = float(f"{least + 10.0 ** (math.floor(math.log10(least)) - 5):g}")
             raise ConfigError(
                 f"q = {self.q:g} too small: q*gamma/m = {self.q * gamma / m:g} < 4; "
-                f"minimum q = {4.0 * m / gamma:g}"
+                f"minimum q = {least:g}"
             )
 
-    def beta(self, t: int) -> float:
-        """Step size q / t for round t >= 1."""
-        return self.q / t
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunState:
     """All per-agent iterates after round t, plus running ergodic sums.
 
     theta and lam are (m, p) arrays; rho is (m,); x and ergodic_sum are
-    (m, n_max), padded like the problem's arrays. terms holds the coupling
-    terms A_i x_i - b_i of x, (m, p), and violation_inst the norm of
-    sum_i (A_i x_i - b_i). ergodic_sum holds sum_{s<=t} (s-1) x[s], the
-    numerator of the weighted running average. problem is the instance the
-    iterates belong to; values, the per-agent objective values of x, is
-    computed from it when first read.
+    (m, n_max), padded like the problem's arrays. ergodic_sum holds
+    sum_{s<=t} (s-1) x[s], the numerator of the weighted running average.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
     one the agents solved at. The run loop builds a state only for the
-    rounds its stop test reads and for each block's last round.
+    rounds its stop test reads and for each block's last round. A state
+    hashes by identity (``eq=False``), as the key of ``_Block.values``.
     """
 
     t: int
@@ -112,18 +108,7 @@ class RunState:
     rho: np.ndarray
     lam: np.ndarray
     x: np.ndarray
-    terms: np.ndarray
-    violation_inst: float
     ergodic_sum: np.ndarray
-    config: RunConfig
-    push_sum: bool
-    problem: CoupledProblem = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """Per-agent objective values f_i(x_i) of x, (m,): computed on first
-        read, then kept."""
-        return self.problem.agent_values(self.x)
 
 
 def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
@@ -134,31 +119,28 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
     config.validate_for(problem, push_sum)
     m, p = problem.m, problem.p
     theta = np.zeros((m, p)) if config.theta0 is None else np.array(config.theta0, dtype=float)
-    x = np.zeros(problem.lower.shape)
-    terms = problem.coupling_terms(x)
     return RunState(
         t=0,
         theta=theta,
         rho=np.ones(m),
         lam=np.zeros((m, p)),
-        x=x,
-        terms=terms,
-        violation_inst=float(metrics.norms(_sum_agents(terms))),
+        x=np.zeros(problem.lower.shape),
         ergodic_sum=np.zeros(problem.lower.shape),
-        config=config,
-        push_sum=push_sum,
-        problem=problem,
     )
 
 
 class _Block:
-    """Preallocated rows for up to ``size`` consecutive rounds, reused block
-    after block. lam is the multiplier the agents solved at (u / rho, or u
-    with push-sum off); ergodic row k + 1 is the sum of row k's round, and
-    row 0 the sum the block starts from. The kernel's row views (``rows``),
-    (m, p) scratch arrays and gamma broadcast to (m, p) are made once."""
+    """A run's constants (``problem``, ``q``, ``push_sum``) and preallocated
+    rows for up to ``size`` consecutive rounds, reused block after block. lam
+    is the multiplier the agents solved at (u / rho, or u with push-sum off);
+    ergodic row k + 1 is the sum of row k's round, and row 0 the sum the
+    block starts from. The kernel's row views (``rows``), (m, p) scratch
+    arrays and gamma broadcast to (m, p) are made once. ``values(state)``,
+    a state's per-agent objective values, keeps the last state's: the stop
+    test reads rounds in order, so it evaluates each iterate once."""
 
-    def __init__(self, problem: CoupledProblem, size: int):
+    def __init__(self, problem: CoupledProblem, q: float, push_sum: bool, size: int):
+        self.problem, self.q, self.push_sum = problem, q, push_sum
         m, p, n = problem.m, problem.p, problem.lower.shape[1]
         self.theta, self.lam, self.terms = (np.empty((size, m, p)) for _ in range(3))
         self.rho, self.x = np.empty((size, m)), np.empty((size, m, n))
@@ -167,19 +149,18 @@ class _Block:
                              self.terms))
         self.u, self.step = np.empty((m, p)), np.empty((m, p))
         self.gammas = np.repeat(problem.gammas[:, None], p, axis=1)
+        self.values = functools.lru_cache(maxsize=1)(lambda state: problem.agent_values(state.x))
 
     def state(self, k: int, start: RunState) -> RunState:
         """Row k, copied, as the state it is; ``start`` is the block's starting state."""
-        theta, push_sum = self.theta[k].copy(), start.push_sum
+        theta, push_sum = self.theta[k].copy(), self.push_sum
         return RunState(
             start.t + k + 1, theta, self.rho[k].copy() if push_sum else start.rho,
-            self.lam[k].copy() if push_sum else theta, self.x[k].copy(), self.terms[k].copy(),
-            float(self.violation[k]), self.ergodic[k + 1].copy(), start.config, push_sum,
-            start.problem)
+            self.lam[k].copy() if push_sum else theta, self.x[k].copy(),
+            self.ergodic[k + 1].copy())
 
 
-def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int,
-                   block: _Block) -> None:
+def _advance_block(state: RunState, pool, count: int, block: _Block) -> None:
     """The round kernel: the recurrence alone for the ``count`` rounds after
     ``state``, into block rows 0 ... count - 1. Round t mixes with
     pool[(t - 1) % len(pool)]. Nothing is checked; a non-finite or
@@ -190,9 +171,9 @@ def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int,
     arrays derived once where a round alone would broadcast, in that round's
     order, so every bit is its own; beta comes from one
     q / (t, ..., t + count - 1) row, bit for bit q / t."""
-    theta, rho, push_sum = state.theta, state.rho, state.push_sum
+    problem, push_sum, theta, rho = block.problem, block.push_sum, state.theta, state.rho
     u, step, gammas = block.u, block.step, block.gammas
-    betas = state.config.q / np.arange(state.t + 1, state.t + count + 1)
+    betas = block.q / np.arange(state.t + 1, state.t + count + 1)
     mixing = [pool[t % len(pool)] for t in range(state.t, state.t + count)]
     for k, W, (theta_k, rho_k, rho_col, lam, x, terms) in zip(range(count), mixing, block.rows):
         if push_sum:
@@ -212,7 +193,7 @@ def _advance_block(state: RunState, problem: CoupledProblem, pool, count: int,
         theta = np.add(u, step, out=theta_k)
 
 
-def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block: _Block,
+def _run_block(state: RunState, pool, count: int, block: _Block,
                epsilon: float | None = None) -> tuple[int, RunState, bool]:
     """The ``count`` rounds after ``state``, checked, and stop-tested when
     ``epsilon`` is given. Returns (rounds kept, last kept state, converged).
@@ -223,11 +204,11 @@ def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block
     first failing round, rho (InvariantError) before lam (InvalidInputError),
     unless an earlier round stopped the run. The stop test reads a round's
     violation first, then :func:`stopping_residuals` of it and the round
-    before, each state built once. Rounds past the stop or failure are
-    dropped silently.
+    before, each state built and evaluated once, ``state`` perhaps by the
+    block before. Rounds past the stop or failure are dropped silently.
     """
     with np.errstate(all="ignore"):
-        _advance_block(state, problem, pool, count, block)
+        _advance_block(state, pool, count, block)
     block.violation[:count] = metrics.norms(_sum_agents(block.terms[:count], axis=1))
     # A running sum over time of [carry, (t-1) x_t, ...] adds round after round.
     sums = block.ergodic[: count + 1]
@@ -235,7 +216,7 @@ def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block
     np.multiply(np.arange(state.t, state.t + count)[:, None, None], block.x[:count], out=sums[1:])
     np.add.accumulate(sums, axis=0, out=sums)
     bad = ~np.isfinite(block.lam[:count]).all(axis=(1, 2))
-    if state.push_sum:
+    if block.push_sum:
         bad |= (block.rho[:count] <= 0).any(axis=1)
     failed = int(bad.argmax()) if bad.any() else count
 
@@ -248,11 +229,14 @@ def _run_block(state: RunState, problem: CoupledProblem, pool, count: int, block
         # A NaN violation passes neither test; while it exceeds epsilon, as on
         # every bundled run, the other two residuals are not computed.
         for k in np.flatnonzero(block.violation[:failed] <= epsilon).tolist():
-            if all(r <= epsilon for r in stopping_residuals(at(k - 1), at(k))):
+            prev, now = at(k - 1), at(k)
+            residuals = stopping_residuals(prev.lam, now.lam, block.values(prev),
+                                           block.values(now), float(block.violation[k]))
+            if all(r <= epsilon for r in residuals):
                 kept, converged = k + 1, True
                 break
     if not converged and failed < count:
-        if state.push_sum and (block.rho[failed] <= 0).any():
+        if block.push_sum and (block.rho[failed] <= 0).any():
             raise InvariantError(
                 f"push-sum weight became non-positive at round {state.t + failed + 1}")
         raise InvalidInputError("lambda must be finite")
@@ -271,14 +255,13 @@ def ergodic_average(state: RunState) -> np.ndarray:
     return state.ergodic_sum / denom
 
 
-def stopping_residuals(prev: RunState, state: RunState) -> tuple[float, float, float]:
-    """The three stop measures of round ``state`` after round ``prev``: dual
-    movement, coupling violation, relative per-agent objective change."""
-    dual_move = float(abs(state.lam - prev.lam).max())
-    f_old, f_new = prev.values, state.values
+def stopping_residuals(lam_old, lam, f_old, f_new, violation: float) -> tuple[float, float, float]:
+    """The three stop measures of a round after the one before: max |lam - lam_old|,
+    its violation, and the largest relative change of the agents' values f_old to f_new."""
+    dual_move = float(abs(lam - lam_old).max())
     kept = abs(f_old) >= _RATIO_GUARD
     rel = abs((f_new[kept] - f_old[kept]) / f_old[kept])
-    return dual_move, state.violation_inst, float(rel.max(initial=0.0))
+    return dual_move, violation, float(rel.max(initial=0.0))
 
 
 def run_rounds(
@@ -312,12 +295,12 @@ def run_rounds(
     for W in pool:
         if np.shape(W) != (m, m):
             raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
-    block = _Block(problem, min(metrics.block_size(problem.m, problem.p), config.t_max))
+    block = _Block(problem, config.q, push_sum, min(metrics.block_size(m, problem.p), config.t_max))
     rows, converged = metrics.Metrics.empty(min(config.t_max, _ROWS)), False
     while not converged and state.t < config.t_max:
         count = min(len(block.violation), max(64, state.t // 4), config.t_max - state.t)
         start = state.t
-        kept, state, converged = _run_block(state, problem, pool, count, block, config.epsilon)
+        kept, state, converged = _run_block(state, pool, count, block, config.epsilon)
         if state.t > len(rows):
             rows, old = metrics.Metrics.empty(min(config.t_max, 2 * state.t)), rows
             rows[:start] = old[:start]

@@ -394,12 +394,12 @@ def lemma2_residual(
     if state_t1.t != state_t.t + 1:
         raise ValueError("states must be consecutive rounds")
     lam_probe = np.asarray(lambda_probe, dtype=float)
-    beta = state_t1.config.beta(state_t1.t)
+    beta = c.q / state_t1.t
     m = problem.m
     theta_bar_t = state_t.theta.mean(axis=0)
     theta_bar_t1 = state_t1.theta.mean(axis=0)
 
-    values, terms = state_t1.values, state_t1.terms
+    values, terms = problem.agent_values(state_t1.x), problem.coupling_terms(state_t1.x)
 
     def lagrangian(mult):
         return float(np.sum(values + terms @ mult - 0.5 * problem.gammas * float(mult @ mult)))

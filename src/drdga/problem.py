@@ -149,9 +149,6 @@ class CoupledProblem:
         lin = np.matmul(self.lin[:, None, :], x[..., None])
         return (quad + lin)[..., 0, 0]
 
-    def objective_value(self, x) -> float:
-        return float(_sum_agents(self.agent_values(x)))
-
     def coupling_terms(self, x, out=None) -> np.ndarray:
         """Per-agent coupling terms A_i x_i - b_i of stacked iterates x,
         (..., m, n_max) to (..., m, p), with leading batch dimensions as in

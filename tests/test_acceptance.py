@@ -68,8 +68,9 @@ def pushsum_run():
     """Criterion 2: 5000 rounds, five agents, window 3, per-round weight stats."""
     problem = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(m=5, window=3, seed=2)
-    state = init_state(problem, RunConfig(q=4.0, t_max=5001, epsilon=1e-300))
-    step, mass_dev, rho_min, lam_max = stepper(problem, seq), 0.0, np.inf, []
+    config = RunConfig(q=4.0, t_max=5001, epsilon=1e-300)
+    state = init_state(problem, config)
+    step, mass_dev, rho_min, lam_max = stepper(problem, seq, config), 0.0, np.inf, []
     for _ in range(5000):
         state = step(state)
         mass_dev = max(mass_dev, abs(float(state.rho.sum()) - 5.0))
@@ -218,10 +219,10 @@ def test_criterion_9_descent_inequality_residuals():
     problem = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(m=5, window=1, seed=3)
     config = RunConfig(q=4.0, t_max=51, epsilon=1e-300)
-    states, step = [init_state(problem, config)], stepper(problem, seq)
+    states, step = [init_state(problem, config)], stepper(problem, seq, config)
     for _ in range(50):
         states.append(step(states[-1]))
-    rows = evaluate_states(states[1:], problem)
+    rows = evaluate_states(states[1:], problem, config.q)
     c = constants_from_run(problem, seq.window, 4.0, rows)
     rng = np.random.default_rng(77)
     worst = np.inf

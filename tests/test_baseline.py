@@ -29,8 +29,9 @@ def test_metropolis_is_doubly_stochastic_and_symmetric():
 def test_single_agent_is_plain_dual_subgradient():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     A, b = prob.A[0], prob.b[0]
-    state = init_state(prob, RunConfig(q=1.0, t_max=50, epsilon=1e-300), push_sum=False)
-    advance, lam = hand_stepper(prob), np.zeros(2)
+    config = RunConfig(q=1.0, t_max=50, epsilon=1e-300)
+    state = init_state(prob, config, push_sum=False)
+    advance, lam = hand_stepper(prob, config, push_sum=False), np.zeros(2)
     for t in range(1, 31):
         state = advance(state, np.array([[1.0]]))
         x = solve_local(prob, lam[None])[0]

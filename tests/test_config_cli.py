@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import drdga
-from drdga import ConfigError, cli, parse_config
+from drdga import ConfigError, RunConfig, cli, init_state, parse_config
 from drdga.cli import main, run_experiment
 from test_engine import traced_peak
 
@@ -84,6 +85,36 @@ def test_small_q_rejected_with_minimum(tmp_path):
     assert parse_config(path, algorithm="cdda").run.q == 1.0
     assert main(["run", "--config", path, "--out", str(tmp_path / "c.csv"),
                  "--algorithm", "cdda", "--tmax", "20"]) == 0
+
+
+def printed_minimum_q(path) -> str:
+    """The minimum q that the step-rule error of ``parse_config(path)`` prints."""
+    with pytest.raises(ConfigError, match="minimum q = ") as raised:
+        parse_config(path)
+    return str(raised.value).rsplit("minimum q = ", 1)[1]
+
+
+def assert_minimum_q_accepted(path, printed: str) -> None:
+    """``printed``, written into the config's run.q and passed to init_state, is accepted."""
+    text = Path(path).read_text()
+    Path(path).write_text(re.sub(r"^q = .*$", f"q = {printed}", text, count=1, flags=re.M))
+    exp = parse_config(path)
+    assert exp.run.q == float(printed)
+    init_state(exp.problem, RunConfig(q=float(printed)))
+
+
+@pytest.mark.parametrize("gammas, minimum", [("1 1 1", "4"), ("0.3 0.3 0.3", "13.3334")])
+def test_printed_minimum_q_is_accepted(tmp_path, gammas, minimum):
+    # With gamma = 0.3 each, gamma_total = 0.8999999999999999 and 4m / gamma_total
+    # = 13.333333333333336, which :g prints as 13.3333: a q the rule
+    # q * gamma / m >= 4 rejects. The error prints the least six-digit q it accepts.
+    text = (Path(FIG7_CFG).read_text().replace("q = 4", "q = 1")
+            .replace("gammas = 1 1 1", f"gammas = {gammas}"))
+    path = write_cfg(tmp_path, text)
+    assert printed_minimum_q(path) == minimum
+    with pytest.raises(ConfigError, match=f"minimum q = {minimum}$"):
+        init_state(parse_config(path, algorithm="cdda").problem, RunConfig(q=1.0))
+    assert_minimum_q_accepted(path, minimum)
 
 
 def test_q_rule_rejected_for_quadratic_family(tmp_path):

@@ -35,16 +35,18 @@ def fig7():
     return make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def hand_stepper(prob):
+def hand_stepper(prob, config, push_sum=True):
     """advance(state, W): one round on mixing matrix W, through the run
-    loop's kernel and checks on a one-round block that every call reuses."""
-    block = engine._Block(prob, 1)
-    return lambda state, W: engine._run_block(state, prob, (W,), 1, block)[1]
+    loop's kernel and checks on a one-round block that every call reuses,
+    with the run's step constant config.q and push_sum."""
+    block = engine._Block(prob, config.q, push_sum, 1)
+    return lambda state, W: engine._run_block(state, (W,), 1, block)[1]
 
 
-def stepper(prob, seq):
-    """step(state): one round on the column-stochastic matrix of the sequence's current graph."""
-    advance = hand_stepper(prob)
+def stepper(prob, seq, config):
+    """step(state): one DRDGA round on the column-stochastic matrix of the
+    sequence's current graph."""
+    advance = hand_stepper(prob, config)
     return lambda state: advance(state, build_weight_matrix(seq.adj[state.t % len(seq.adj)]))
 
 
@@ -82,12 +84,13 @@ def test_run_config_validation():
 def test_initial_state_and_first_round_lambda():
     prob = fig7()
     seq = generate_graph_sequence(3, 1, seed=7)
-    state = init_state(prob, RunConfig(q=4.0, t_max=10, epsilon=0.01))
+    config = RunConfig(q=4.0, t_max=10, epsilon=0.01)
+    state = init_state(prob, config)
     assert state.t == 0
     assert np.all(state.rho == 1.0)
     assert np.all(state.theta == 0.0)
     # mixing zeros keeps the first multipliers at zero
-    state = stepper(prob, seq)(state)
+    state = stepper(prob, seq, config)(state)
     assert np.all(state.lam == 0.0)
     assert state.t == 1
 
@@ -105,7 +108,8 @@ def test_single_agent_matches_centralized_recursion():
     # regularized ascent step; compare against a direct implementation.
     prob, seq = single_agent_setup()
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
-    state, step = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300)), stepper(prob, seq)
+    config = RunConfig(q=1.0, t_max=100, epsilon=1e-300)
+    state, step = init_state(prob, config), stepper(prob, seq, config)
     theta = np.zeros(2)
     for t in range(1, 51):
         state = step(state)
@@ -120,7 +124,8 @@ def test_single_agent_matches_centralized_recursion():
 def test_mass_conservation_and_positivity():
     prob = make_quadratic_problem(m=5, p=3, dims=2, seed=11, tau_min=1.0)
     seq = generate_graph_sequence(5, 3, seed=2)
-    state, step = init_state(prob, RunConfig(q=4.0, t_max=600, epsilon=1e-300)), stepper(prob, seq)
+    config = RunConfig(q=4.0, t_max=600, epsilon=1e-300)
+    state, step = init_state(prob, config), stepper(prob, seq, config)
     floor = 5.0 ** (-5 * 3)
     for _ in range(500):
         state = step(state)
@@ -131,7 +136,8 @@ def test_mass_conservation_and_positivity():
 def test_ergodic_average_formulas():
     prob = make_quadratic_problem(m=2, p=2, dims=1, seed=1, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(2, 1, seed=0)
-    s0, step = init_state(prob, RunConfig(q=2.0, t_max=10, epsilon=1e-300)), stepper(prob, seq)
+    config = RunConfig(q=2.0, t_max=10, epsilon=1e-300)
+    s0, step = init_state(prob, config), stepper(prob, seq, config)
     s1 = step(s0)
     s2 = step(s1)
     s3 = step(s2)
@@ -148,7 +154,8 @@ def test_ergodic_average_of_constant_iterates():
     prob = make_quadratic_problem(m=1, p=1, dims=[2], seed=3, tau_min=1.0, gamma=4.0)
     prob = dataclasses.replace(prob, A=np.zeros_like(prob.A), b=np.zeros((1, 1)))
     seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
-    state, step = init_state(prob, RunConfig(q=4.0, t_max=12, epsilon=1e-300)), stepper(prob, seq)
+    config = RunConfig(q=4.0, t_max=12, epsilon=1e-300)
+    state, step = init_state(prob, config), stepper(prob, seq, config)
     for _ in range(10):
         state = step(state)
     c = solve_local(prob, np.zeros((1, 1)))[0]
@@ -276,7 +283,7 @@ def test_stop_check_evaluates_no_iterate_while_violation_exceeds_epsilon(monkeyp
     prob = make_quadratic_problem(m=3, p=2, dims=[2, 1, 2], seed=21, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(3, 1, seed=4)
     config = RunConfig(q=4.0, t_max=30, epsilon=1e-300)
-    x1 = stepper(prob, seq)(init_state(prob, config)).x
+    x1 = stepper(prob, seq, config)(init_state(prob, config)).x
     calls = count_agent_values(monkeypatch, prob)
     state, rows, _ = run_until(prob, seq, config)
     assert len(rows) == 30 and all(np.ndim(x) == 3 for x in calls)
@@ -286,35 +293,41 @@ def test_stop_check_evaluates_no_iterate_while_violation_exceeds_epsilon(monkeyp
     assert np.array_equal(averages[-1], ergodic_average(state))
 
 
-def assert_carries_its_iterate(state, prob):
-    """The values and violation_inst a state carries are those of its own x, bit for bit."""
-    assert np.array_equal(state.values, prob.agent_values(state.x))
-    assert state.violation_inst == float(np.linalg.norm(prob.coupling_residual(state.x)))
+def violation_of(prob, state):
+    """The norm of sum_i (A_i x_i - b_i) at the state's own x."""
+    return float(np.linalg.norm(prob.coupling_residual(state.x)))
 
 
-def evaluate_states(states, prob, f_star=None):
-    """evaluate_rounds of a list of round states, their arrays stacked."""
-    return evaluate_rounds(*(np.array([getattr(s, name) for s in states]) for name in (
-        "t", "lam", "x", "ergodic_sum", "violation_inst")), states[0].config.q, prob, f_star)
+def stop_measures_of(prob, prev, state):
+    """stopping_residuals of ``state`` after ``prev``, read off their own iterates."""
+    return stopping_residuals(prev.lam, state.lam, prob.agent_values(prev.x),
+                              prob.agent_values(state.x), violation_of(prob, state))
+
+
+def evaluate_states(states, prob, q, f_star=None):
+    """evaluate_rounds of a list of round states, their arrays stacked, with
+    each round's violation that of its own x."""
+    t, lam, x, sums = (np.array([getattr(s, name) for s in states])
+                       for name in ("t", "lam", "x", "ergodic_sum"))
+    violation = np.array([violation_of(prob, s) for s in states])
+    return evaluate_rounds(t, lam, x, sums, violation, q, prob, f_star)
 
 
 def hand_run(prob, seq, config, f_star, push_sum):
     """The run loop spelled out: rounds stepped by hand, evaluate_states of
-    every state alone, and the stop rule on each round, after checking the
-    values it reads against an evaluation of the iterate itself.
+    every state alone, and the stop rule on each round, its measures read
+    off the iterates themselves.
 
     Returns (final state, rows, stop reason, largest stop measure per round).
     """
     mixing = build_weight_matrix if push_sum else metropolis_matrix
-    state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
-    assert_carries_its_iterate(state, prob)
+    state, advance = init_state(prob, config, push_sum), hand_stepper(prob, config, push_sum)
     blocks, worst, reason = [], [], STOP_T_MAX
     while state.t < config.t_max:
         prev = state
         state = advance(state, mixing(seq.adj[state.t % len(seq.adj)]))
-        assert_carries_its_iterate(state, prob)
-        blocks.append(evaluate_states([state], prob, f_star=f_star))
-        measures = stopping_residuals(prev, state)
+        blocks.append(evaluate_states([state], prob, config.q, f_star=f_star))
+        measures = stop_measures_of(prob, prev, state)
         worst.append(max(measures))
         if all(r <= config.epsilon for r in measures):
             reason = STOP_CONVERGED
@@ -334,8 +347,7 @@ def assert_same_run(got, want):
         column, want_column = getattr(rows, f.name), getattr(want_rows, f.name)
         assert column.dtype == want_column.dtype, f.name
         assert column.tobytes() == want_column.tobytes(), f.name
-    for name in ("t", "theta", "rho", "lam", "x", "terms", "values", "violation_inst",
-                 "ergodic_sum"):
+    for name in ("t", "theta", "rho", "lam", "x", "ergodic_sum"):
         assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
 
 
@@ -375,10 +387,11 @@ def wide_setup():
 def stop_measures(prob, seq, config, push_sum):
     """The largest stop measure of each round, the rounds stepped by hand."""
     mixing = build_weight_matrix if push_sum else metropolis_matrix
-    state, advance, worst = init_state(prob, config, push_sum), hand_stepper(prob), []
+    state, advance = init_state(prob, config, push_sum), hand_stepper(prob, config, push_sum)
+    worst = []
     while state.t < config.t_max:
         prev, state = state, advance(state, mixing(seq.adj[state.t % len(seq.adj)]))
-        worst.append(max(stopping_residuals(prev, state)))
+        worst.append(max(stop_measures_of(prob, prev, state)))
     return worst
 
 
@@ -387,9 +400,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = engine._advance_block
 
-    def recording(state, problem, pool, count, block):
+    def recording(state, pool, count, block):
         calls.append((state.t + 1, count))
-        return real(state, problem, pool, count, block)
+        return real(state, pool, count, block)
 
     monkeypatch.setattr(engine, "_advance_block", recording)
     return calls
@@ -483,7 +496,7 @@ def edited_pool(seq, push_sum, entry, edit):
 def stepped_by_hand(prob, pool, config, push_sum):
     """The rounds stepped by hand to t_max; returns the exception raised and
     the round it was raised in."""
-    state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
+    state, advance = init_state(prob, config, push_sum), hand_stepper(prob, config, push_sum)
     try:
         while state.t < config.t_max:
             state = advance(state, pool[state.t % len(pool)])
@@ -534,11 +547,11 @@ def test_failing_round_mid_block_raises_as_stepped_by_hand(push_sum, edit, error
     if edit is zero_first_row:
         # Unchecked, round 21 and those after it divide 0 / 0: the kernel's
         # own floating-point errors are there, and the run ignores them.
-        state, advance = init_state(prob, config, push_sum), hand_stepper(prob)
+        state, advance = init_state(prob, config, push_sum), hand_stepper(prob, config, push_sum)
         for _ in range(20):
             state = advance(state, pool[state.t % len(pool)])
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            engine._advance_block(state, prob, pool, 10, engine._Block(prob, 10))
+            engine._advance_block(state, pool, 10, engine._Block(prob, config.q, push_sum, 10))
 
 
 def huge_first_row(W):
@@ -626,6 +639,43 @@ def test_stop_before_failing_round_in_same_block(push_sum, edit):
     assert isinstance(error, (InvariantError, InvalidInputError)) and round_failed == stop + 5
     assert got[0].t == stop and got[2] == STOP_CONVERGED
     assert_same_run(got, hand_run(prob, seq, config, None, push_sum))
+
+
+def test_stop_measures_are_those_of_each_rounds_iterates(monkeypatch):
+    # At epsilon = float max every round reaches the stop test; the recorder
+    # below answers it with inf, so the runs go on through five blocks. The
+    # measures the run loop's stopping_residuals returns from its block rows
+    # and cached values equal, bit for bit, those of the rounds stepped by
+    # hand: max |lam - lam_old|, the norm of coupling_residual(x), and the
+    # largest relative change of agent_values(x), as a plain loop computes
+    # it. So does each row's violation_inst. Each iterate, rounds 0 ... 300,
+    # is evaluated once, across block boundaries too.
+    prob, seq, theta0 = converging_setup()
+    config = RunConfig(q=4.0, t_max=300, epsilon=sys.float_info.max, theta0=theta0)
+    for loop, push_sum in ((run_until, True), (cdda_run_until, False)):
+        mixing = build_weight_matrix if push_sum else metropolis_matrix
+        states, advance = [init_state(prob, config, push_sum)], hand_stepper(prob, config, push_sum)
+        while states[-1].t < config.t_max:
+            states.append(advance(states[-1], mixing(seq.adj[states[-1].t % len(seq.adj)])))
+        measured = []
+
+        def recording(*args):
+            measured.append(stopping_residuals(*args))
+            return math.inf, math.inf, math.inf
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "stopping_residuals", recording)
+            calls = count_agent_values(patch, prob)
+            state, rows, reason = loop(prob, seq, config)
+        assert state.t == len(measured) == config.t_max and reason == STOP_T_MAX
+        per_iterate = [x for x in calls if np.ndim(x) == 2]
+        assert len(per_iterate) == len({id(x) for x in per_iterate}) == config.t_max + 1
+        for prev, now, got, column in zip(states, states[1:], measured, rows.violation_inst):
+            f_old, f_new = prob.agent_values(prev.x), prob.agent_values(now.x)
+            rel = max((abs((new - old) / old) for old, new in zip(f_old, f_new)
+                       if abs(old) >= 1e-12), default=0.0)
+            want = (float(abs(now.lam - prev.lam).max()), violation_of(prob, now), rel)
+            assert got == want and column == want[1], now.t
 
 
 @pytest.mark.parametrize("loop, push_sum", [(run_until, True), (cdda_run_until, False)],

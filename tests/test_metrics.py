@@ -146,10 +146,10 @@ def quad_run(rounds=12, m=3, seed=2):
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
     seq = generate_graph_sequence(m, 1, seed=9)
     cfg = RunConfig(q=4.0, t_max=rounds + 1, epsilon=1e-300)
-    states, step = [init_state(prob, cfg)], stepper(prob, seq)
+    states, step = [init_state(prob, cfg)], stepper(prob, seq, cfg)
     for _ in range(rounds):
         states.append(step(states[-1]))
-    rows = evaluate_states(states[1:], prob)
+    rows = evaluate_states(states[1:], prob, cfg.q)
     return prob, seq, states, rows
 
 
@@ -168,10 +168,10 @@ def test_lemma2_single_agent_zero_probe_matches_direct_algebra():
     prob = make_quadratic_problem(m=1, p=2, dims=[2], seed=5, tau_min=1.0, gamma=9.0)
     seq = GraphSequence(np.zeros((1, 1, 1), dtype=bool), window=1)
     cfg = RunConfig(q=1.0, t_max=10, epsilon=1e-300)
-    states, step = [init_state(prob, cfg)], stepper(prob, seq)
+    states, step = [init_state(prob, cfg)], stepper(prob, seq, cfg)
     for _ in range(6):
         states.append(step(states[-1]))
-    rows = evaluate_states(states[1:], prob)
+    rows = evaluate_states(states[1:], prob, cfg.q)
     c = constants_from_run(prob, seq.window, 1.0, rows)
     A, b, gamma = prob.A[0], prob.b[0], prob.gammas[0]
     for k in range(len(states) - 1):
@@ -279,12 +279,13 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     # included, below SCREEN_MIN_M by the pair form and from it on through
     # the screen. One block holds an all-zero first round and three live ones.
     prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
-    state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
+    config = RunConfig(q=4.0 * m, t_max=10, epsilon=0.01)
+    state = init_state(prob, config)
     rng = np.random.default_rng(m)
     lams = [np.zeros((m, prob.p))] + [scale * rng.normal(size=(m, prob.p))
                                       for scale in (1e-8, 1.0, 1e6)]
     block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
-    got = evaluate_states(block, prob).disagreement.tolist()
+    got = evaluate_states(block, prob, config.q).disagreement.tolist()
     assert got == [full_pairwise(lam) for lam in lams]
     assert got[0] == 0.0
     if m == 1:
@@ -303,7 +304,7 @@ def test_disagreement_matches_full_pairwise_broadcast(m):
     assert 1.5**2 + e * e == np.nextafter(2.25, 3.0)
     block = [dataclasses.replace(state, t=t, lam=near_tie)
              for t, near_tie in enumerate((lam, lam[::-1], np.roll(lam, 1, axis=0)), start=1)]
-    for disagreement in evaluate_states(block, prob).disagreement.tolist():
+    for disagreement in evaluate_states(block, prob, config.q).disagreement.tolist():
         assert disagreement == math.sqrt(np.nextafter(2.25, 3.0)) != 1.5
 
 
@@ -409,12 +410,13 @@ def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
     # the norm itself exceeds the float range. Every other round keeps the
     # bits of the plain sqrt(r . r), a non-finite lam's too. No round warns.
     prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
-    state = init_state(prob, RunConfig(q=4.0 * m, t_max=10, epsilon=0.01))
+    config = RunConfig(q=4.0 * m, t_max=10, epsilon=0.01)
+    state = init_state(prob, config)
     lams = huge_rounds(m)
     block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = evaluate_states(block, prob)
+        rows = evaluate_states(block, prob, config.q)
     live = lams[0]
     assert rows.max_lambda[0] == np.sqrt((live * live).sum(axis=1)).max()
     assert rows.disagreement[0] == full_pairwise(live)
@@ -433,7 +435,7 @@ def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = evaluate_states([dataclasses.replace(state, t=1, lam=lam)
-                                for lam in (apart, beyond, with_inf)], prob)
+                                for lam in (apart, beyond, with_inf)], prob, config.q)
     assert rows.max_lambda[0] == 1.5e308 and rows.disagreement[0] == math.inf
     assert rows.max_lambda[1] == rows.disagreement[1] == math.inf
     with np.errstate(invalid="ignore"):
@@ -455,19 +457,6 @@ def test_fig7_with_huge_theta0_keeps_finite_dual_norms():
     assert math.isclose(rows.max_lambda[-1], max(math.hypot(*agent) for agent in state.lam),
                         rel_tol=1e-15)
     assert math.isfinite(constants_from_run(prob, 1, 4.0, rows).D)
-
-
-def test_round_carries_coupling_terms_of_its_iterate():
-    # terms, values and violation_inst are those of the state's own x, bit for
-    # bit, from round 0 on; the violation_inst column copies the carried norm.
-    prob, seq, states, rows = quad_run(rounds=6)
-    for state, column in zip(states, [None, *rows.violation_inst.tolist()]):
-        assert np.array_equal(state.terms, prob.coupling_terms(state.x))
-        assert np.array_equal(state.values, prob.agent_values(state.x))
-        norm = float(np.linalg.norm(prob.coupling_residual(state.x)))
-        assert state.violation_inst == norm
-        if column is not None:
-            assert column == norm
 
 
 def test_empirical_values_stay_under_bounds():

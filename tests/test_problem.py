@@ -16,6 +16,7 @@ from drdga import (
     make_quadratic_problem,
     solve_local,
 )
+from drdga.problem import _sum_agents
 
 FIG7_ROUTING = [[1, 1, 0], [1, 1, 1]]
 
@@ -380,7 +381,7 @@ def test_stacked_values_and_coupling_match_direct_sums():
     direct = [0.5 * prob.diag[i, :n] @ (x[i, :n] ** 2) + prob.lin[i, :n] @ x[i, :n]
               for i, n in enumerate(dims)]
     assert np.allclose(prob.agent_values(x), direct, rtol=1e-14, atol=1e-14)
-    assert prob.objective_value(x) == pytest.approx(sum(direct), rel=1e-14)
+    assert _sum_agents(prob.agent_values(x)) == pytest.approx(sum(direct), rel=1e-14)
     residual = sum(prob.A[i, :, :n] @ x[i, :n] - prob.b[i] for i, n in enumerate(dims))
     assert np.allclose(prob.coupling_residual(x), residual, rtol=1e-14, atol=1e-14)
 
@@ -415,7 +416,7 @@ def test_sums_over_agents_run_left_to_right(p):
         total = 0.0
         for value in prob.agent_values(x).tolist():
             total += value
-        assert prob.objective_value(x) == total
+        assert _sum_agents(prob.agent_values(x)) == total
         residual = np.zeros(p)
         for term in prob.coupling_terms(x):
             residual = residual + term

@@ -4,6 +4,7 @@ The examples are derandomized, so every run checks the same cases.
 """
 
 import dataclasses
+import decimal
 import math
 import tempfile
 from pathlib import Path
@@ -38,7 +39,7 @@ from drdga import (
 from drdga.config import ALGORITHMS
 from drdga.engine import STOP_CONVERGED
 from drdga.cli import CSV_HEADER, main
-from test_config_cli import MINIMAL_QUAD
+from test_config_cli import MINIMAL_QUAD, assert_minimum_q_accepted, printed_minimum_q
 from test_engine import assert_same_run, hand_run, hand_stepper
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
@@ -300,8 +301,8 @@ def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(adj, seed):
     ring = np.roll(np.eye(m, dtype=bool), 1, axis=1) & ~np.eye(m, dtype=bool)
     pool = [build_weight_matrix(entry | ring) for entry in adj]
     prob = make_quadratic_problem(m=m, p=2, dims=1, seed=seed, tau_min=1.0, gamma=4.0)
-    state = init_state(prob, RunConfig(q=4.0, t_max=100, epsilon=1e-300))
-    advance = hand_stepper(prob)
+    config = RunConfig(q=4.0, t_max=100, epsilon=1e-300)
+    state, advance = init_state(prob, config), hand_stepper(prob, config)
     for _ in range(40):
         state = advance(state, pool[state.t % len(pool)])
         assert abs(state.rho.sum() - m) <= 1e-12
@@ -311,8 +312,9 @@ def test_pool_matrices_column_stochastic_and_push_sum_mass_kept(adj, seed):
 @given(problems, seeds)
 def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     seq = generate_graph_sequence(prob.m, 1, seed=seed, pool_size=4)
-    state = init_state(prob, RunConfig(q=1.0, t_max=100, epsilon=1e-300), push_sum=False)
-    advance = hand_stepper(prob)
+    config = RunConfig(q=1.0, t_max=100, epsilon=1e-300)
+    state = init_state(prob, config, push_sum=False)
+    advance = hand_stepper(prob, config, push_sum=False)
     for _ in range(30):
         state = advance(state, metropolis_matrix(seq.adj[state.t % len(seq.adj)]))
         assert np.all(state.rho == 1.0)
@@ -347,6 +349,24 @@ def test_mutated_config_is_a_clean_run_or_a_config_error(line_no, mutation):
             for row in out.read_text().splitlines()[1:]:
                 cells = row.split(",")
                 assert not any(math.isnan(float(cells[i])) for i in _NAN_FREE_COLUMNS), row
+
+
+@given(st.integers(1, 40), st.data())
+def test_printed_minimum_q_is_the_least_accepted(m, data):
+    # m sources on one link, each with its own gamma, and a q far below the
+    # step rule: the minimum q the error prints is accepted through run.q
+    # and init_state, and the six-digit q just below it is rejected.
+    gammas = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    text = ("[problem]\nfamily = num\nrouting = {}\ncapacities = 1\ngammas = {}\n\n"
+            "[run]\nq = 1e-9\n").format(" ".join(["1"] * m), " ".join(map(repr, gammas)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "exp.cfg"
+        config.write_text(text)
+        printed = printed_minimum_q(config)
+        assert_minimum_q_accepted(config, printed)
+        below = decimal.Context(prec=6).next_minus(decimal.Decimal(printed))
+        with pytest.raises(ConfigError, match="too small"):
+            RunConfig(q=float(below)).validate_for(parse_config(config).problem, push_sum=True)
 
 
 _BAD_CAPACITIES = ("0", "-1", "nan", "inf", "abc")

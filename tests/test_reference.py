@@ -18,6 +18,7 @@ from drdga import (
     solve_local,
 )
 from drdga import reference
+from drdga.problem import _sum_agents
 
 FIG7 = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
 CONFIGS = files("drdga") / "configs"
@@ -74,7 +75,7 @@ def test_fig7_solution_feasible_and_matches_grid_oracle():
     # The coupling pins x3 = 0 and x2 = 1 - x1; scan that segment.
     grid = np.linspace(0.0, 1.0, 1001)
     vals = [
-        FIG7.objective_value([np.array([g]), np.array([1 - g]), np.array([0.0])])
+        _sum_agents(FIG7.agent_values([np.array([g]), np.array([1 - g]), np.array([0.0])]))
         for g in grid
     ]
     best = grid[int(np.argmin(vals))]
@@ -102,7 +103,7 @@ def test_weak_duality_certificate_on_quadratic():
         if np.any(xs < prob.lower) or np.any(xs > prob.upper):
             continue
         assert float(np.linalg.norm(prob.coupling_residual(xs))) <= 1e-6
-        assert prob.objective_value(xs) >= sol.objective - slack - 1e-9
+        assert _sum_agents(prob.agent_values(xs)) >= sol.objective - slack - 1e-9
 
 
 @pytest.mark.parametrize("b, feasible", [(0.5, True), (1.0, False)], ids=["feasible", "infeasible"])
@@ -230,7 +231,8 @@ def assert_oracle_agrees_with_lp(problems):
             assert sol.violation <= reference.RESIDUAL_TOL
             assert np.all((prob.lower <= sol.x) & (sol.x <= prob.upper))
             # The LP's vertex is feasible, so it cannot beat the optimum.
-            assert prob.objective_value(lp.x.reshape(prob.lower.shape)) >= sol.objective - 1e-7
+            vertex = lp.x.reshape(prob.lower.shape)
+            assert _sum_agents(prob.agent_values(vertex)) >= sol.objective - 1e-7
     assert 0 < sum(outcomes) < len(outcomes)
 
 
