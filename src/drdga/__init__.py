@@ -8,7 +8,7 @@ Library layout:
 - :mod:`drdga.engine` — the round kernel and run loop of both algorithms
 - :mod:`drdga.baseline` — dual-decomposition baseline on doubly stochastic mixing
 - :mod:`drdga.reference` — centralized solver used as the gap oracle
-- :mod:`drdga.metrics` — per-round observables, rate-bound evaluators, rate fits
+- :mod:`drdga.metrics` — per-round observables and rate-bound evaluators
 - :mod:`drdga.config`, :mod:`drdga.cli` — experiment files and the command line
 """
 
@@ -40,8 +40,6 @@ from .metrics import (
     BoundConstants,
     Metrics,
     constants_from_run,
-    lemma2_residual,
-    rate_fit,
     theorem2_bound,
     theorem3_bound,
 )
@@ -83,13 +81,11 @@ __all__ = [
     "ergodic_average",
     "generate_graph_sequence",
     "init_state",
-    "lemma2_residual",
     "make_num_problem",
     "make_quadratic_problem",
     "metropolis_matrix",
     "parse_config",
     "parse_edge_list",
-    "rate_fit",
     "run_until",
     "solve_centralized",
     "solve_local",

@@ -12,7 +12,6 @@ allocated. See drdga/configs/ for complete examples.
 from __future__ import annotations
 
 import configparser
-import inspect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .graph import GraphSequence, generate_graph_sequence, parse_edge_list
+from .graph import POOL_SIZE, GraphSequence, generate_graph_sequence, parse_edge_list
 from .problem import CoupledProblem, make_num_problem, make_quadratic_problem
 
 ALGORITHMS = ("drdga", "cdda")
@@ -65,7 +64,6 @@ class _Field(NamedTuple):
 
 
 _INT, _NUMBER = "an integer", "a number"
-_POOL_SIZE_DEFAULT = inspect.signature(generate_graph_sequence).parameters["pool_size"].default
 _WINDOW = _Field(int, _INT, minimum=1)
 # Section -> (selector key, its default, variant -> key -> _Field). The
 # selector's value picks the variant; a section without one has the variant None.
@@ -209,7 +207,7 @@ def parse_config(
         _check_size("the coupling array", ("problem.m", "problem.p", "problem.dims"),
                     (m, problem_fields["p"], max(dims or [1])), 8)
     if mode == "random-pool" and sized:
-        pool = graph_fields.get("pool_size", _POOL_SIZE_DEFAULT)
+        pool = graph_fields.get("pool_size", POOL_SIZE)
         _check_size("the graph pool", ("graph.pool_size", m_field, m_field), (pool, m, m), 9)
 
     # The factories are looked up in this module's namespace at call time.

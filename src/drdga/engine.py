@@ -38,7 +38,7 @@ import numpy as np
 from . import metrics
 from .errors import ConfigError, InvalidInputError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
-from .problem import CoupledProblem, _sum_agents, minimize_lagrangian
+from .problem import CoupledProblem, _sum_agents, lagrangian_minimizer
 
 STOP_CONVERGED = "converged"
 STOP_T_MAX = "t_max"
@@ -79,14 +79,14 @@ class RunConfig:
         m, p = problem.m, problem.p
         if self.theta0 is not None and np.shape(self.theta0) != (m, p):
             raise ConfigError(f"theta0 has shape {np.shape(self.theta0)}, expected ({m}, {p})")
-        gamma = problem.gamma_total
-        if push_sum and self.q * gamma / m < 4.0:
+        q, gamma = float(self.q), problem.gamma_total
+        if push_sum and q * gamma / m < 4.0:
             least = float(f"{4.0 * m / gamma:g}")  # may round to a q this test rejects
             while least * gamma / m < 4.0:
                 least = float(f"{least + 10.0 ** (math.floor(math.log10(least)) - 5):g}")
+            # The rejected q and its ratio round-trip, so neither reads as passing.
             raise ConfigError(
-                f"q = {self.q:g} too small: q*gamma/m = {self.q * gamma / m:g} < 4; "
-                f"minimum q = {least:g}"
+                f"q = {q!r} too small: q*gamma/m = {q * gamma / m!r} < 4; minimum q = {least:g}"
             )
 
 
@@ -134,10 +134,12 @@ class _Block:
     rows for up to ``size`` consecutive rounds, reused block after block. lam
     is the multiplier the agents solved at (u / rho, or u with push-sum off);
     ergodic row k + 1 is the sum of row k's round, and row 0 the sum the
-    block starts from. The kernel's row views (``rows``), (m, p) scratch
-    arrays and gamma broadcast to (m, p) are made once. ``values(state)``,
-    a state's per-agent objective values, keeps the last state's: the stop
-    test reads rounds in order, so it evaluates each iterate once."""
+    block starts from. The kernel's row views (``rows``, with the 3-D column
+    views its products take), (m, p) scratch arrays, gamma broadcast to
+    (m, p) and bound local solve (``minimize``) are made once.
+    ``values(state)``, a state's per-agent objective values, keeps the last
+    state's: the stop test reads rounds in order, so it evaluates each
+    iterate once."""
 
     def __init__(self, problem: CoupledProblem, q: float, push_sum: bool, size: int):
         self.problem, self.q, self.push_sum = problem, q, push_sum
@@ -145,10 +147,12 @@ class _Block:
         self.theta, self.lam, self.terms = (np.empty((size, m, p)) for _ in range(3))
         self.rho, self.x = np.empty((size, m)), np.empty((size, m, n))
         self.violation, self.ergodic = np.empty(size), np.empty((size + 1, m, n))
-        self.rows = list(zip(self.theta, self.rho, self.rho[..., None], self.lam, self.x,
-                             self.terms))
+        self.rows = list(zip(self.theta, self.rho, self.rho[..., None], self.lam,
+                             self.lam[..., None], self.x, self.x[..., None], self.terms,
+                             self.terms[..., None]))
         self.u, self.step = np.empty((m, p)), np.empty((m, p))
         self.gammas = np.repeat(problem.gammas[:, None], p, axis=1)
+        self.minimize = lagrangian_minimizer(problem)
         self.values = functools.lru_cache(maxsize=1)(lambda state: problem.agent_values(state.x))
 
     def state(self, k: int, start: RunState) -> RunState:
@@ -169,21 +173,26 @@ def _advance_block(state: RunState, pool, count: int, block: _Block) -> None:
 
     Each step is one numpy call into a block row or scratch array, on full
     arrays derived once where a round alone would broadcast, in that round's
-    order, so every bit is its own; beta comes from one
-    q / (t, ..., t + count - 1) row, bit for bit q / t."""
-    problem, push_sum, theta, rho = block.problem, block.push_sum, state.theta, state.rho
-    u, step, gammas = block.u, block.step, block.gammas
+    order, so every bit is its own: ``np.dot`` makes the BLAS call of
+    ``W @ theta`` and ``W @ rho``, and the coupling terms are
+    :meth:`CoupledProblem.coupling_terms`' two calls on the row. beta comes
+    from one q / (t, ..., t + count - 1) row, bit for bit q / t."""
+    push_sum, theta, rho = block.push_sum, state.theta, state.rho
+    u, step, gammas, minimize = block.u, block.step, block.gammas, block.minimize
+    A, b = block.problem.A, block.problem.b
     betas = block.q / np.arange(state.t + 1, state.t + count + 1)
     mixing = [pool[t % len(pool)] for t in range(state.t, state.t + count)]
-    for k, W, (theta_k, rho_k, rho_col, lam, x, terms) in zip(range(count), mixing, block.rows):
+    for k, W, (theta_k, rho_k, rho_col, lam, lam_col, x, x_col, terms, terms_col) in zip(
+            range(count), mixing, block.rows):
         if push_sum:
-            np.matmul(W, theta, out=u)
-            rho = np.matmul(W, rho, out=rho_k)
+            np.dot(W, theta, out=u)
+            rho = np.dot(W, rho, out=rho_k)
             np.divide(u, rho_col, out=lam)
         else:
-            u = np.matmul(W, theta, out=lam)
-        minimize_lagrangian(problem, lam, out=x)
-        problem.coupling_terms(x, out=terms)
+            u = np.dot(W, theta, out=lam)
+        minimize(lam_col, x)
+        np.matmul(A, x_col, out=terms_col)
+        np.subtract(terms, b, out=terms)
         if push_sum:
             np.multiply(gammas, lam, out=step)
             np.subtract(terms, step, out=step)

@@ -79,11 +79,15 @@ def build_weight_matrix(adj: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(reach.T) * (1 / (1 + adj.sum(axis=1)))[None, :]
 
 
+# Graphs in a generated pool by default; parse_config's size check reads it too.
+POOL_SIZE = 20
+
+
 def generate_graph_sequence(
     m: int,
     window: int = 1,
     seed: int = 0,
-    pool_size: int = 20,
+    pool_size: int = POOL_SIZE,
 ) -> GraphSequence:
     """Generate a random pool of per-round graphs, cycled over rounds.
 

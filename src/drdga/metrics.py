@@ -1,5 +1,5 @@
 """Per-round observables as column arrays (Metrics), computed a block of rounds
-at a time from their stacked arrays, convergence-bound evaluators, and rate fitting.
+at a time from their stacked arrays, and convergence-bound evaluators.
 
 The disagreement column, the largest distance between two agents'
 multipliers, is exact. Below SCREEN_MIN_M agents every pair i < j is
@@ -12,8 +12,8 @@ The bound evaluators plug an empirical dual-norm cap D (the running max of
 max_i ||lambda_i[t]|| over a run) into the printed rate expressions. With the
 admissible network constants delta = m^(-m*window) and
 eta = (1 - m^(-m*window))^(1/(m*window)) the bounds are extremely loose for
-m >= 3; they are reported for completeness while rate_fit carries the
-empirical rate check. A bound beyond float range evaluates to inf.
+m >= 3; they are reported for completeness, and the acceptance tests check
+the empirical rates instead. A bound beyond float range evaluates to inf.
 """
 
 from __future__ import annotations
@@ -21,14 +21,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .problem import CoupledProblem, _sum_agents, compute_G_bound
-
-if TYPE_CHECKING:
-    from .engine import RunState
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,64 +372,3 @@ def theorem3_bound(T: int, c: BoundConstants) -> float:
     """Printed upper bound on the squared coupling violation of the ergodic average."""
     return _rate_bound(T, c, lead=c.gamma_total, k=8.0, tail=c.q * c.gamma_total / 4.0)
 
-
-def lemma2_residual(
-    state_t: RunState,
-    state_t1: RunState,
-    problem: CoupledProblem,
-    lambda_probe: np.ndarray,
-    c: BoundConstants,
-) -> float:
-    """Slack of the per-round descent inequality on the mean dual surrogate.
-
-    Evaluates RHS - LHS of the inequality bounding ||mean(theta)[t+1] - lambda||^2
-    at the probe multiplier, with the comparison primal point taken as the
-    round's own x[t+1]. Non-negative (up to roundoff) whenever D dominates
-    every dual norm in the run.
-    """
-    if state_t1.t != state_t.t + 1:
-        raise ValueError("states must be consecutive rounds")
-    lam_probe = np.asarray(lambda_probe, dtype=float)
-    beta = c.q / state_t1.t
-    m = problem.m
-    theta_bar_t = state_t.theta.mean(axis=0)
-    theta_bar_t1 = state_t1.theta.mean(axis=0)
-
-    values, terms = problem.agent_values(state_t1.x), problem.coupling_terms(state_t1.x)
-
-    def lagrangian(mult):
-        return float(np.sum(values + terms @ mult - 0.5 * problem.gammas * float(mult @ mult)))
-
-    lhs = float(np.sum((theta_bar_t1 - lam_probe) ** 2))
-    rhs = float(np.sum((theta_bar_t - lam_probe) ** 2))
-    coeffs = c.G + c.gammas * c.D
-    rhs += (4.0 * beta / m) * float(
-        np.sum(coeffs * np.linalg.norm(state_t1.lam - theta_bar_t, axis=1))
-    )
-    rhs -= (beta / m) * float(
-        np.sum(problem.gammas * np.sum((state_t1.lam - lam_probe) ** 2, axis=1))
-    )
-    rhs += (beta**2 / m) * float(np.sum(coeffs**2))
-    rhs -= (2.0 * beta / m) * (lagrangian(lam_probe) - lagrangian(theta_bar_t))
-    return rhs - lhs
-
-
-def rate_fit(rows: Metrics, which: str) -> tuple[float, float]:
-    """Fit value(T) against ln T / T over the rows with T >= 10.
-
-    Returns (c_hat, max_ratio): c_hat is the median of g(T) = value(T)*T/ln T
-    over the last half of the retained rows, and max_ratio = max g / g(T0)
-    with T0 the first retained round. A bounded max_ratio means the observed
-    decay is no slower than ln T / T beyond T0.
-    """
-    rows = rows[rows.t >= 10]
-    if which == "gap":
-        values = rows.gap
-    elif which == "violation2":
-        values = rows.violation**2
-    else:
-        raise ValueError(f"which must be 'gap' or 'violation2', got {which!r}")
-    if len(rows) < 10:
-        raise ValueError(f"need at least 10 rows with T >= 10, got {len(rows)}")
-    g = values * rows.t / np.log(rows.t)
-    return float(np.median(g[len(g) // 2 :])), float(g.max() / g[0])

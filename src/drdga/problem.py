@@ -56,10 +56,7 @@ class CoupledProblem:
     ``family`` (the family's tag class) and ``modulus``, the (m,)
     strong-convexity moduli of the f_i on their boxes: the smallest diag entry
     over each agent's free coordinates, or 20 w / 1.21 for the log family,
-    and inf for an agent with no free coordinate. ``A_T`` (each A_i
-    transposed, (m, n, p)) and ``minus_lin`` (-lin) or, for the log family,
-    ``scale`` (20 w) and ``offset`` (0.1), each (m, n), are the local
-    solve's constants.
+    and inf for an agent with no free coordinate.
     """
 
     A: np.ndarray
@@ -113,14 +110,7 @@ class CoupledProblem:
         # Free coordinates only: a fixed one is a constant and has no curvature.
         modulus = np.where(self.lower < self.upper, curvature, np.inf).min(axis=1)
         family = DiagonalQuadratic if quadratic else LogUtility
-        # The local solve's constants, derived once rather than every round,
-        # as full (m, n) arrays: a ufunc broadcasts a column or a scalar slower.
-        minus_lin, scale, offset = (-self.lin, None, None) if quadratic else (
-            None, np.full((m, n), RATE_UTILITY_SCALE) * self.weights[:, None],
-            np.full((m, n), RATE_UTILITY_OFFSET))
-        for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus),
-                            ("A_T", self.A.swapaxes(1, 2)), ("minus_lin", minus_lin),
-                            ("scale", scale), ("offset", offset)):
+        for name, value in (("m", m), ("p", p), ("family", family), ("modulus", modulus)):
             object.__setattr__(self, name, value)
 
     @property
@@ -149,14 +139,12 @@ class CoupledProblem:
         lin = np.matmul(self.lin[:, None, :], x[..., None])
         return (quad + lin)[..., 0, 0]
 
-    def coupling_terms(self, x, out=None) -> np.ndarray:
+    def coupling_terms(self, x) -> np.ndarray:
         """Per-agent coupling terms A_i x_i - b_i of stacked iterates x,
         (..., m, n_max) to (..., m, p), with leading batch dimensions as in
-        :meth:`agent_values`. Written into ``out`` when given, an array of
-        the result's shape that does not overlap x (the round kernel's row)."""
+        :meth:`agent_values`."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.p,)) if out is None else out
-        np.matmul(self.A, x[..., None], out=out[..., None])
+        out = np.matmul(self.A, x[..., None])[..., 0]
         return np.subtract(out, self.b, out=out)
 
     def coupling_residual(self, x) -> np.ndarray:
@@ -179,31 +167,51 @@ def solve_local(problem: CoupledProblem, lam: np.ndarray) -> np.ndarray:
     if not np.isfinite(lam).all():
         raise InvalidInputError("lambda must be finite")
     with np.errstate(over="ignore"):  # a tiny price gives inf, clipped to the upper bound
-        return minimize_lagrangian(problem, lam)
+        return lagrangian_minimizer(problem)(lam[..., None], np.empty(problem.lower.shape))
 
 
-def minimize_lagrangian(problem: CoupledProblem, lam: np.ndarray, out=None) -> np.ndarray:
-    """:func:`solve_local` without its checks, for a float (m, p) ``lam``;
-    a non-finite one gives a meaningless x. The round kernel checks its
-    rounds a block at a time and passes its (m, n_max) row as ``out``,
-    which x is written into."""
-    x = np.empty(problem.lower.shape) if out is None else out
-    # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
-    price = np.matmul(problem.A_T, lam[..., None])[..., 0]
+def lagrangian_minimizer(problem: CoupledProblem):
+    """The family's closed form of :func:`solve_local`, without its checks:
+    ``minimize(lam_col, x)`` writes into the (m, n_max) ``x``, and returns
+    it, the minimizer at the (m, p, 1) column view ``lam_col`` of a float
+    (m, p) lambda. A non-finite lambda gives a meaningless x.
+
+    The family, the constants and the price and mask scratch are bound
+    once: the round kernel binds one minimizer per run and passes it its
+    rows' views, made once too. The constants are full (m, n_max) arrays,
+    since a ufunc that broadcasts a column or a scalar costs more a call.
+    """
+    lower, upper, A_T = problem.lower, problem.upper, problem.A.swapaxes(1, 2)
+    price = np.empty(lower.shape)
+    price_col = price[..., None]
     if problem.family is DiagonalQuadratic:
-        # Stationarity diag*x + lin + price = 0, clipped to the box.
-        np.subtract(problem.minus_lin, price, out=x)
-        np.divide(x, problem.diag, out=x)
-    else:
+        minus_lin, diag = -problem.lin, problem.diag
+
+        def minimize(lam_col, x):
+            # Batched matmul repeats each agent's own A_i^T lambda_i product bit for bit.
+            np.matmul(A_T, lam_col, out=price_col)
+            # Stationarity diag*x + lin + price = 0, clipped to the box.
+            np.subtract(minus_lin, price, out=x)
+            np.divide(x, diag, out=x)
+            np.maximum(x, lower, out=x)  # np.clip's bits, at less call overhead
+            return np.minimum(x, upper, out=x)
+        return minimize
+
+    scale = np.full(lower.shape, RATE_UTILITY_SCALE) * problem.weights[:, None]
+    offset, positive = np.full(lower.shape, RATE_UTILITY_OFFSET), np.empty(lower.shape, bool)
+
+    def minimize(lam_col, x):
+        np.matmul(A_T, lam_col, out=price_col)
         # Stationarity 20 w / (x + 0.1) = price. A non-positive (or NaN) price
         # leaves the inner objective decreasing on the box: x = inf, divided by
         # nothing, which the clip takes to the upper bound.
         x.fill(np.inf)
-        np.divide(problem.scale, price, out=x, where=price > 0.0)
-        np.subtract(x, problem.offset, out=x)
-    # np.clip's bits for finite and NaN input, at less call overhead.
-    np.maximum(x, problem.lower, out=x)
-    return np.minimum(x, problem.upper, out=x)
+        np.greater(price, 0.0, out=positive)
+        np.divide(scale, price, out=x, where=positive)
+        np.subtract(x, offset, out=x)
+        np.maximum(x, lower, out=x)
+        return np.minimum(x, upper, out=x)
+    return minimize
 
 
 def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import InfeasibleProblemError, UncertifiedSolutionError
 from .problem import (
     RATE_UTILITY_OFFSET,
+    RATE_UTILITY_SCALE,
     CoupledProblem,
     LogUtility,
     _sum_agents,
@@ -79,15 +80,16 @@ class _Point(NamedTuple):
 def solve_centralized(problem: CoupledProblem) -> ReferenceSolution:
     """Solve the coupled problem and certify the answer, as the module docstring says.
 
-    L = sum_i ||A_i||^2 / tau_i bounds the dual gradient's Lipschitz constant,
-    with tau_i = ``problem.modulus[i]``. When L = 0 no free coordinate moves
-    the coupling, so x(lambda) is one point for every lambda: the minimizer at
-    lambda = 0 is the answer, and its certificate needs no second local solve.
+    The dual gradient's Lipschitz bound L = sum_i ||A_i||^2 / tau_i, with
+    tau_i = ``problem.modulus[i]``, is 0 exactly when every agent with a
+    finite modulus (some free coordinate) has A_i = 0. Then no free
+    coordinate moves the coupling, so x(lambda) is one point for every
+    lambda: the minimizer at lambda = 0 is the answer, and its certificate
+    needs no second local solve.
     """
-    lipschitz = _sum_agents(np.linalg.norm(problem.A, 2, axis=(1, 2)) ** 2 / problem.modulus)
     lam = np.zeros(problem.p)
     point, steps = _dual_point(problem, lam), 0
-    if lipschitz:
+    if problem.A[np.isfinite(problem.modulus)].any():
         lam, point, steps = _dual_newton(problem, lam, point)
     violation = float(np.linalg.norm(point.residual))
     objective, gap = point.objective, point.objective - point.dual
@@ -121,14 +123,15 @@ def _dual_newton(problem: CoupledProblem, lam: np.ndarray, point: _Point):
     coupling matrix is coordinate k.
     """
     A = problem.A.transpose(1, 0, 2).reshape(problem.p, -1)
+    # -dx/d(price): 1/diag, or (x + 0.1)^2 / (20 w) where x = 20 w / price - 0.1.
     log = problem.family is LogUtility
+    scale = RATE_UTILITY_SCALE * problem.weights[:, None] if log else None
     steps = 0
     while steps < MAX_STEPS:
         norm = np.linalg.norm(point.residual)
         if norm <= point.residual_noise:
             break
-        # -dx/d(price): 1/diag, or (x + 0.1)^2 / (20 w) where x = 20 w / price - 0.1.
-        slope = (point.x + RATE_UTILITY_OFFSET) ** 2 / problem.scale if log else 1.0 / problem.diag
+        slope = (point.x + RATE_UTILITY_OFFSET) ** 2 / scale if log else 1.0 / problem.diag
         inside = (problem.lower < point.x) & (point.x < problem.upper)
         J = np.where(inside, slope, 0.0).ravel()
         w, V = np.linalg.eigh((A * J) @ A.T)

@@ -21,10 +21,8 @@ from drdga import (
     constants_from_run,
     generate_graph_sequence,
     init_state,
-    lemma2_residual,
     make_quadratic_problem,
     parse_config,
-    rate_fit,
     run_until,
     solve_centralized,
     solve_local,
@@ -32,6 +30,7 @@ from drdga import (
     theorem3_bound,
 )
 from drdga.cli import main as cli_main
+from analysis import lemma2_residual, rate_fit
 from test_engine import evaluate_states, stepper
 
 FIG7_CFG = str(files("drdga") / "configs" / "fig7.cfg")

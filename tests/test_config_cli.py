@@ -103,8 +103,11 @@ def assert_minimum_q_accepted(path, printed: str) -> None:
     init_state(exp.problem, RunConfig(q=float(printed)))
 
 
-@pytest.mark.parametrize("gammas, minimum", [("1 1 1", "4"), ("0.3 0.3 0.3", "13.3334")])
-def test_printed_minimum_q_is_accepted(tmp_path, gammas, minimum):
+@pytest.mark.parametrize("gammas, minimum, below", [
+    pytest.param("1 1 1", "4", "3.99999999", id="1 1 1-4"),
+    pytest.param("0.3 0.3 0.3", "13.3334", "13.33333333", id="0.3 0.3 0.3-13.3334"),
+])
+def test_printed_minimum_q_is_accepted(tmp_path, gammas, minimum, below):
     # With gamma = 0.3 each, gamma_total = 0.8999999999999999 and 4m / gamma_total
     # = 13.333333333333336, which :g prints as 13.3333: a q the rule
     # q * gamma / m >= 4 rejects. The error prints the least six-digit q it accepts.
@@ -112,9 +115,17 @@ def test_printed_minimum_q_is_accepted(tmp_path, gammas, minimum):
             .replace("gammas = 1 1 1", f"gammas = {gammas}"))
     path = write_cfg(tmp_path, text)
     assert printed_minimum_q(path) == minimum
+    problem = parse_config(path, algorithm="cdda").problem
     with pytest.raises(ConfigError, match=f"minimum q = {minimum}$"):
-        init_state(parse_config(path, algorithm="cdda").problem, RunConfig(q=1.0))
+        init_state(problem, RunConfig(q=1.0))
     assert_minimum_q_accepted(path, minimum)
+    # A q just below the minimum: the rejected q and its ratio q * gamma / m
+    # print at round-trip precision, so neither reads as the minimum or as 4.
+    with pytest.raises(ConfigError, match=f"minimum q = {minimum}$") as raised:
+        init_state(problem, RunConfig(q=float(below)))
+    q, ratio = re.match(r"q = (\S+) too small: q\*gamma/m = (\S+) < 4;", str(raised.value)).groups()
+    assert q == below and q != minimum
+    assert float(ratio) == float(below) * problem.gamma_total / problem.m and ratio != "4"
 
 
 def test_q_rule_rejected_for_quadratic_family(tmp_path):

@@ -18,15 +18,14 @@ from drdga import (
     constants_from_run,
     generate_graph_sequence,
     init_state,
-    lemma2_residual,
     make_num_problem,
     make_quadratic_problem,
-    rate_fit,
     run_until,
     theorem2_bound,
     theorem3_bound,
 )
 from drdga.metrics import SCREEN_MIN_M, _disagreement
+from analysis import lemma2_residual, rate_fit
 from test_engine import evaluate_states, stepper
 
 CONSTANT_SETS = [
