@@ -50,6 +50,14 @@ _RATIO_GUARD = 1e-12
 _ROWS = 1 << 20
 
 
+def block_size(m: int, p: int) -> int:
+    """Rounds per block of the run loop: the block's (B, m, p) multiplier
+    rows hold about 2^13 floats, with 1 <= B <= 256. 256 for fig7, 21 for
+    num_s20 and 8 at m = 100, p = 10 (README.md gives the measured time and
+    memory of other lengths)."""
+    return min(256, max(1, (1 << 13) // (m * p)))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Step-size constant, round cap, stopping tolerance, and initial surrogates."""
@@ -304,7 +312,7 @@ def run_rounds(
     for W in pool:
         if np.shape(W) != (m, m):
             raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
-    block = _Block(problem, config.q, push_sum, min(metrics.block_size(m, problem.p), config.t_max))
+    block = _Block(problem, config.q, push_sum, min(block_size(m, problem.p), config.t_max))
     rows, converged = metrics.Metrics.empty(min(config.t_max, _ROWS)), False
     while not converged and state.t < config.t_max:
         count = min(len(block.violation), max(64, state.t // 4), config.t_max - state.t)

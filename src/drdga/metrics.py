@@ -72,32 +72,21 @@ def _pairs(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 SCREEN_MIN_M = 24
 
 
-def block_size(m: int, p: int) -> int:
-    """Rounds per block of the run loop's kernel and observables.
-
-    Below SCREEN_MIN_M agents a block's pair differences, (B, m(m-1)/2, p),
-    hold about 2^15 floats, at most 256 rounds (the kernel keeps six row
-    views a round, about 0.8 KiB) and down to one round once a single
-    round's pairs fill that budget: 256 for fig7. The run loop
-    starts no block longer than max(64, t // 4) rounds at round t, so short
-    runs and early stops keep blocks of 64. From SCREEN_MIN_M on the screen
-    reads (B, m, p) arrays, and a block holds about 2^13 of their floats, at
-    most 64 rounds: 8 at m = 100, p = 10 (README.md gives the measured
-    time and memory of longer blocks there).
-    """
-    if m >= SCREEN_MIN_M:
-        return min(64, max(1, (1 << 13) // (m * p)))
-    return min(256, max(1, (1 << 15) // max(1, m * (m - 1) // 2 * p)))
-
-
 def _pair_max(lam: np.ndarray) -> np.ndarray:
     """Largest squared distance over the agent pairs i < j of each round of a
-    (B, m, p) block: lam[i] - lam[j], squared, summed over p; 0 for m < 2."""
-    first, second = _pairs(lam.shape[1], lam.shape[1])
-    diffs = lam.take(first, axis=1)
-    diffs -= lam.take(second, axis=1)
-    diffs *= diffs
-    return diffs.sum(axis=2).max(axis=1, initial=0.0)
+    (B, m, p) block: lam[i] - lam[j], squared, summed over p; 0 for m < 2.
+    The rounds go in chunks whose pair differences hold about 2^15 floats,
+    down to one round; each pair's row is summed alike in any chunk."""
+    B, m, p = lam.shape
+    first, second = _pairs(m, m)
+    chunk = max(1, (1 << 15) // max(1, len(first) * p))
+    out = np.empty(B)
+    for start in range(0, B, chunk):
+        diffs = lam[start : start + chunk].take(first, axis=1)
+        diffs -= lam[start : start + chunk].take(second, axis=1)
+        diffs *= diffs
+        diffs.sum(axis=2).max(axis=1, initial=0.0, out=out[start : start + chunk])
+    return out
 
 
 def _squared_distances(lam: np.ndarray, point: np.ndarray) -> np.ndarray:

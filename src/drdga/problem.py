@@ -82,8 +82,9 @@ class CoupledProblem:
             raise InvalidProblemError("A must be (m, p, n) and the box bounds (m, n)")
         m, p = self.A.shape[:2]
         n = self.lower.shape[1]
-        if m == 0:
-            raise InvalidProblemError("a coupled problem needs at least one agent")
+        if 0 in (m, p, n):
+            raise InvalidProblemError("a coupled problem needs at least one agent, coupling row "
+                                      f"and box column; got m = {m}, p = {p}, n = {n}")
         n_objective = self.diag.shape[-1] if quadratic and self.diag.ndim else 1
         if n_objective != n:
             raise InvalidProblemError(f"objective has {n_objective} variables but the box has {n}")
@@ -323,7 +324,7 @@ def compute_G_bound(problem: CoupledProblem) -> np.ndarray:
             G[idx] = np.linalg.norm(A, axis=(1, 2)) * corner + np.linalg.norm(offset[idx], axis=1)
             continue
         # Enough vertices per chunk for about 2^20 floats in each array.
-        chunk = max(1, (1 << 20) // (len(idx) * max(1, n, problem.p)))
+        chunk = max(1, (1 << 20) // (len(idx) * max(n, problem.p)))
         for start in range(0, 2**n, chunk):
             codes = np.arange(start, min(start + chunk, 2**n))
             bits = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)

@@ -27,8 +27,8 @@ from drdga import (
     solve_local,
 )
 from drdga import baseline, engine
-from drdga.engine import STOP_CONVERGED, STOP_T_MAX, stopping_residuals
-from drdga.metrics import SCREEN_MIN_M, Metrics, block_size, evaluate_rounds
+from drdga.engine import STOP_CONVERGED, STOP_T_MAX, block_size, stopping_residuals
+from drdga.metrics import SCREEN_MIN_M, Metrics, evaluate_rounds
 
 
 def fig7():
@@ -384,6 +384,13 @@ def wide_setup():
     return prob, generate_graph_sequence(100, 1, seed=5, pool_size=5), None
 
 
+def num_s20_setup():
+    """num_s20's problem (m = 20, p = 19) on a 5-entry pool, in blocks of 21
+    rounds whose pair form runs in chunks of 9."""
+    prob = parse_config(str(files("drdga") / "configs" / "num_s20.cfg")).problem
+    return prob, generate_graph_sequence(20, 1, seed=13, pool_size=5), None
+
+
 def stop_measures(prob, seq, config, push_sum):
     """The largest stop measure of each round, the rounds stepped by hand."""
     mixing = build_weight_matrix if push_sum else metropolis_matrix
@@ -416,22 +423,28 @@ def kernel_calls(monkeypatch):
     (converging_setup, "t_max-mid-block"),
     (log_setup, "t_max-mid-block"),
     (wide_setup, "t_max-mid-block"),
+    (num_s20_setup, "t_max-mid-block"),
     (converging_setup, "t_max-past-growth"),
     (log_setup, "t_max-past-growth"),
 ], ids=["converged-mid-block", "converged-on-block-end", "t_max-mid-block",
         "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block",
-        "t_max-past-growth", "log_fig7-t_max-past-growth"])
+        "num_s20-t_max-mid-block", "t_max-past-growth", "log_fig7-t_max-past-growth"])
 def test_block_flushes_match_per_round_evaluation(monkeypatch, loop, push_sum, setup, case):
     # The run loop starts blocks of 64 rounds through round 320, then blocks
-    # of a quarter of the rounds run, up to block_size: the cases sit in the
-    # grown block of rounds 321-400 (80 rounds), and "past-growth" runs to
-    # round 1,500, through blocks of 100 to 244 rounds and a block of
-    # block_size's 256 rounds from round 1,221. At m = 100 the blocks stay
-    # at block_size's 8 rounds; the case sits in the third block, rounds 17-24.
+    # of a quarter of the rounds run, up to block_size: at 256 rounds the
+    # cases sit in the grown block of rounds 321-400 (80 rounds), and
+    # "past-growth" runs to round 1,500, through blocks of 100 to 244 rounds
+    # and a block of 256 from round 1,221. A block_size B under 64 holds
+    # from round 1, and the case sits in the third block, rounds 2B + 1 to
+    # 3B: 17-24 through the disagreement screen at m = 100, and 43-63 at
+    # num_s20's m = 20, where each block's pair form runs in several chunks.
     prob, seq, theta0 = setup()
     B = block_size(prob.m, prob.p)
-    if setup is wide_setup:  # the disagreement screen, in short blocks
+    if setup is wide_setup:
         assert prob.m >= SCREEN_MIN_M and B <= 8
+    elif setup is num_s20_setup:
+        assert prob.m < SCREEN_MIN_M and B * prob.m * (prob.m - 1) // 2 * prob.p > 1 << 15
+    if B < 64:
         start, end = 2 * B, 3 * B
     else:
         assert B == 256

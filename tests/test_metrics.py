@@ -380,10 +380,14 @@ def test_disagreement_screen_matches_broadcast_on_adversarial_rounds(rounds):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.data(), st.integers(1, 4), st.integers(1, 80), st.integers(1, 6), st.integers(1, 80),
-       st.sampled_from([0.0, 1.0, 1e6, 1e8]), st.sampled_from([1.0, 1e-9, 1e4]))
-def test_disagreement_equals_full_broadcast_property(data, B, m, p, distinct, offset, scale):
+@given(st.data(), st.tuples(st.integers(1, 4), st.integers(1, 80), st.integers(1, 6))
+       | st.tuples(st.integers(10, 30), st.integers(18, SCREEN_MIN_M - 1), st.integers(8, 19)),
+       st.integers(1, 80), st.sampled_from([0.0, 1.0, 1e6, 1e8]), st.sampled_from([1.0, 1e-9, 1e4]))
+def test_disagreement_equals_full_broadcast_property(data, shape, distinct, offset, scale):
     # Random (B, m, p) blocks with repeated agents, some offset far from 0.
+    # The second shapes' pair form runs in chunks of 6 to 26 rounds, so a
+    # block of 10 to 30 often splits into several, the last one short.
+    B, m, p = shape
     rows = data.draw(hnp.arrays(np.float64, (B, distinct, p),
                                 elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1.0])))
     pick = data.draw(st.lists(st.integers(0, distinct - 1), min_size=m, max_size=m))

@@ -306,6 +306,13 @@ def test_coupled_problem_validation():
         CoupledProblem(A=np.zeros((0, 1, 1)), b=np.zeros((0, 1)), lower=np.zeros((0, 1)),
                        upper=np.zeros((0, 1)), gammas=np.zeros(0),
                        diag=np.ones((0, 1)), lin=np.zeros((0, 1)))
+    # No coupling row or no box column: rejected here, not mid-run.
+    with pytest.raises(InvalidProblemError, match="p = 0, n = 1$"):
+        CoupledProblem(**{**good, "A": np.ones((1, 0, 1)), "b": np.zeros((1, 0))})
+    with pytest.raises(InvalidProblemError, match="p = 2, n = 0$"):
+        CoupledProblem(**{**good, "A": np.ones((1, 2, 0)), "lower": np.zeros((1, 0)),
+                          "upper": np.ones((1, 0)), "diag": np.ones((1, 0)),
+                          "lin": np.zeros((1, 0))})
 
 
 @pytest.mark.parametrize(

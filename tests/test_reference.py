@@ -9,6 +9,7 @@ import pytest
 from drdga import (
     CoupledProblem,
     InfeasibleProblemError,
+    InvalidProblemError,
     UncertifiedSolutionError,
     compute_G_bound,
     make_num_problem,
@@ -118,9 +119,10 @@ def test_fully_fixed_box_decides_in_one_local_solve(monkeypatch, b, feasible):
         lin=np.zeros((1, 2)),
     )
     assert prob.modulus.tolist() == [np.inf]
-    # G is |0.2 + 0.3 - b|, with or without coupling rows.
+    # G is |0.2 + 0.3 - b|; without coupling rows there is no problem to bound.
     assert compute_G_bound(prob).tolist() == [abs(0.5 - b)]
-    assert compute_G_bound(dataclasses.replace(prob, A=prob.A[:, :0], b=prob.b[:, :0])) == [0.0]
+    with pytest.raises(InvalidProblemError, match="p = 0"):
+        dataclasses.replace(prob, A=prob.A[:, :0], b=prob.b[:, :0])
     if feasible:
         assert solve_centralized(prob).x.tolist() == [[0.2, 0.3]]
     else:
