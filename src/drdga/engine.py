@@ -21,13 +21,12 @@ with numpy's floating-point errors ignored; the checks (rho > 0, lambda
 finite), violations, ergodic sums and stop test then run once per block as
 array operations. The two checks are a round's only failures: each round
 keeps the result and exception it would have had alone. Rounds computed
-past a stop or failed check are dropped. A :class:`RunState` snapshot of
-one round is built only where one is read.
+past a stop or failed check are dropped. A block builds one
+:class:`RunState` snapshot, of the last round it keeps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -106,9 +105,8 @@ class RunState:
     (m, n_max), padded like the problem's arrays. ergodic_sum holds
     sum_{s<=t} (s-1) x[s], the numerator of the weighted running average.
     With push_sum off, lam is the post-step multiplier theta, not the mixed
-    one the agents solved at. The run loop builds a state only for the
-    rounds its stop test reads and for each block's last round. A state
-    hashes by identity (``eq=False``), as the key of ``_Block.values``.
+    one the agents solved at, from round 0 on. The run loop builds one state
+    per block, of its last kept round.
     """
 
     t: int
@@ -120,7 +118,8 @@ class RunState:
 
 
 def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True) -> RunState:
-    """Round-0 state: rho = 1, everything else zero unless theta0 is given.
+    """Round-0 state: rho = 1, everything else zero unless theta0 is given;
+    with push_sum off, lam is theta, as in every later round.
 
     ``config`` is checked against ``problem`` first (:meth:`RunConfig.validate_for`).
     """
@@ -131,7 +130,7 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         t=0,
         theta=theta,
         rho=np.ones(m),
-        lam=np.zeros((m, p)),
+        lam=np.zeros((m, p)) if push_sum else theta,
         x=np.zeros(problem.lower.shape),
         ergodic_sum=np.zeros(problem.lower.shape),
     )
@@ -140,14 +139,13 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
 class _Block:
     """A run's constants (``problem``, ``q``, ``push_sum``) and preallocated
     rows for up to ``size`` consecutive rounds, reused block after block. lam
-    is the multiplier the agents solved at (u / rho, or u with push-sum off);
-    ergodic row k + 1 is the sum of row k's round, and row 0 the sum the
-    block starts from. The kernel's row views (``rows``, with the 3-D column
-    views its products take), (m, p) scratch arrays, gamma broadcast to
-    (m, p) and bound local solve (``minimize``) are made once.
-    ``values(state)``, a state's per-agent objective values, keeps the last
-    state's: the stop test reads rounds in order, so it evaluates each
-    iterate once."""
+    is the multiplier the agents solved at (u / rho, or u with push-sum off),
+    and ``reported`` the multiplier a round reports: the lam rows, or the
+    post-step theta rows with push-sum off. Ergodic row k + 1 is the sum of
+    row k's round, and row 0 the sum the block starts from. The kernel's row
+    views (``rows``, with the 3-D column views its products take), (m, p)
+    scratch arrays, gamma broadcast to (m, p) and bound local solve
+    (``minimize``) are made once."""
 
     def __init__(self, problem: CoupledProblem, q: float, push_sum: bool, size: int):
         self.problem, self.q, self.push_sum = problem, q, push_sum
@@ -161,15 +159,14 @@ class _Block:
         self.u, self.step = np.empty((m, p)), np.empty((m, p))
         self.gammas = np.repeat(problem.gammas[:, None], p, axis=1)
         self.minimize = lagrangian_minimizer(problem)
-        self.values = functools.lru_cache(maxsize=1)(lambda state: problem.agent_values(state.x))
+        self.reported = self.lam if push_sum else self.theta
 
     def state(self, k: int, start: RunState) -> RunState:
         """Row k, copied, as the state it is; ``start`` is the block's starting state."""
-        theta, push_sum = self.theta[k].copy(), self.push_sum
         return RunState(
-            start.t + k + 1, theta, self.rho[k].copy() if push_sum else start.rho,
-            self.lam[k].copy() if push_sum else theta, self.x[k].copy(),
-            self.ergodic[k + 1].copy())
+            start.t + k + 1, self.theta[k].copy(),
+            self.rho[k].copy() if self.push_sum else start.rho, self.reported[k].copy(),
+            self.x[k].copy(), self.ergodic[k + 1].copy())
 
 
 def _advance_block(state: RunState, pool, count: int, block: _Block) -> None:
@@ -219,10 +216,12 @@ def _run_block(state: RunState, pool, count: int, block: _Block,
     rest runs under the caller's errstate, where a failed round's NaNs set
     no flag. A round can only fail its checks, raised as round by round: the
     first failing round, rho (InvariantError) before lam (InvalidInputError),
-    unless an earlier round stopped the run. The stop test reads a round's
-    violation first, then :func:`stopping_residuals` of it and the round
-    before, each state built and evaluated once, ``state`` perhaps by the
-    block before. Rounds past the stop or failure are dropped silently.
+    unless an earlier round stopped the run. The stop test takes the rounds
+    before that one whose violation is within ``epsilon``, stacks their
+    multipliers and iterates with those of the round before each (``state``
+    before row 0), and makes one ``agent_values`` and one
+    :func:`stopping_residuals` call: the first row within ``epsilon`` in all
+    three stops the run. Rounds past the stop or failure are dropped silently.
     """
     with np.errstate(all="ignore"):
         _advance_block(state, pool, count, block)
@@ -236,28 +235,27 @@ def _run_block(state: RunState, pool, count: int, block: _Block,
     if block.push_sum:
         bad |= (block.rho[:count] <= 0).any(axis=1)
     failed = int(bad.argmax()) if bad.any() else count
-
-    @functools.cache
-    def at(k: int) -> RunState:
-        return state if k < 0 else block.state(k, state)
-
     kept, converged = failed, False
-    if epsilon is not None:
-        # A NaN violation passes neither test; while it exceeds epsilon, as on
-        # every bundled run, the other two residuals are not computed.
-        for k in np.flatnonzero(block.violation[:failed] <= epsilon).tolist():
-            prev, now = at(k - 1), at(k)
-            residuals = stopping_residuals(prev.lam, now.lam, block.values(prev),
-                                           block.values(now), float(block.violation[k]))
-            if all(r <= epsilon for r in residuals):
-                kept, converged = k + 1, True
-                break
+    # A NaN violation passes neither test; while it exceeds epsilon, as on
+    # every bundled run, the other two residuals are not computed.
+    passing = [] if epsilon is None else np.flatnonzero(block.violation[:failed] <= epsilon)
+    if len(passing):
+        # Row k + 1 of each stack is the block's round k, row 0 the start.
+        lam = np.concatenate((state.lam[None], block.reported[:failed]))
+        x = np.concatenate((state.x[None], block.x[:failed]))
+        values, read = np.empty(x.shape[:2]), np.union1d(passing, passing + 1)
+        values[read] = block.problem.agent_values(x[read])
+        residuals = stopping_residuals(lam[passing], lam[passing + 1], values[passing],
+                                       values[passing + 1], block.violation[passing])
+        stops = (residuals <= epsilon).all(axis=1)
+        if stops.any():
+            kept, converged = int(passing[stops.argmax()]) + 1, True
     if not converged and failed < count:
         if block.push_sum and (block.rho[failed] <= 0).any():
             raise InvariantError(
                 f"push-sum weight became non-positive at round {state.t + failed + 1}")
         raise InvalidInputError("lambda must be finite")
-    return kept, at(kept - 1), converged
+    return kept, block.state(kept - 1, state), converged
 
 
 def ergodic_average(state: RunState) -> np.ndarray:
@@ -272,13 +270,15 @@ def ergodic_average(state: RunState) -> np.ndarray:
     return state.ergodic_sum / denom
 
 
-def stopping_residuals(lam_old, lam, f_old, f_new, violation: float) -> tuple[float, float, float]:
-    """The three stop measures of a round after the one before: max |lam - lam_old|,
-    its violation, and the largest relative change of the agents' values f_old to f_new."""
-    dual_move = float(abs(lam - lam_old).max())
+def stopping_residuals(lam_old, lam, f_old, f_new, violation) -> np.ndarray:
+    """The three stop measures of k rounds, each after the round before, as
+    (k, 3) rows: max |lam - lam_old| of its (m, p) multipliers, its violation,
+    and the largest relative change of its agents' values f_old to f_new,
+    (k, m), leaving out agents with |f_old| < _RATIO_GUARD (0 if none is left)."""
     kept = abs(f_old) >= _RATIO_GUARD
-    rel = abs((f_new[kept] - f_old[kept]) / f_old[kept])
-    return dual_move, violation, float(rel.max(initial=0.0))
+    rel = np.divide(f_new - f_old, f_old, out=np.zeros(np.shape(f_old)), where=kept)
+    return np.column_stack((abs(lam - lam_old).max(axis=(1, 2)), violation,
+                            abs(rel).max(axis=1, initial=0.0)))
 
 
 def run_rounds(
@@ -321,9 +321,8 @@ def run_rounds(
         if state.t > len(rows):
             rows, old = metrics.Metrics.empty(min(config.t_max, 2 * state.t)), rows
             rows[:start] = old[:start]
-        lam = block.lam if push_sum else block.theta
         rows[start : state.t] = metrics.evaluate_rounds(
-            np.arange(start + 1, state.t + 1), lam[:kept], block.x[:kept],
+            np.arange(start + 1, state.t + 1), block.reported[:kept], block.x[:kept],
             block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star)
     if not np.isfinite(state.theta).all():
         raise InvalidInputError(f"theta is not finite after round {state.t}")

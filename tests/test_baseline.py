@@ -12,6 +12,7 @@ from drdga import (
     metropolis_matrix,
     solve_local,
 )
+from drdga.engine import STOP_CONVERGED
 from test_engine import hand_stepper
 
 
@@ -50,6 +51,21 @@ def test_cdda_run_starts_from_theta0():
     for t in range(1, 6):
         lam = lam + (1.0 / t) * (A @ solve_local(prob, lam[None])[0] - b)
     assert np.max(np.abs(state.lam[0] - lam)) <= 1e-12
+
+
+def test_cdda_round_one_dual_move_is_measured_from_theta0():
+    # CDDA's reported multiplier is its post-step theta from round 0 on, so
+    # round 1's dual move is max |theta_1 - theta0|, about 5.6 here, not
+    # max |theta_1|, about 52: at epsilon = 10 the run stops at round 1.
+    prob = make_quadratic_problem(m=3, p=2, dims=2, seed=1)
+    seq = generate_graph_sequence(3, 1, seed=2)
+    theta0 = np.full((3, 2), 50.0)
+    config = RunConfig(q=4.0, t_max=2, epsilon=10.0, theta0=theta0)
+    assert np.array_equal(init_state(prob, config, push_sum=False).lam, theta0)
+    state, rows, reason = cdda_run_until(prob, seq, config)
+    assert state.t == len(rows) == 1 and reason == STOP_CONVERGED
+    assert 5.5 < abs(state.lam - theta0).max() < 5.7
+    assert 51.9 < abs(state.lam).max() < 52.0
 
 
 def test_pure_mixing_preserves_multiplier_sum():

@@ -275,6 +275,39 @@ def count_agent_values(monkeypatch, prob):
     return calls
 
 
+def stop_test_reads(monkeypatch, prob):
+    """Per kernel call, in order: ((first round, rounds), [every array the
+    problem's agent_values is called with from the engine after it]), the
+    iterates that block's stop test evaluates."""
+    blocks = []
+    real_kernel, real_values = engine._advance_block, type(prob).agent_values
+
+    def kernel(state, pool, count, block):
+        blocks.append(((state.t + 1, count), []))
+        return real_kernel(state, pool, count, block)
+
+    def values(self, x):
+        if sys._getframe(1).f_globals["__name__"] == engine.__name__:
+            blocks[-1][1].append(x)
+        return real_values(self, x)
+
+    monkeypatch.setattr(engine, "_advance_block", kernel)
+    monkeypatch.setattr(type(prob), "agent_values", values)
+    return blocks
+
+
+def assert_reads_passing_rounds(blocks, states, passes):
+    """Each block whose stop test reads a round evaluates, in one call, the
+    iterates of exactly the rounds t with passes(t) and of the round before
+    each, in order; a block that reads no round evaluates none."""
+    for (first, count), reads in blocks:
+        passing = [t for t in range(first, first + count) if passes(t)]
+        read = sorted({*passing, *(t - 1 for t in passing)})
+        assert len(reads) == (1 if passing else 0), first
+        if passing:
+            assert np.array_equal(reads[0], np.array([states[t].x for t in read])), first
+
+
 def test_stop_check_evaluates_no_iterate_while_violation_exceeds_epsilon(monkeypatch):
     # At epsilon = 1e-300 every round's violation fails the stop test first,
     # so no state's values are read and no iterate is evaluated. The ergodic
@@ -300,8 +333,9 @@ def violation_of(prob, state):
 
 def stop_measures_of(prob, prev, state):
     """stopping_residuals of ``state`` after ``prev``, read off their own iterates."""
-    return stopping_residuals(prev.lam, state.lam, prob.agent_values(prev.x),
-                              prob.agent_values(state.x), violation_of(prob, state))
+    return tuple(stopping_residuals(
+        prev.lam[None], state.lam[None], prob.agent_values(prev.x[None]),
+        prob.agent_values(state.x[None]), [violation_of(prob, state)])[0].tolist())
 
 
 def evaluate_states(states, prob, q, f_star=None):
@@ -420,14 +454,15 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("setup, case", [
     (converging_setup, "converged-mid-block"),
     (converging_setup, "converged-on-block-end"),
+    (converging_setup, "converged-on-block-start"),
     (converging_setup, "t_max-mid-block"),
     (log_setup, "t_max-mid-block"),
     (wide_setup, "t_max-mid-block"),
     (num_s20_setup, "t_max-mid-block"),
     (converging_setup, "t_max-past-growth"),
     (log_setup, "t_max-past-growth"),
-], ids=["converged-mid-block", "converged-on-block-end", "t_max-mid-block",
-        "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block",
+], ids=["converged-mid-block", "converged-on-block-end", "converged-on-block-start",
+        "t_max-mid-block", "log_fig7-t_max-mid-block", "quadratic_m100-t_max-mid-block",
         "num_s20-t_max-mid-block", "t_max-past-growth", "log_fig7-t_max-past-growth"])
 def test_block_flushes_match_per_round_evaluation(monkeypatch, loop, push_sum, setup, case):
     # The run loop starts blocks of 64 rounds through round 320, then blocks
@@ -438,6 +473,9 @@ def test_block_flushes_match_per_round_evaluation(monkeypatch, loop, push_sum, s
     # from round 1, and the case sits in the third block, rounds 2B + 1 to
     # 3B: 17-24 through the disagreement screen at m = 100, and 43-63 at
     # num_s20's m = 20, where each block's pair form runs in several chunks.
+    # "converged-on-block-start" stops at round 321, whose round before is
+    # the previous block's last: the one row the stop test reads from
+    # outside its block.
     prob, seq, theta0 = setup()
     B = block_size(prob.m, prob.p)
     if setup is wide_setup:
@@ -461,8 +499,10 @@ def test_block_flushes_match_per_round_evaluation(monkeypatch, loop, push_sum, s
         worst = stop_measures(prob, seq, probe, push_sum)
         if case == "converged-mid-block":  # a quarter or more into the block
             stop = first_new_low(worst, lambda t: start + (end - start) // 4 <= t < end)
-        else:
+        elif case == "converged-on-block-end":
             stop = first_new_low(worst, lambda t: t == end)
+        else:  # its round before is the previous block's last
+            stop = first_new_low(worst, lambda t: t == start + 1)
         config, reason = dataclasses.replace(probe, epsilon=worst[stop - 1]), STOP_CONVERGED
     calls = kernel_calls(monkeypatch)
     got = loop(prob, seq, config, f_star=f_star)
@@ -654,35 +694,43 @@ def test_stop_before_failing_round_in_same_block(push_sum, edit):
     assert_same_run(got, hand_run(prob, seq, config, None, push_sum))
 
 
+def hand_states(prob, seq, config, push_sum):
+    """Every state of a run to t_max, rounds 0 ... t_max, stepped by hand."""
+    mixing = build_weight_matrix if push_sum else metropolis_matrix
+    states, advance = [init_state(prob, config, push_sum)], hand_stepper(prob, config, push_sum)
+    while states[-1].t < config.t_max:
+        states.append(advance(states[-1], mixing(seq.adj[states[-1].t % len(seq.adj)])))
+    return states
+
+
 def test_stop_measures_are_those_of_each_rounds_iterates(monkeypatch):
     # At epsilon = float max every round reaches the stop test; the recorder
     # below answers it with inf, so the runs go on through five blocks. The
     # measures the run loop's stopping_residuals returns from its block rows
-    # and cached values equal, bit for bit, those of the rounds stepped by
-    # hand: max |lam - lam_old|, the norm of coupling_residual(x), and the
-    # largest relative change of agent_values(x), as a plain loop computes
-    # it. So does each row's violation_inst. Each iterate, rounds 0 ... 300,
-    # is evaluated once, across block boundaries too.
+    # equal, bit for bit, those of the rounds stepped by hand:
+    # max |lam - lam_old|, the norm of coupling_residual(x), and the largest
+    # relative change of agent_values(x), as a plain loop computes it. So
+    # does each row's violation_inst. Each block's stop test evaluates, in
+    # one agent_values call, the iterates of its rounds and of the round
+    # before its first, so a block's starting state is evaluated again.
     prob, seq, theta0 = converging_setup()
     config = RunConfig(q=4.0, t_max=300, epsilon=sys.float_info.max, theta0=theta0)
     for loop, push_sum in ((run_until, True), (cdda_run_until, False)):
-        mixing = build_weight_matrix if push_sum else metropolis_matrix
-        states, advance = [init_state(prob, config, push_sum)], hand_stepper(prob, config, push_sum)
-        while states[-1].t < config.t_max:
-            states.append(advance(states[-1], mixing(seq.adj[states[-1].t % len(seq.adj)])))
+        states = hand_states(prob, seq, config, push_sum)
         measured = []
 
         def recording(*args):
-            measured.append(stopping_residuals(*args))
-            return math.inf, math.inf, math.inf
+            rows = stopping_residuals(*args)
+            measured.extend(map(tuple, rows.tolist()))
+            return np.full_like(rows, math.inf)
 
         with monkeypatch.context() as patch:
             patch.setattr(engine, "stopping_residuals", recording)
-            calls = count_agent_values(patch, prob)
+            blocks = stop_test_reads(patch, prob)
             state, rows, reason = loop(prob, seq, config)
         assert state.t == len(measured) == config.t_max and reason == STOP_T_MAX
-        per_iterate = [x for x in calls if np.ndim(x) == 2]
-        assert len(per_iterate) == len({id(x) for x in per_iterate}) == config.t_max + 1
+        assert len(blocks) == 5
+        assert_reads_passing_rounds(blocks, states, lambda t: True)
         for prev, now, got, column in zip(states, states[1:], measured, rows.violation_inst):
             f_old, f_new = prob.agent_values(prev.x), prob.agent_values(now.x)
             rel = max((abs((new - old) / old) for old, new in zip(f_old, f_new)
@@ -698,7 +746,8 @@ def test_violation_first_stop_matches_full_rule(monkeypatch, loop, push_sum):
     # objective residual is still above it: the run goes on past those rounds
     # and stops where the full three-residual rule of hand_run stops. Only
     # the rounds whose violation passes read values, of their own iterate and
-    # the one before, and each iterate is evaluated at most once.
+    # the one before, in one agent_values call per block that reads any;
+    # that includes a block's rounds computed past the stop.
     prob, seq, theta0 = converging_setup()
     probe = RunConfig(q=4.0, t_max=100, epsilon=1e-300, theta0=theta0)
     _, probe_rows, _, worst = hand_run(prob, seq, probe, None, push_sum)
@@ -710,14 +759,13 @@ def test_violation_first_stop_matches_full_rule(monkeypatch, loop, push_sum):
     assert len(passing) >= 2  # a round past the violation test that did not stop
 
     want = hand_run(prob, seq, config, None, push_sum)
-    calls = count_agent_values(monkeypatch, prob)
+    states = hand_states(prob, seq, config, push_sum)
+    blocks = stop_test_reads(monkeypatch, prob)
     got = loop(prob, seq, config)
     assert got[0].t == stop and got[2] == STOP_CONVERGED
     assert_same_run(got, want)
-    per_iterate = [x for x in calls if np.ndim(x) == 2]
-    assert len({id(x) for x in per_iterate}) == len(per_iterate)
-    assert len(per_iterate) == len({*passing, *(t - 1 for t in passing)})
-    assert per_iterate[-1] is got[0].x
+    assert_reads_passing_rounds(blocks, states, lambda t: violation[t - 1] <= config.epsilon)
+    assert any(reads for _, reads in blocks)
 
 
 def fig7_experiment(q=4.0, t_max=5000, epsilon=0.01):

@@ -37,7 +37,7 @@ from drdga import (
     solve_local,
 )
 from drdga.config import ALGORITHMS
-from drdga.engine import STOP_CONVERGED
+from drdga.engine import STOP_CONVERGED, stopping_residuals
 from drdga.cli import CSV_HEADER, main
 from test_config_cli import MINIMAL_QUAD, assert_minimum_q_accepted, printed_minimum_q
 from test_engine import assert_same_run, hand_run, hand_stepper
@@ -318,6 +318,39 @@ def test_cdda_keeps_push_sum_weights_exactly_one(prob, seed):
     for _ in range(30):
         state = advance(state, metropolis_matrix(seq.adj[state.t % len(seq.adj)]))
         assert np.all(state.rho == 1.0)
+
+
+def round_stop_measures(lam_old, lam, f_old, f_new, violation):
+    """The three stop measures of one round after the one before, as the run
+    loop once computed them round by round."""
+    kept = abs(f_old) >= 1e-12
+    rel = abs((f_new[kept] - f_old[kept]) / f_old[kept])
+    return float(abs(lam - lam_old).max()), violation, float(rel.max(initial=0.0))
+
+
+# Previous values on both sides of the 1e-12 guard, exact zeros among them;
+# new values that may be NaN or infinite. Bounded magnitudes keep every
+# kept quotient finite, so no draw overflows.
+_OLD_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 9.99e-13, -1e-12, 1e-12]),
+                        st.floats(-1e6, 1e6))
+_NEW_VALUES = st.one_of(st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+                        st.floats(-1e6, 1e6))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3), seeds, st.data())
+def test_stacked_stop_measures_equal_each_rounds_own(k, m, p, seed, data):
+    # stopping_residuals of k stacked rounds: row by row, bit for bit, the
+    # measures of each round alone, NaN included.
+    rng = np.random.default_rng(seed)
+    lam_old, lam = rng.normal(size=(2, k, m, p)) * 10.0 ** rng.integers(-3, 4, size=(2, k, 1, 1))
+    f_old, f_new = (np.array(data.draw(st.lists(values, min_size=k * m, max_size=k * m)))
+                    .reshape(k, m) for values in (_OLD_VALUES, _NEW_VALUES))
+    violation = np.array(data.draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.nan)),
+                                            min_size=k, max_size=k)))
+    got = stopping_residuals(lam_old, lam, f_old, f_new, violation)
+    assert got.shape == (k, 3)
+    for row, args in zip(got, zip(lam_old, lam, f_old, f_new, violation)):
+        assert row.tobytes() == np.array(round_stop_measures(*args)).tobytes()
 
 
 # Config fuzzing. Large values are left out: a large t_max runs that many
