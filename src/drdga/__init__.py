@@ -8,7 +8,8 @@ Library layout:
 - :mod:`drdga.engine` — the round kernel and run loop of both algorithms
 - :mod:`drdga.baseline` — dual-decomposition baseline on doubly stochastic mixing
 - :mod:`drdga.reference` — centralized solver used as the gap oracle
-- :mod:`drdga.metrics` — per-round observables and rate-bound evaluators
+- :mod:`drdga.metrics` — per-round observables (``Metrics``, the structured
+  dtype of a run's rows, one field per CSV column) and rate-bound evaluators
 - :mod:`drdga.config`, :mod:`drdga.cli` — experiment files and the command line
 """
 

@@ -42,7 +42,7 @@ def cdda_run_until(
     :func:`metropolis_matrix` is doubly stochastic by construction, as
     ``run_until`` trusts ``build_weight_matrix`` to be column-stochastic.
     The reported multiplier (state.lam, and the disagreement and max_lambda
-    columns) is the post-step one. Returns (final state, Metrics of every
+    columns) is the post-step one. Returns (final state, Metrics rows of every
     round, stop reason).
     """
     return run_rounds(problem, seq, config, f_star, metropolis_matrix, push_sum=False)

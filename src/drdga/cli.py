@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import os
 import sys
@@ -21,10 +20,9 @@ from .errors import ConfigError, InfeasibleProblemError, UncertifiedSolutionErro
 from .reference import solve_centralized
 
 # One column per field of metrics.Metrics, in order: t, then floats.
-_COLUMNS = [f.name for f in dataclasses.fields(metrics.Metrics)]
-CSV_HEADER = ",".join(_COLUMNS)
+CSV_HEADER = ",".join(metrics.Metrics.names)
 # One CSV row; "%.12g" prints nan, inf and -0 as format(v, ".12g") does.
-_ROW = "%d" + ",%.12g" * (len(_COLUMNS) - 1) + "\n"
+_ROW = "%d" + ",%.12g" * (len(metrics.Metrics.names) - 1) + "\n"
 # Rows write_csv formats at a time: one chunk's text is all it holds.
 _CHUNK = 256
 
@@ -48,11 +46,11 @@ def _write_atomic(path, lines: Iterable[str]) -> None:
         raise
 
 
-def write_csv(rows: metrics.Metrics, path) -> None:
-    """Serialize metric rows, one line per round, floats at 12 significant digits,
-    formatted _CHUNK rows at a time and streamed through :func:`_write_atomic`."""
+def write_csv(rows: np.ndarray, path) -> None:
+    """Serialize Metrics rows, one line per round, floats at 12 significant digits,
+    formatted column by column, _CHUNK rows at a time, through :func:`_write_atomic`."""
     chunks = (rows[start : start + _CHUNK] for start in range(0, len(rows), _CHUNK))
-    text = ("".join(map(_ROW.__mod__, zip(*(getattr(chunk, c).tolist() for c in _COLUMNS))))
+    text = ("".join(map(_ROW.__mod__, zip(*(chunk[c].tolist() for c in metrics.Metrics.names))))
             for chunk in chunks)
     _write_atomic(path, itertools.chain([CSV_HEADER + "\n"], text))
 
@@ -75,7 +73,7 @@ def write_summary(path, *, algorithm, stop_reason, rows, f_star, constants) -> N
     _write_atomic(path, (f"{k} = {v}\n" for k, v in pairs))
 
 
-def run_experiment(exp: Experiment, out_path) -> tuple[str, metrics.Metrics]:
+def run_experiment(exp: Experiment, out_path) -> tuple[str, np.ndarray]:
     """Execute the configured algorithm and write the CSV plus summary sidecar."""
     try:
         f_star = solve_centralized(exp.problem).objective

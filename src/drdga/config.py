@@ -220,7 +220,10 @@ def parse_config(
         edges = path.parent / graph_fields.pop("path")  # an absolute path replaces the parent
         if not edges.is_file():
             raise ConfigError(f"graph.path: {edges} is not a file")
-        text = edges.read_text(encoding="utf-8")
+        try:
+            text = edges.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"graph.path: {exc}") from None
         _check_size("the graph pool", ("graph.path", m_field, m_field),
                     (len(text.splitlines()), m, m), 9)
         try:

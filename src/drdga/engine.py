@@ -294,13 +294,13 @@ def run_rounds(
 
     ``mixing(adj)`` builds one round's matrix from its (m, m) adjacency; it
     is called once per entry of the sequence's periodic pool. Returns (final
-    state, :class:`drdga.metrics.Metrics` of every round, stop reason). The
-    gap column is filled only when the centralized optimum f_star is supplied.
+    state, an np.recarray of every round's :data:`drdga.metrics.Metrics`
+    record, stop reason); gap is filled only when the optimum f_star is given.
 
     The rounds run a block at a time (:func:`_run_block`); the observables
     of the rounds a block keeps are computed in one batched pass
-    (:func:`drdga.metrics.evaluate_rounds`) and copied into the run's
-    columns: min(t_max, _ROWS) rows, doubled (up to t_max) when outgrown. A
+    (:func:`drdga.metrics.evaluate_rounds`) straight into the run's rows:
+    min(t_max, _ROWS) records, doubled (up to t_max) when outgrown. A
     block started after round t has at most max(64, t // 4) rounds, so a run
     that stops at round k has computed at most max(63, k // 4) rounds past k.
     A final theta that is not finite raises InvalidInputError.
@@ -313,17 +313,18 @@ def run_rounds(
         if np.shape(W) != (m, m):
             raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
     block = _Block(problem, config.q, push_sum, min(block_size(m, problem.p), config.t_max))
-    rows, converged = metrics.Metrics.empty(min(config.t_max, _ROWS)), False
+    rows, converged = np.recarray(min(config.t_max, _ROWS), metrics.Metrics), False
     while not converged and state.t < config.t_max:
         count = min(len(block.violation), max(64, state.t // 4), config.t_max - state.t)
         start = state.t
         kept, state, converged = _run_block(state, pool, count, block, config.epsilon)
         if state.t > len(rows):
-            rows, old = metrics.Metrics.empty(min(config.t_max, 2 * state.t)), rows
+            rows, old = np.recarray(min(config.t_max, 2 * state.t), metrics.Metrics), rows
             rows[:start] = old[:start]
-        rows[start : state.t] = metrics.evaluate_rounds(
+        metrics.evaluate_rounds(
             np.arange(start + 1, state.t + 1), block.reported[:kept], block.x[:kept],
-            block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star)
+            block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star,
+            out=rows[start : state.t])
     if not np.isfinite(state.theta).all():
         raise InvalidInputError(f"theta is not finite after round {state.t}")
     return state, rows[: state.t], STOP_CONVERGED if converged else STOP_T_MAX
@@ -337,6 +338,6 @@ def run_until(
 ):
     """Run DRDGA: push-sum rounds on the column-stochastic matrices of ``seq``.
 
-    Returns (final state, Metrics of every round, stop reason); see :func:`run_rounds`.
+    Returns (final state, Metrics rows of every round, stop reason); see :func:`run_rounds`.
     """
     return run_rounds(problem, seq, config, f_star, build_weight_matrix, push_sum=True)

@@ -1,5 +1,5 @@
-"""Per-round observables as column arrays (Metrics), computed a block of rounds
-at a time from their stacked arrays, and convergence-bound evaluators.
+"""Per-round observables as records of the Metrics dtype, computed a block of
+rounds at a time from their stacked arrays, and convergence-bound evaluators.
 
 The disagreement column, the largest distance between two agents'
 multipliers, is exact. Below SCREEN_MIN_M agents every pair i < j is
@@ -20,43 +20,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import CoupledProblem, _sum_agents, compute_G_bound
 
 
-@dataclass(frozen=True, eq=False)
-class Metrics:
-    """Observables of consecutive rounds, one array per CSV column, in CSV order;
-    objective, gap and violation use the ergodic average. Indexing applies to
-    every column: ``rows[-1].t`` is the last round, ``rows[rows.t >= 100]`` a
-    subset; ``rows[a:b] = other`` copies other's columns into rows a ... b - 1."""
-
-    t: np.ndarray
-    objective: np.ndarray
-    gap: np.ndarray
-    violation: np.ndarray
-    violation_inst: np.ndarray
-    disagreement: np.ndarray
-    max_lambda: np.ndarray
-    beta: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, index) -> Metrics:
-        return Metrics(*(getattr(self, f.name)[index] for f in fields(self)))
-
-    def __setitem__(self, index, rows: Metrics) -> None:
-        for f in fields(self):
-            getattr(self, f.name)[index] = getattr(rows, f.name)
-
-    @classmethod
-    def empty(cls, size: int) -> Metrics:
-        """``size`` unfilled rows: integer rounds, float observables."""
-        return cls(np.empty(size, dtype=np.int64), *(np.empty(size) for _ in fields(cls)[1:]))
+# A run's rows: one record per round, one field per CSV column, in CSV order;
+# objective, gap and violation use the ergodic average. As an np.recarray,
+# rows.t is the round column, rows[-1].t the last round and rows[rows.t >= 100]
+# the rounds from 100 on.
+Metrics = np.dtype([("t", np.int64)] + [(name, np.float64) for name in (
+    "objective", "gap", "violation", "violation_inst", "disagreement", "max_lambda", "beta")])
 
 
 @functools.lru_cache(maxsize=64)
@@ -236,31 +212,33 @@ def norms(rows: np.ndarray) -> np.ndarray:
 
 
 def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: CoupledProblem,
-                    f_star: float | None = None) -> Metrics:
+                    f_star: float | None, out: np.ndarray) -> np.ndarray:
     """Observables of completed rounds of one run, in one batched pass over
-    their stacked arrays: rounds t (B,), reported multipliers lam (B, m, p),
-    iterates x and ergodic sums (B, m, n_max), and violations (B,); q is
-    the step-size constant.
+    their stacked arrays, written into ``out``, one Metrics record per round,
+    and returned: rounds t (B,), reported multipliers lam (B, m, p), iterates
+    x and ergodic sums (B, m, n_max), and violations (B,); q is the step-size
+    constant. The run loop passes the block's rows of the run's own array.
 
     At t = 1 the ergodic average is not yet defined and the instantaneous
     iterate stands in for it. gap is nan without f_star. Each round has the
     bits of its round alone: the batched products repeat each round's own BLAS
     calls, sums over agents run left to right, and the violation norm is each
-    round's sqrt(r . r). The result's ``violation_inst`` is the argument
-    itself, not a copy: the run loop copies each block's result into its
-    columns at once.
+    round's sqrt(r . r).
     """
     # t(t-1)/2 is 0 at t = 1, where x stands in: dividing by 1 keeps it.
     denom = np.maximum(t * (t - 1) / 2.0, 1.0)
     xs_avg = ergodic_sum / denom[:, None, None]
     first = t == 1
     xs_avg[first] = x[first]
-    objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
-    violation = norms(problem.coupling_residual(xs_avg))
-    disagreement = _rescaled(_disagreement, lam)
-    max_lambda = _rescaled(_max_norm, lam)
-    gap = objective - f_star if f_star is not None else np.full(len(t), math.nan)
-    return Metrics(t, objective, gap, violation, violation_inst, disagreement, max_lambda, q / t)
+    out["t"] = t
+    out["objective"] = objective = _sum_agents(problem.agent_values(xs_avg), axis=-1)
+    out["gap"] = objective - f_star if f_star is not None else math.nan
+    out["violation"] = norms(problem.coupling_residual(xs_avg))
+    out["violation_inst"] = violation_inst
+    out["disagreement"] = _rescaled(_disagreement, lam)
+    out["max_lambda"] = _rescaled(_max_norm, lam)
+    out["beta"] = q / t
+    return out
 
 
 @dataclass(frozen=True)
@@ -314,7 +292,7 @@ def constants_from_run(
     problem: CoupledProblem,
     window: int,
     q: float,
-    rows: Metrics,
+    rows: np.ndarray,
     theta0: np.ndarray | None = None,
 ) -> BoundConstants:
     """Bound constants for a finished run, with D the run's max dual norm (0 without rounds)."""

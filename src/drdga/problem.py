@@ -215,6 +215,14 @@ def lagrangian_minimizer(problem: CoupledProblem):
     return minimize
 
 
+def price_slope(problem: CoupledProblem, x: np.ndarray) -> np.ndarray:
+    """-dx/d(price) of the family's minimizer at its value x (m, n_max): 1/diag,
+    or (x + 0.1)^2 / (20 w), where x = 20 w / price - 0.1."""
+    if problem.family is LogUtility:
+        return (x + RATE_UTILITY_OFFSET) ** 2 / (RATE_UTILITY_SCALE * problem.weights[:, None])
+    return 1.0 / problem.diag
+
+
 def make_num_problem(routing, capacities, gammas=None) -> CoupledProblem:
     """Rate-allocation instance: one scalar agent per source, one coupling row per link.
 

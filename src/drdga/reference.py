@@ -36,14 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleProblemError, UncertifiedSolutionError
-from .problem import (
-    RATE_UTILITY_OFFSET,
-    RATE_UTILITY_SCALE,
-    CoupledProblem,
-    LogUtility,
-    _sum_agents,
-    solve_local,
-)
+from .problem import CoupledProblem, _sum_agents, price_slope, solve_local
 
 MAX_STEPS = 200
 # The certificate: an answer is returned only within both thresholds.
@@ -123,17 +116,13 @@ def _dual_newton(problem: CoupledProblem, lam: np.ndarray, point: _Point):
     coupling matrix is coordinate k.
     """
     A = problem.A.transpose(1, 0, 2).reshape(problem.p, -1)
-    # -dx/d(price): 1/diag, or (x + 0.1)^2 / (20 w) where x = 20 w / price - 0.1.
-    log = problem.family is LogUtility
-    scale = RATE_UTILITY_SCALE * problem.weights[:, None] if log else None
     steps = 0
     while steps < MAX_STEPS:
         norm = np.linalg.norm(point.residual)
         if norm <= point.residual_noise:
             break
-        slope = (point.x + RATE_UTILITY_OFFSET) ** 2 / scale if log else 1.0 / problem.diag
         inside = (problem.lower < point.x) & (point.x < problem.upper)
-        J = np.where(inside, slope, 0.0).ravel()
+        J = np.where(inside, price_slope(problem, point.x), 0.0).ravel()
         w, V = np.linalg.eigh((A * J) @ A.T)
         s = V @ ((V.T @ point.residual) / (np.maximum(w, 0.0) + norm / 100.0))
         ascent = float(point.residual @ s)

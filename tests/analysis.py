@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from drdga import BoundConstants, CoupledProblem, Metrics, RunState
+from drdga import BoundConstants, CoupledProblem, RunState
 
 
 def lemma2_residual(
@@ -47,7 +47,7 @@ def lemma2_residual(
     return rhs - lhs
 
 
-def rate_fit(rows: Metrics, which: str) -> tuple[float, float]:
+def rate_fit(rows: np.recarray, which: str) -> tuple[float, float]:
     """Fit value(T) against ln T / T over the rows with T >= 10.
 
     Returns (c_hat, max_ratio): c_hat is the median of g(T) = value(T)*T/ln T

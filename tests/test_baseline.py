@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 
 from drdga import (
@@ -88,8 +86,8 @@ def test_cdda_run_is_deterministic():
     assert r1 == r2
     assert np.array_equal(s1.lam, s2.lam)
     assert len(rows1) == len(rows2) == 60
-    for f in dataclasses.fields(rows1):
-        assert getattr(rows1, f.name).tobytes() == getattr(rows2, f.name).tobytes(), f.name
+    for name in rows1.dtype.names:
+        assert rows1[name].tobytes() == rows2[name].tobytes(), name
 
 
 def test_cdda_reduces_violation_on_quadratic():

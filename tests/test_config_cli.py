@@ -356,13 +356,14 @@ def test_sizes_at_the_limit_still_parse(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "schedule, message",
-    [("1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),
-     ("1>2;2>3;3>1\n2>2\n", r"self-loop \(2, 2\) is implicit"),
-     ("1>2;2>3;3>1\n1-2\n", "line 2: expected 'i>j'")],
-    ids=["out-of-range", "self-loop", "malformed"],
+    [(b"1>2;2>3;3>1\n1>4\n", r"edge \(1, 4\) references an agent outside \[1, 3\]"),
+     (b"1>2;2>3;3>1\n2>2\n", r"self-loop \(2, 2\) is implicit"),
+     (b"1>2;2>3;3>1\n1-2\n", "line 2: expected 'i>j'"),
+     (b"1>2;2>3;3>1\n\xff\xfe\n", "'utf-8' codec can't decode byte 0xff in position 12")],
+    ids=["out-of-range", "self-loop", "malformed", "not-utf-8"],
 )
 def test_graph_file_mode_bad_edge_rejected(tmp_path, capsys, schedule, message):
-    (tmp_path / "edges.txt").write_text(schedule)
+    (tmp_path / "edges.txt").write_bytes(schedule)
     path = write_cfg(tmp_path, THREE_AGENT_FILE.format(window=1))
     with pytest.raises(ConfigError, match="graph.path: " + message):
         parse_config(path)
@@ -713,7 +714,7 @@ def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path):
 
 def one_shot_csv(rows):
     """The CSV text as formatted all at once: every column's .tolist(), then every row."""
-    columns = [getattr(rows, c).tolist() for c in cli._COLUMNS]
+    columns = [rows[c].tolist() for c in drdga.Metrics.names]
     return cli.CSV_HEADER + "\n" + "".join(map(cli._ROW.__mod__, zip(*columns)))
 
 

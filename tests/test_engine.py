@@ -344,7 +344,8 @@ def evaluate_states(states, prob, q, f_star=None):
     t, lam, x, sums = (np.array([getattr(s, name) for s in states])
                        for name in ("t", "lam", "x", "ergodic_sum"))
     violation = np.array([violation_of(prob, s) for s in states])
-    return evaluate_rounds(t, lam, x, sums, violation, q, prob, f_star)
+    return evaluate_rounds(t, lam, x, sums, violation, q, prob, f_star,
+                           out=np.recarray(len(states), Metrics))
 
 
 def hand_run(prob, seq, config, f_star, push_sum):
@@ -366,8 +367,7 @@ def hand_run(prob, seq, config, f_star, push_sum):
         if all(r <= config.epsilon for r in measures):
             reason = STOP_CONVERGED
             break
-    rows = Metrics(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                     for f in dataclasses.fields(Metrics)))
+    rows = np.concatenate(blocks).view(np.recarray)
     return state, rows, reason, worst
 
 
@@ -377,10 +377,10 @@ def assert_same_run(got, want):
     (state, rows, reason), (want_state, want_rows, want_reason) = got[:3], want[:3]
     assert reason == want_reason
     assert len(rows) == len(want_rows)
-    for f in dataclasses.fields(Metrics):
-        column, want_column = getattr(rows, f.name), getattr(want_rows, f.name)
-        assert column.dtype == want_column.dtype, f.name
-        assert column.tobytes() == want_column.tobytes(), f.name
+    for name in Metrics.names:
+        column, want_column = rows[name], want_rows[name]
+        assert column.dtype == want_column.dtype, name
+        assert column.tobytes() == want_column.tobytes(), name
     for name in ("t", "theta", "rho", "lam", "x", "ergodic_sum"):
         assert np.array_equal(getattr(state, name), getattr(want_state, name)), name
 

@@ -110,7 +110,8 @@ def test_bounds_at_fig7_q640_peak_are_inf_without_warning():
     # (G_i + gamma_i D)^2 overflows, and both bounds are inf without an
     # overflow warning.
     prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
-    rows = dataclasses.replace(NO_ROUNDS, max_lambda=np.array([1.19e194]))
+    rows = np.zeros(1, Metrics).view(np.recarray)
+    rows["max_lambda"] = 1.19e194
     c = constants_from_run(prob, 1, 640.0, rows)
     assert c.D == 1.19e194
     with warnings.catch_warnings():
@@ -127,7 +128,7 @@ def test_bound_rejects_bad_T():
         theorem3_bound(0, c)
 
 
-NO_ROUNDS = Metrics(*[np.zeros(0)] * len(dataclasses.fields(Metrics)))
+NO_ROUNDS = np.recarray(0, Metrics)
 
 
 def test_bound_constants_share_the_problem_gamma_total():
@@ -217,8 +218,8 @@ def test_lemma2_requires_consecutive_states():
 def synthetic_rows(values):
     t, gap = (np.array(column) for column in zip(*values))
     zeros = np.zeros(len(t))
-    return Metrics(t=t, objective=zeros, gap=gap, violation=np.sqrt(abs(gap)),
-                   violation_inst=zeros, disagreement=zeros, max_lambda=zeros, beta=zeros)
+    return np.rec.fromarrays([t, zeros, gap, np.sqrt(abs(gap)), zeros, zeros, zeros, zeros],
+                             dtype=Metrics)
 
 
 def test_rate_fit_recovers_exact_log_over_T():

@@ -169,7 +169,7 @@ def transcribed_run(prob, seq, config, f_star, push_sum, rounds):
                      np.linalg.norm(sum(terms)),
                      max(np.linalg.norm(a - b) for a in reported for b in reported),
                      max(np.linalg.norm(a) for a in reported), beta))
-    return (theta, rho, reported, x, ergodic), Metrics(*map(np.array, zip(*rows)))
+    return (theta, rho, reported, x, ergodic), np.rec.fromrecords(rows, dtype=Metrics)
 
 
 @given(problems, seeds, st.integers(1, 2), st.integers(1, 5), st.integers(2, 120),
@@ -194,8 +194,7 @@ def test_run_follows_transcribed_recurrence(prob, seed, window, pool, t_max, pus
     assert len(rows) == len(want) == state.t
     peak = max(want.max_lambda.max(), np.abs(theta0).max(), np.abs(final[0]).max())
     multipliers = ("disagreement", "max_lambda", "theta", "lam")
-    pairs = [(f.name, getattr(rows, f.name), getattr(want, f.name))
-             for f in dataclasses.fields(Metrics)]
+    pairs = [(name, rows[name], want[name]) for name in Metrics.names]
     pairs += [(name, getattr(state, name), value)
               for name, value in zip(("theta", "rho", "lam", "x", "ergodic_sum"), final)]
     for name, got, value in pairs:
