@@ -6,14 +6,15 @@ function d(lambda) = F(x(lambda)) + lambda^T r(lambda). Here x(lambda) is the
 exact minimizer of the Lagrangian that :func:`solve_local` returns, and its
 coupling residual r(lambda) is d's gradient.
 
-1. **Dual Newton.** Each step is a semismooth Newton step (Qi & Sun, Math.
-   Program. 58, 1993) with the Levenberg-Marquardt shift mu = ||r|| / 100
-   (Yamashita & Fukushima, Computing Suppl. 15, 2001): it solves
-   (H + mu I) s = r, with H = A J A^T and J = -dx/d(price) on the coordinates
-   of x(lambda) strictly inside their boxes, 0 elsewhere. The shift keeps a
-   step finite where H is singular, as on a multiplier ray. The step length
-   comes from an Armijo search on d, which doubles the step while d keeps
-   rising, and halves it otherwise. At most MAX_STEPS steps.
+1. **Proximal dual Newton** (Rockafellar, SIAM J. Control Optim. 14, 1976,
+   as in SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018). Semismooth Newton
+   steps (Qi & Sun, Math. Program. 58, 1993) maximize
+   phi(lambda) = d(lambda) - (sigma/2) ||lambda - c||^2 about a moving center
+   c, each solving (H + sigma I) s = grad phi, with H = A J A^T and
+   J = -dx/d(price) on the coordinates of x(lambda) strictly inside their
+   boxes, 0 elsewhere. phi is strongly concave, so one Armijo search that
+   halves the step suffices; a d above the largest F on the boxes proves by
+   weak duality that no feasible point exists. At most MAX_STEPS steps.
 2. **Certificate.** The primal residual ||sum_i (A_i x_i - b_i)|| must be at
    most RESIDUAL_TOL, and the duality gap F(x) - d(lambda) at most
    GAP_RTOL * max(1, |F(x)|) in magnitude, with x = x(lambda).
@@ -101,52 +102,50 @@ def solve_centralized(problem: CoupledProblem) -> ReferenceSolution:
 
 
 def _dual_newton(problem: CoupledProblem, lam: np.ndarray, point: _Point):
-    """Dual Newton steps from lambda and its :func:`_dual_point`: (lambda, point, steps).
+    """Proximal Newton steps from lambda and its :func:`_dual_point`: (lambda, point, steps).
 
-    A step t s is accepted when d rises by at least 1e-4 of its linear
-    prediction t r^T s (Armijo), or when d holds within its rounding and
-    ||r|| halves. A full step that raises d beyond rounding is doubled while
-    d keeps rising beyond rounding; doubling to 2^30 means d rises along a
-    ray, so the problem is infeasible and the loop stops for the phase-1 LP
-    to decide. Otherwise the step is halved, at most 30 times. The loop also
-    stops when ||r|| is within its rounding, when no step is accepted, and
-    once the point is certified and the accepted step would not halve ||r||.
-
-    Coordinates are flattened agent by agent, so column k of the (p, m n_max)
-    coupling matrix is coordinate k.
+    A step t s is accepted when phi rises by 1e-4 of t grad(phi)^T s less d's
+    rounding (Armijo), halving t from 1 at most 30 times. Once ||grad(phi)||
+    <= max(rounding of ||r||, ||r|| / 2), the center moves to lambda and
+    sigma, from 1, shrinks tenfold. The loop stops at a center move when ||r||
+    is within its rounding, or when the point is certified and ||r|| did not
+    halve since the last center; when no step is accepted; and once d exceeds
+    :func:`_box_max` beyond its rounding. Coordinates are flattened agent by
+    agent, so column k of the (p, m n_max) coupling matrix is coordinate k.
     """
     A = problem.A.transpose(1, 0, 2).reshape(problem.p, -1)
-    steps = 0
-    while steps < MAX_STEPS:
+    ceiling, center, sigma, center_norm, steps = _box_max(problem), lam, 1.0, np.inf, 0
+    while steps < MAX_STEPS and not point.dual > ceiling + point.dual_noise:
         norm = np.linalg.norm(point.residual)
-        if norm <= point.residual_noise:
-            break
+        grad = point.residual - sigma * (lam - center)
+        if np.linalg.norm(grad) <= max(point.residual_noise, norm / 2):
+            if norm <= point.residual_noise or (_certified(point) and not norm <= center_norm / 2):
+                break
+            center, sigma, center_norm, grad = lam, sigma / 10, norm, point.residual
         inside = (problem.lower < point.x) & (point.x < problem.upper)
         J = np.where(inside, price_slope(problem, point.x), 0.0).ravel()
         w, V = np.linalg.eigh((A * J) @ A.T)
-        s = V @ ((V.T @ point.residual) / (np.maximum(w, 0.0) + norm / 100.0))
-        ascent = float(point.residual @ s)
-        t, trial = 1.0, _dual_point(problem, lam + s)
-        if trial.dual >= point.dual + 1e-4 * ascent and trial.dual > point.dual + point.dual_noise:
-            for _ in range(30):
-                longer = _dual_point(problem, lam + 2.0 * t * s)
-                if not longer.dual > trial.dual + longer.dual_noise:
-                    break
-                t, trial = 2.0 * t, longer
-            else:
-                return lam + t * s, trial, steps + 1  # d rises along a ray
+        s = V @ ((V.T @ grad) / (np.maximum(w, 0.0) + sigma))
+        for t in 0.5 ** np.arange(31):
+            trial = _dual_point(problem, lam + t * s)
+            # phi(lambda + t s) - phi(lambda), with d's difference taken first.
+            rise = trial.dual - point.dual - sigma * t * (s @ (lam - center) + t * (s @ s) / 2)
+            if rise >= 1e-4 * t * (grad @ s) - point.dual_noise:
+                break
         else:
-            while not (trial.dual >= point.dual + 1e-4 * t * ascent or (
-                    trial.dual >= point.dual - point.dual_noise
-                    and np.linalg.norm(trial.residual) <= norm / 2)):
-                if t <= 2.0**-30:
-                    return lam, point, steps  # no step is accepted
-                t *= 0.5
-                trial = _dual_point(problem, lam + t * s)
-        if _certified(point) and not np.linalg.norm(trial.residual) <= norm / 2:
-            break
+            return lam, point, steps  # no step is accepted
         lam, point, steps = lam + t * s, trial, steps + 1
     return lam, point, steps
+
+
+def _box_max(problem: CoupledProblem) -> float:
+    """The largest F on the boxes: F(lower) plus each coordinate's gain
+    max(0, F(lower with it at upper) - F(lower)), since each f_i is a sum of
+    convex functions of one coordinate and every box is bounded."""
+    n = problem.lower.shape[1]
+    moved = np.where(np.eye(n, dtype=bool)[:, None, :], problem.upper, problem.lower)
+    values = problem.agent_values(np.concatenate([problem.lower[None], moved]))
+    return float(values[0].sum() + np.maximum(values[1:] - values[0], 0.0).sum())
 
 
 def _dual_point(problem: CoupledProblem, lam: np.ndarray) -> _Point:

@@ -36,8 +36,14 @@ def scalar_quadratic(A, b, lower, upper):
 
 
 def test_detects_infeasible_single_agent():
-    # A x ranges over [0, 1] but b = 5: the phase-1 LP proves it.
+    # A x ranges over [0, 1] but b = 5. One step takes d from 0 to 20.5, above
+    # the largest F on the box, 0.5, which weak duality forbids a feasible
+    # problem: the loop stops there, and the phase-1 LP proves it.
     prob = scalar_quadratic(A=1.0, b=5.0, lower=0.0, upper=1.0)
+    lam = np.zeros(1)
+    _, point, steps = reference._dual_newton(prob, lam, reference._dual_point(prob, lam))
+    assert reference._box_max(prob) == 0.5
+    assert point.dual > 0.5 and steps <= 2
     with pytest.raises(InfeasibleProblemError):
         solve_centralized(prob)
 
@@ -248,3 +254,49 @@ def test_random_networks_are_certified_or_proved_infeasible():
     # The log family, its multiplier rays included.
     rng = np.random.default_rng(8)
     assert_oracle_agrees_with_lp(random_network(rng) for _ in range(40))
+
+
+def nth_draw(make, seed, k):
+    """Draw k, counted from 0, of ``make`` on a generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        make(rng)
+    return make(rng)
+
+
+def test_kink_network_certifies_to_rounding():
+    # Source 2 sits at x = 1 with its price exactly at 20 w / 1.1, so J leaves
+    # it out and A J A^T is singular along the links only it prices. A
+    # Levenberg-Marquardt shifted step stopped here at ||r|| = 6.4e-10 with a
+    # duality gap of -2.1e-8.
+    sol = solve_centralized(nth_draw(random_network, 2026, 395))
+    assert sol.violation <= 1e-12
+    assert abs(sol.duality_gap) <= 1e-12 * max(1.0, abs(sol.objective))
+
+
+@pytest.mark.parametrize("make, seed, k", [(random_network, 2026, 1932),
+                                           (random_instance, 2027, 801)],
+                         ids=["network", "quadratic"])
+def test_slowly_rising_infeasible_dual_decides_within_100_local_solves(monkeypatch, make, seed, k):
+    # d rises only slowly along a ray here (a ray search once took 731 and 604
+    # local solves); weak duality ends the loop once d passes the box maximum.
+    prob = nth_draw(make, seed, k)
+    calls = []
+    monkeypatch.setattr(reference, "solve_local", lambda *a: calls.append(a) or solve_local(*a))
+    with pytest.raises(InfeasibleProblemError):
+        solve_centralized(prob)
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("make, seed", [(random_instance, 5), (random_network, 8)],
+                         ids=["quadratic", "network"])
+def test_box_max_is_the_largest_corner_value(make, seed):
+    # Brute force: each agent's largest value over all 2^n corners of its box.
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        prob = make(rng)
+        n = prob.lower.shape[1]
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+        corners = np.where(bits[:, None, :], prob.upper, prob.lower)
+        expected = prob.agent_values(corners).max(axis=0).sum()
+        assert reference._box_max(prob) == pytest.approx(expected, rel=1e-12, abs=1e-12)
