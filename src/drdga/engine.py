@@ -37,7 +37,7 @@ import numpy as np
 from . import metrics
 from .errors import ConfigError, InvalidInputError, InvariantError
 from .graph import GraphSequence, build_weight_matrix
-from .problem import CoupledProblem, _sum_agents, lagrangian_minimizer
+from .problem import CoupledProblem, _sum_agents, compute_G_bound, lagrangian_minimizer
 
 STOP_CONVERGED = "converged"
 STOP_T_MAX = "t_max"
@@ -47,6 +47,14 @@ _RATIO_GUARD = 1e-12
 
 # Rows a run's output starts with: 64 MiB of address space, paged in as filled.
 _ROWS = 1 << 20
+
+# The largest multiplier bound run_rounds accepts: norms and pair distances stay <= 2^500.
+DUAL_LIMIT = 2.0**499
+
+
+def _largest_norm(rows) -> float:
+    """max_i ||rows_i|| without a warning: inf past the float range, nan with a nan."""
+    return float(np.max([math.hypot(*row) for row in np.atleast_2d(rows)], initial=0.0))
 
 
 def block_size(m: int, p: int) -> int:
@@ -73,8 +81,8 @@ class RunConfig:
             raise ConfigError(f"t_max must be an integer >= 2, got {self.t_max}")
         if not self.epsilon > 0 or not math.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.theta0 is not None and not np.all(np.isfinite(self.theta0)):
-            raise ConfigError("theta0 must be finite")
+        if self.theta0 is not None and not _largest_norm(self.theta0) <= DUAL_LIMIT:
+            raise ConfigError("theta0 must be finite, with every row's norm at most 2^499")
 
     def validate_for(self, problem: CoupledProblem, push_sum: bool) -> None:
         """Check that these settings fit ``problem``.
@@ -134,6 +142,31 @@ def init_state(problem: CoupledProblem, config: RunConfig, push_sum: bool = True
         x=np.zeros(problem.lower.shape),
         ergodic_sum=np.zeros(problem.lower.shape),
     )
+
+
+def multiplier_bound(problem: CoupledProblem, pool, config: RunConfig, push_sum: bool) -> float:
+    """An exact-arithmetic bound on the reported max_i ||lambda_i(t)|| over rounds
+    1 ... t_max for a column-stochastic DRDGA pool (README.md, "Multiplier bound")."""
+    M = peak = 0.0 if config.theta0 is None else _largest_norm(config.theta0)
+    G, gammas = compute_G_bound(problem), problem.gammas
+    if not push_sum:
+        return M + config.q * (1.0 + math.log(config.t_max)) * float(G.max())
+    with np.errstate(all="ignore"):
+        floor, k, rho, P = math.inf, 1, np.ones(problem.m), len(pool)
+        for e in range(P):  # prod: pool[e] @ pool[e - 1] @ ..., n entries; from P on, squared
+            prod, n = pool[e], 1
+            while n < config.t_max and not (prod > 0).all():
+                prod, n = (prod @ prod, 2 * n) if n % P == 0 else (prod @ pool[(e - n) % P], n + 1)
+            floor, k = np.minimum(floor, problem.m * prod.min()), max(k, n)
+        for t in range(1, config.t_max):
+            rho, beta = np.dot(pool[(t - 1) % P], rho), config.q / t
+            if not ((rho > 0) & (rho < math.inf)).all() or peak > DUAL_LIMIT:
+                break
+            if t >= k and beta * gammas.max() <= floor:
+                return max(peak, float((G / gammas).max()))
+            M = float((abs(1.0 - beta * gammas / rho) * M + beta * G / rho).max())
+            peak = max(peak, M)
+    return peak
 
 
 class _Block:
@@ -303,7 +336,7 @@ def run_rounds(
     min(t_max, _ROWS) records, doubled (up to t_max) when outgrown. A
     block started after round t has at most max(64, t // 4) rounds, so a run
     that stops at round k has computed at most max(63, k // 4) rounds past k.
-    A final theta that is not finite raises InvalidInputError.
+    A :func:`multiplier_bound` over DUAL_LIMIT is a ConfigError naming q, before round 1.
     """
     if seq.m != problem.m:
         raise InvalidInputError(f"graph sequence has {seq.m} agents, the problem has {problem.m}")
@@ -312,6 +345,8 @@ def run_rounds(
     for W in pool:
         if np.shape(W) != (m, m):
             raise InvalidInputError(f"mixing matrix has shape {np.shape(W)}, expected ({m}, {m})")
+    if not (bound := multiplier_bound(problem, pool, config, push_sum)) <= DUAL_LIMIT:
+        raise ConfigError(f"q = {config.q!r} too large: multiplier bound {bound:.3g} > 2^499")
     block = _Block(problem, config.q, push_sum, min(block_size(m, problem.p), config.t_max))
     rows, converged = np.recarray(min(config.t_max, _ROWS), metrics.Metrics), False
     while not converged and state.t < config.t_max:
@@ -325,8 +360,6 @@ def run_rounds(
             np.arange(start + 1, state.t + 1), block.reported[:kept], block.x[:kept],
             block.ergodic[1 : kept + 1], block.violation[:kept], config.q, problem, f_star,
             out=rows[start : state.t])
-    if not np.isfinite(state.theta).all():
-        raise InvalidInputError(f"theta is not finite after round {state.t}")
     return state, rows[: state.t], STOP_CONVERGED if converged else STOP_T_MAX
 
 

@@ -72,11 +72,6 @@ def _squared_distances(lam: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.einsum("bmp,bmp->bm", diffs, diffs)
 
 
-# The screen runs where every radius is at most 2^500 and L at least 2^-400:
-# no squared distance can overflow, and underflow is too small to count.
-_SCREEN_RANGE = (2.0**-400, 2.0**500)
-
-
 def _disagreement(lam: np.ndarray) -> np.ndarray:
     """max_{i<j} ||lam[b, i] - lam[b, j]|| of each round of a (B, m, p) block,
     with the bits of the pair form: every pair's lam[i] - lam[j], squared and
@@ -131,16 +126,14 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
       those with fl(r_b + max r) >= T, both counted over the block, are
       tested against T.
 
-    The model excludes overflow and underflow. A round whose largest radius
-    exceeds 2^500 (or is not finite, as with a nan multiplier) or whose L is
-    below 2^-400 goes through the pair form, unless every lam of the round
-    is equal and finite: then every pair's difference is exactly 0, and so is
-    the answer. Within that range no squared distance exceeds 2^1003, and
-    gradual underflow adds at most p 2^-1075 to a squared distance (half the
-    smallest subnormal per product; Higham, chapter 2): below 2^-200
-    relative to S, inside the slack's margin. L
-    itself can be 0 with lam not all equal, when differences below 2^-537
-    square to 0, so the pair form, not L, decides those rounds.
+    The model excludes overflow and underflow. A run's multipliers stay
+    within 2^499 in norm (engine.DUAL_LIMIT), so no squared distance exceeds
+    2^1001. A round whose L is below 2^-400 or nan goes through the pair
+    form, unless every lam of the round is equal and finite: then every
+    pair's difference is exactly 0, and so is the answer. Above 2^-400,
+    gradual underflow adds at most p 2^-1075 to a squared distance (Higham,
+    chapter 2): below 2^-200 relative to S, inside the slack's margin. L can
+    be 0 with lam not all equal (differences below 2^-537 square to 0).
     """
     B, m, p = lam.shape
     if m < SCREEN_MIN_M:
@@ -151,7 +144,7 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
     farther = _squared_distances(lam, lam[rounds, far.argmax(axis=1)])
     L = np.sqrt(np.maximum(far.max(axis=1), farther.max(axis=1)))
     top = radius.max(axis=1)
-    screened = (L >= _SCREEN_RANGE[0]) & (top <= _SCREEN_RANGE[1])
+    screened = L >= 2.0**-400
     out = np.zeros(B)
     if not screened.all():
         # Every lam equal and finite: every pair's difference is exactly 0.
@@ -177,32 +170,6 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
         kept[rnd, pair] = diffs.sum(axis=1)
         out[screened] = kept.max(axis=1)
     return np.sqrt(out)
-
-
-def _max_norm(lam: np.ndarray) -> np.ndarray:
-    """max_i ||lam[b, i]|| of each round of a (B, m, p) block."""
-    return np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
-
-
-def _rescaled(norm, lam: np.ndarray) -> np.ndarray:
-    """norm(lam), for a norm of each round of a (B, m, p) block, without a
-    spurious overflow. Its squares overflow from about 1.3e154; a round
-    whose result is then not finite while its lam is finite is computed
-    again at lam 2^-e, exactly, with max |lam| < 2^e, and scaled back by
-    2^e: inf only where the norm itself exceeds the float range. The other
-    rounds keep their bits. A round with a non-finite lam reads inf or nan,
-    without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = norm(lam)
-    redo = ~np.isfinite(out)
-    if redo.any():
-        redo &= np.isfinite(lam).all(axis=(1, 2))
-    if redo.any():
-        e = np.frexp(abs(lam[redo]).max(axis=(1, 2)))[1]
-        # Entries below 2^(e - 1074) lose bits to underflow, far below the norm's last bit.
-        with np.errstate(under="ignore", over="ignore"):
-            out[redo] = np.ldexp(norm(np.ldexp(lam[redo], -e[:, None, None])), e)
-    return out
 
 
 def norms(rows: np.ndarray) -> np.ndarray:
@@ -235,8 +202,8 @@ def evaluate_rounds(t, lam, x, ergodic_sum, violation_inst, q: float, problem: C
     out["gap"] = objective - f_star if f_star is not None else math.nan
     out["violation"] = norms(problem.coupling_residual(xs_avg))
     out["violation_inst"] = violation_inst
-    out["disagreement"] = _rescaled(_disagreement, lam)
-    out["max_lambda"] = _rescaled(_max_norm, lam)
+    out["disagreement"] = _disagreement(lam)
+    out["max_lambda"] = np.sqrt((lam * lam).sum(axis=2)).max(axis=1)
     out["beta"] = q / t
     return out
 

@@ -1,9 +1,10 @@
 """Analysis that only the tests use: the per-round descent-inequality slack
-(Lemma 2) and the empirical ln T / T rate fit of a run's columns."""
+(Lemma 2), the empirical ln T / T rate fit of a run's columns, and the
+multiplier bound stepped on every round."""
 
 import numpy as np
 
-from drdga import BoundConstants, CoupledProblem, RunState
+from drdga import BoundConstants, CoupledProblem, RunState, build_weight_matrix, compute_G_bound
 
 
 def lemma2_residual(
@@ -66,3 +67,26 @@ def rate_fit(rows: np.recarray, which: str) -> tuple[float, float]:
         raise ValueError(f"need at least 10 rows with T >= 10, got {len(rows)}")
     g = values * rows.t / np.log(rows.t)
     return float(np.median(g[len(g) // 2 :])), float(g.max() / g[0])
+
+
+def multiplier_bounds(problem: CoupledProblem, seq, q: float, rounds: int,
+                      theta0=None, push_sum: bool = True) -> np.ndarray:
+    """M_1 ... M_rounds: the a-priori bound on max_i ||lambda_i(t)|| of each
+    round, stepped on every round without the engine's early stop.
+
+    M_1 = max_j ||theta0_j||. DRDGA: M_{t+1} = max_j(|1 - beta_t gamma_j /
+    rho_j(t)| M_t + beta_t G_j / rho_j(t)) on the sequence's push-sum weights.
+    CDDA (reported multiplier theta(t)): M_1 + q (1 + ln t) max_j G_j.
+    """
+    G, gammas = compute_G_bound(problem), problem.gammas
+    first = 0.0 if theta0 is None else float(np.sqrt(np.square(theta0).sum(axis=1)).max())
+    if not push_sum:
+        return first + q * (1.0 + np.log(np.arange(1, rounds + 1))) * G.max()
+    pool, rho = [build_weight_matrix(adj) for adj in seq.adj], np.ones(problem.m)
+    bounds = np.empty(rounds)
+    bounds[0] = first
+    for k in range(1, rounds):
+        rho = pool[(k - 1) % len(pool)] @ rho
+        beta = q / k
+        bounds[k] = (abs(1.0 - beta * gammas / rho) * bounds[k - 1] + beta * G / rho).max()
+    return bounds

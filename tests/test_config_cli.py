@@ -552,25 +552,28 @@ def test_uncertified_oracle_exits_2_and_leaves_f_star_unavailable(tmp_path, monk
     assert all(row.split(",")[gap] == "nan" for row in out.read_text().splitlines()[1:])
 
 
-def test_cli_overflowing_iterates_exit_2_without_output(tmp_path, capsys):
-    # theta0 = 1e308 everywhere makes fig7's iterates overflow within a few
-    # rounds; solve_local's finiteness check stops the run before any output.
+def test_cli_overflowing_theta0_exits_1_without_output(tmp_path, capsys):
+    # theta0 = 1e308 everywhere: each row's norm overflows, past the 2^499
+    # that a run's multipliers may reach. The config is rejected at load,
+    # naming the field, before any output and without a warning.
     theta0 = "theta0 =\n" + "    1e308 1e308\n" * 3
     text = Path(FIG7_CFG).read_text().replace("epsilon = 0.01\n", "epsilon = 0.01\n" + theta0)
     path = write_cfg(tmp_path, text)
-    code = main(["run", "--config", path, "--out", str(tmp_path / "run.csv")])
-    assert code == 2
-    assert "lambda must be finite" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", path, "--out", str(tmp_path / "run.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: run: theta0 must be finite, with every row's norm at most 2^499\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("setting", ["warnings-as-errors", "errstate-raise"])
-def test_cli_fig7_at_q1280_exits_2_on_the_finiteness_check(tmp_path, capsys, setting):
-    # q = 1,280 passes the step rule, and the early rounds amplify the
-    # multipliers until they overflow in round 312. The kernel ignores its
-    # floating-point errors, so neither a warnings filter nor np.errstate
-    # turns them into the run's error: the finiteness check stops it,
-    # before any output.
+def test_cli_fig7_at_q1280_exits_1_naming_q(tmp_path, capsys, setting):
+    # q = 1,280 passes the step rule, but the early rounds would amplify the
+    # multipliers past the float range (they overflowed in round 312). The
+    # a-priori multiplier bound rejects the run before round 1, under either
+    # floating-point setting: exit 1 naming q, and no output.
     text = Path(FIG7_CFG).read_text().replace("q = 4\n", "q = 1280\n")
     path = write_cfg(tmp_path, text)
     argv = ["run", "--config", path, "--out", str(tmp_path / "run.csv")]
@@ -581,18 +584,33 @@ def test_cli_fig7_at_q1280_exits_2_on_the_finiteness_check(tmp_path, capsys, set
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv)
-    assert code == 2
-    assert capsys.readouterr().err == "error: lambda must be finite\n"
+    assert code == 1
+    assert re.fullmatch(r"config error: q = 1280\.0 too large: multiplier bound \S+ > 2\^499\n",
+                        capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
-def test_cli_non_finite_final_theta_exits_2_without_output(tmp_path, capsys):
-    # At q = 1,280 fig7's theta overflows in round 311, one round before its
-    # multiplier: a run capped there fails on theta, before any output.
-    path = write_cfg(tmp_path, Path(FIG7_CFG).read_text().replace("q = 4\n", "q = 1280\n"))
-    assert main(["run", "--config", path, "--out", str(tmp_path / "run.csv"), "--tmax", "311"]) == 2
-    assert capsys.readouterr().err == "error: theta is not finite after round 311\n"
+@pytest.mark.parametrize("q, extra", [("640", []), ("1280", ["--tmax", "311"])],
+                         ids=["640", "1280-tmax311"])
+def test_cli_fig7_past_the_multiplier_limit_exits_1_without_output(tmp_path, capsys, q, extra):
+    # At q = 640 fig7 used to exit 0 with empirical_D = 1.19e194; at q = 1,280
+    # capped at round 311 its theta overflowed in the last round. The bound
+    # passes 2^499 within those rounds in both: exit 1 naming q, no output.
+    text = Path(FIG7_CFG).read_text().replace("q = 4\n", f"q = {q}\n")
+    path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run.csv"), *extra]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: q = {float(q)!r} too large: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_cli_fig7_at_q320_runs_within_the_multiplier_bound(tmp_path):
+    # q = 320 stays below the limit: fig7's bound peaks at 4.5e132, and the
+    # run's multipliers, which peak near 1e96, stay below it.
+    text = Path(FIG7_CFG).read_text().replace("q = 4\n", "q = 320\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    summary = dict(line.split(" = ") for line in Path(f"{out}.summary").read_text().splitlines())
+    assert 1e90 < float(summary["empirical_D"]) < 4.5e132
 
 
 def test_cli_reference_prints_solution(capsys):

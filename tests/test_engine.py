@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from drdga import (
 from drdga import baseline, engine
 from drdga.engine import STOP_CONVERGED, STOP_T_MAX, block_size, stopping_residuals
 from drdga.metrics import SCREEN_MIN_M, Metrics, evaluate_rounds
+from analysis import multiplier_bounds
 
 
 def fig7():
@@ -621,11 +623,13 @@ def huge_first_row(W):
 ], ids=["overflow-and-invalid-ignored", "overflow-ignored", "late-overflow-and-invalid-ignored",
         "late-overflow-ignored", "late-nothing-ignored"])
 def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, ignored):
-    # theta0 = 1e308 overflows fig7's multipliers to inf, and round 2 fails
-    # the finiteness check; the rest of the block is computed after it. In
-    # the late cases a mixing matrix whose first row is 1e308 fails round
-    # 350, inside the grown block of rounds 321-400. The kernel meets
-    # overflow, inf - inf and inf / inf on the way, and ignores them: under
+    # A mixing matrix whose first row is 1e308 overflows fig7's multipliers
+    # in round 2, and that round fails the finiteness check; the rest of the
+    # block is computed after it. In the late cases it fails round 350,
+    # inside the grown block of rounds 321-400. Both runs pass the
+    # multiplier bound, whose stepping ends at those infinite weights at the
+    # latest. The kernel meets overflow, inf - inf and inf / inf on the way,
+    # and ignores them: under
     # each floating-point setting, with the case's errors ignored and every
     # other one warned of or raised, the run and stepping by hand raise
     # the same error in the same round, warn of nothing, and the block is
@@ -633,10 +637,8 @@ def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, i
     prob = fig7()
     late = failing_round > 2
     seq = generate_graph_sequence(3, 1, seed=7, pool_size=400 if late else 20)
-    config = RunConfig(q=4.0, t_max=500, epsilon=0.01,
-                       theta0=None if late else np.full((3, 2), 1e308))
-    edit = huge_first_row if late else (lambda W: W)
-    pool = edited_pool(seq, True, failing_round - 1, edit)[0]
+    config = RunConfig(q=4.0, t_max=500, epsilon=0.01)
+    pool = edited_pool(seq, True, failing_round - 1, huge_first_row)[0]
     calls = kernel_calls(monkeypatch)
     for setting in FP_SETTINGS:
         with warnings.catch_warnings(record=True) as shown, \
@@ -646,7 +648,8 @@ def test_lambda_overflow_raises_as_stepped_by_hand(monkeypatch, failing_round, i
             calls.clear()
             with pytest.raises(InvalidInputError) as raised:
                 engine.run_rounds(prob, seq, config, None,
-                                  edited_pool(seq, True, failing_round - 1, edit)[1], True)
+                                  edited_pool(seq, True, failing_round - 1, huge_first_row)[1],
+                                  True)
         assert type(by_hand) is InvalidInputError
         assert str(raised.value) == str(by_hand) == "lambda must be finite"
         assert [str(w.message) for w in shown] == []
@@ -774,31 +777,134 @@ def fig7_experiment(q=4.0, t_max=5000, epsilon=0.01):
     return exp.problem, exp.seq, RunConfig(q=q, t_max=t_max, epsilon=epsilon)
 
 
-@pytest.mark.parametrize("t_max, message", [
-    (311, "theta is not finite after round 311"), (312, "lambda must be finite")])
-def test_drdga_run_returns_no_non_finite_theta(t_max, message):
-    # At q = 1,280 fig7's surrogates overflow in round 311 while its
-    # multiplier stays finite; round 312's multiplier, mixed from them,
-    # fails its check. A run that ends at round 311 fails on theta instead
-    # of returning it.
-    with pytest.raises(InvalidInputError, match=message):
-        run_until(*fig7_experiment(q=1280.0, t_max=t_max))
-
-
-@pytest.mark.parametrize("t_max, message", [
-    (2, "theta is not finite after round 2"), (3, "lambda must be finite")])
-def test_cdda_run_returns_no_non_finite_theta(t_max, message):
-    # With every coupling term at 1.8, fig7's rates cannot meet the
-    # constraint and theta only grows: from 0.5e308 it reaches 1.58e308 in
-    # round 1 and overflows in round 2, where it is CDDA's multiplier. The
-    # reported columns of that round read inf or nan without a warning.
-    prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0])
-    prob = dataclasses.replace(prob, b=np.full_like(prob.b, -1.8))
-    config = RunConfig(q=0.6e308, t_max=t_max, epsilon=0.01, theta0=np.full((3, 2), 0.5e308))
+@pytest.mark.parametrize("t_max", [311, 312])
+def test_drdga_run_rejects_q1280_before_round_1(monkeypatch, t_max):
+    # At q = 1,280 fig7's surrogates used to overflow in round 311 and its
+    # multiplier in round 312. The a-priori multiplier bound passes 2^499
+    # well within those rounds: the run is a ConfigError naming q, raised
+    # before the kernel runs, and nothing warns.
+    calls = kernel_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError, match=message):
-            cdda_run_until(prob, generate_graph_sequence(3, 1, seed=4), config)
+        with pytest.raises(ConfigError, match=r"^q = 1280\.0 too large: multiplier bound "):
+            run_until(*fig7_experiment(q=1280.0, t_max=t_max))
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_max", [2, 3])
+def test_cdda_run_rejects_huge_q_or_theta0_before_round_1(monkeypatch, t_max):
+    # The settings under which CDDA's theta used to overflow in round 2, on
+    # fig7 with every coupling term at 1.8: theta0 = 0.5e308 has rows past
+    # 2^499, and from theta0 = 0 the bound M_1 + q (1 + ln t_max) max_j G_j
+    # at q = 0.6e308 overflows to inf. Both are ConfigErrors before round 1,
+    # without a warning.
+    prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0])
+    prob = dataclasses.replace(prob, b=np.full_like(prob.b, -1.8))
+    calls = kernel_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^theta0 must be finite"):
+            RunConfig(q=0.6e308, t_max=t_max, epsilon=0.01, theta0=np.full((3, 2), 0.5e308))
+        with pytest.raises(ConfigError, match=r"^q = 6e\+307 too large: multiplier bound inf "):
+            cdda_run_until(prob, generate_graph_sequence(3, 1, seed=4),
+                           RunConfig(q=0.6e308, t_max=t_max, epsilon=0.01))
+    assert calls == []
+
+
+BOUND_CONFIGS = {name: files("drdga") / "configs" / f"{name}.cfg"
+                 for name in ("fig7", "num_s20", "quadratic_m5")}
+BOUND_CONFIGS["quad_m100"] = Path(__file__).resolve().parent.parent / "perfbench" / "quad_m100.cfg"
+# The engine's bound at q = 4, against each run's own peak max_lambda of
+# 3.33, 2.36, 12.4 and 1.22.
+PEAK_BOUNDS_AT_Q4 = {"fig7": 12.7, "num_s20": 32.4, "quadratic_m5": 427.0, "quad_m100": 54.0}
+
+
+@pytest.mark.parametrize("q", [4.0, 20.0, 80.0])
+@pytest.mark.parametrize("name", sorted(BOUND_CONFIGS))
+def test_multiplier_bound_holds_on_every_round(name, q):
+    # Every round's max_lambda is at most M_t, the bound stepped on every
+    # round, and the engine's bound, stepped only until every later weight
+    # is known to be large enough, is at least every M_t.
+    exp = parse_config(BOUND_CONFIGS[name])
+    config = dataclasses.replace(exp.run, q=q)
+    _, rows, _ = run_until(exp.problem, exp.seq, config)
+    bounds = multiplier_bounds(exp.problem, exp.seq, q, len(rows))
+    assert len(rows) == config.t_max and np.all(rows.max_lambda <= bounds)
+    pool = tuple(build_weight_matrix(adj) for adj in exp.seq.adj)
+    peak = engine.multiplier_bound(exp.problem, pool, config, push_sum=True)
+    assert peak >= bounds.max() * (1.0 - 1e-12)
+    if q == 4.0:
+        assert math.isclose(peak, PEAK_BOUNDS_AT_Q4[name], rel_tol=5e-3)
+
+
+def test_cdda_multiplier_bound_holds_on_every_round():
+    # quadratic_m5 under CDDA: max_lambda, which peaks at 5.78, stays below
+    # M_1 + q (1 + ln t) max_j G_j in every round; the engine checks the
+    # closed form at t_max, 147.
+    exp = parse_config(BOUND_CONFIGS["quadratic_m5"], algorithm="cdda")
+    _, rows, _ = cdda_run_until(exp.problem, exp.seq, exp.run)
+    bounds = multiplier_bounds(exp.problem, exp.seq, exp.run.q, exp.run.t_max, push_sum=False)
+    assert np.all(rows.max_lambda <= bounds[: len(rows)])
+    assert 5.7 < rows.max_lambda.max() < 5.8
+    pool = tuple(metropolis_matrix(adj) for adj in exp.seq.adj)
+    peak = engine.multiplier_bound(exp.problem, pool, exp.run, push_sum=False)
+    assert math.isclose(peak, bounds[-1], rel_tol=1e-12) and 146 < peak < 148
+
+
+def test_multiplier_bound_steps_past_a_weight_dip():
+    # Agent 1 hears every agent in even-indexed pool rounds and none in the
+    # others, so its weight swings between about 3.3 and 0.55; its gamma is
+    # 6 and the others' 0.1. Round 9 is the first in which beta_t gamma_j <=
+    # rho_j(t) holds for every j, yet the next round breaks it again. A
+    # bound stopped there would miss a growth of M_t by a factor of 40; the
+    # engine's bound covers every M_t.
+    m = 6
+    hear, tell = np.zeros((m, m), dtype=bool), np.zeros((m, m), dtype=bool)
+    hear[1:, 0], tell[0, 1:] = True, True
+    seq = GraphSequence(np.array([hear, tell]), window=2)
+    prob = make_quadratic_problem(m=m, p=2, dims=1, seed=1, tau_min=1.0, gamma=1.0)
+    prob = dataclasses.replace(prob, gammas=np.array([6.0] + [0.1] * (m - 1)))
+    config = RunConfig(q=4.0, t_max=3000)
+    bounds = multiplier_bounds(prob, seq, config.q, config.t_max)
+    pool = tuple(build_weight_matrix(adj) for adj in seq.adj)
+    rho = [np.ones(m)]
+    for t in range(1, 11):
+        rho.append(pool[(t - 1) % 2] @ rho[-1])
+    stops = [t for t in range(1, 11) if np.all(config.q / t * prob.gammas <= rho[t])]
+    assert stops[0] == 9 and 10 not in stops
+    assert bounds.max() > 40 * bounds[:9].max()
+    assert engine.multiplier_bound(prob, pool, config, push_sum=True) >= bounds.max()
+    _, rows, _ = run_until(prob, seq, config)
+    assert np.all(rows.max_lambda <= bounds)
+
+
+@pytest.mark.parametrize("name, corner", [("fig7", -4.765508990216246),
+                                          ("num_s20", -4.113386707344549)])
+def test_bundled_num_runs_never_leave_the_box_corner(name, corner):
+    # Every source's rate sits at its upper bound in every round: no price
+    # reaches the level that would lower it. The objective column holds F at
+    # the upper bounds, summed over agents left to right as the column is,
+    # in all 5,000 rows, and the final iterate is that corner.
+    exp = parse_config(BOUND_CONFIGS[name])
+    state, rows, _ = run_until(exp.problem, exp.seq, exp.run)
+    values = exp.problem.agent_values(exp.problem.upper)
+    assert float(np.add.accumulate(values)[-1]) == corner
+    assert len(rows) == 5000 and np.all(rows.objective == corner)
+    assert np.array_equal(state.x, exp.problem.upper)
+
+
+@pytest.mark.parametrize("loop", [run_until, cdda_run_until], ids=["drdga", "cdda"])
+def test_absurd_q_or_theta0_is_rejected_without_a_warning(loop):
+    # The bound's own arithmetic overflows to inf, and the theta0 check's
+    # squares do too: neither warns.
+    prob, seq, _ = fig7_experiment()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^q = 1e\+308 too large: multiplier bound "):
+            loop(prob, seq, RunConfig(q=1e308))
+        for theta0 in (np.full((3, 2), 1e308), np.full((3, 2), math.inf)):
+            with pytest.raises(ConfigError, match="^theta0 must be finite"):
+                RunConfig(q=4.0, theta0=theta0)
 
 
 def traced_peak(fn, *args):

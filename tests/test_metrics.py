@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from drdga import (
     BoundConstants,
+    ConfigError,
     GraphSequence,
     Metrics,
     RunConfig,
@@ -357,16 +358,18 @@ def ranked_rounds():
 
 
 def out_of_range_rounds():
-    # Rounds the screen hands to the pair form: squares that overflow,
-    # squares that underflow (at random and on a line), a nan, every lam
-    # equal (0 without pairs), and every lam equal but infinite (nan, as inf - inf).
+    # Rounds the screen hands to the pair form: squares that underflow (at
+    # random and on a line), a nan, every lam equal (0 without pairs), and
+    # every lam equal but infinite (nan, as inf - inf). Squares that overflow
+    # are outside its range too, but no run reaches them: the run loop
+    # rejects any whose multipliers could pass 2^499 (engine.DUAL_LIMIT).
     rng = np.random.default_rng(5)
-    huge = 1e200 * rng.normal(size=(30, 3))
+    rng.normal(size=(30, 3))  # the draw the overflowing round took, so the rest keep theirs
     tiny = 1e-170 * rng.normal(size=(30, 3))
     tiny_line = collinear_rounds((1e-160, 1e-162), range(3), offset=False)
     with_nan = rng.normal(size=(30, 3))
     with_nan[7, 1] = math.nan
-    return [huge, tiny, *tiny_line, with_nan, np.full((30, 3), 2.5), np.full((30, 3), math.inf)]
+    return [tiny, *tiny_line, with_nan, np.full((30, 3), 2.5), np.full((30, 3), math.inf)]
 
 
 @pytest.mark.parametrize("rounds", [antipodal_rounds, offset_rounds, collinear_rounds,
@@ -397,67 +400,60 @@ def test_disagreement_equals_full_broadcast_property(data, shape, distinct, offs
 
 
 def huge_rounds(m):
-    """A live round at scale 1, then rounds of (m, 3) multipliers whose
-    squares overflow, some with entries that underflow once scaled."""
+    """A live round at scale 1, then rounds of (m, 3) multipliers at the
+    limit of 2^499 in norm, some with entries that underflow when squared,
+    and an antipodal pair 2^500 apart."""
     rng = np.random.default_rng(m)
-    mixed = 1e300 * rng.normal(size=(m, 3))
+    near = 2.0**499 / 3.0 * np.clip(rng.normal(size=(m, 3)), -1.5, 1.5)
+    mixed = near.copy()
     mixed[::2, 1] = 1e-300
-    return [rng.normal(size=(m, 3)), 1e200 * rng.normal(size=(m, 3)), mixed,
-            np.full((m, 3), 1e250)]
+    apart = np.zeros((m, 3))
+    apart[0, 0], apart[1, 0] = 2.0**499, -(2.0**499)
+    return [rng.normal(size=(m, 3)), near, mixed, apart, np.full((m, 3), 2.0**499 / 2.0)]
 
 
 @pytest.mark.parametrize("m", [5, SCREEN_MIN_M + 6])
 def test_norm_columns_of_huge_multipliers_do_not_overflow(m):
-    # Finite multipliers above about 1.3e154 square to inf. A round whose
-    # max_lambda or disagreement is then not finite while its lam is finite
-    # is computed again at an exact power-of-two scale; it is inf only where
-    # the norm itself exceeds the float range. Every other round keeps the
-    # bits of the plain sqrt(r . r), a non-finite lam's too. No round warns.
+    # A run's multipliers stay within 2^499 in norm (engine.DUAL_LIMIT), so
+    # every sum of their squares is finite: max_lambda and disagreement are
+    # the plain sqrt(r . r) and the pair form's bits, below SCREEN_MIN_M and
+    # through the screen, equal to the exact norms to rounding, and no round
+    # warns.
     prob = make_quadratic_problem(m=m, p=3, dims=1, seed=m, tau_min=1.0, gamma=4.0)
     config = RunConfig(q=4.0 * m, t_max=10, epsilon=0.01)
     state = init_state(prob, config)
     lams = huge_rounds(m)
+    assert max(np.sqrt((lam * lam).sum(axis=1)).max() for lam in lams) <= 2.0**499
     block = [dataclasses.replace(state, t=t, lam=lam) for t, lam in enumerate(lams, start=1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = evaluate_states(block, prob, config.q)
-    live = lams[0]
-    assert rows.max_lambda[0] == np.sqrt((live * live).sum(axis=1)).max()
-    assert rows.disagreement[0] == full_pairwise(live)
-    for lam, got_max, got_pairs in zip(lams[1:], rows.max_lambda[1:], rows.disagreement[1:]):
+    for lam, got_max, got_pairs in zip(lams, rows.max_lambda, rows.disagreement):
+        assert got_max == np.sqrt((lam * lam).sum(axis=1)).max()
+        assert got_pairs == full_pairwise(lam)
         want_max = max(math.hypot(*agent) for agent in lam)
         want_pairs = max(math.dist(lam[i], lam[j]) for i, j in itertools.combinations(range(m), 2))
-        assert math.isfinite(want_max) and math.isclose(got_max, want_max, rel_tol=1e-15)
-        assert got_pairs == want_pairs or math.isclose(got_pairs, want_pairs, rel_tol=1e-15)
-    assert rows.disagreement[-1] == 0.0
-    apart = np.zeros((m, 3))
-    apart[0, 0], apart[1, 0] = 1.5e308, -1.5e308  # 3e308 apart
-    beyond = np.zeros((m, 3))
-    beyond[0, :2] = 1.5e308  # a norm of 2.1e308
-    with_inf = live.copy()
-    with_inf[1, 2] = math.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = evaluate_states([dataclasses.replace(state, t=1, lam=lam)
-                                for lam in (apart, beyond, with_inf)], prob, config.q)
-    assert rows.max_lambda[0] == 1.5e308 and rows.disagreement[0] == math.inf
-    assert rows.max_lambda[1] == rows.disagreement[1] == math.inf
-    with np.errstate(invalid="ignore"):
-        want = _disagreement(with_inf[None])
-    assert rows.max_lambda[2] == math.inf and rows.disagreement[2:].tobytes() == want.tobytes()
+        assert math.isclose(got_max, want_max, rel_tol=1e-15)
+        assert math.isclose(got_pairs, want_pairs, rel_tol=1e-15)
+    assert rows.disagreement[3] == 2.0**500 and rows.disagreement[-1] == 0.0
 
 
 def test_fig7_with_huge_theta0_keeps_finite_dual_norms():
-    # theta0 = 1e200: fig7's multipliers stay finite, near 1e192-1e200, and
-    # so do max_lambda, disagreement from round 2 on, and the bound constant D.
+    # theta0 = 1e147: fig7's multipliers peak at 7.2e147 in round 3, within
+    # the multiplier bound, and fall to 7.4e140 by round 50; max_lambda,
+    # disagreement and the bound constant D stay finite, with squares up to
+    # about 1e295. theta0 = 1e200 has rows past 2^499 and is rejected before
+    # round 1.
     prob = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [1.0, 1.0, 1.0])
     seq = generate_graph_sequence(3, 1, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state, rows, _ = run_until(prob, seq, RunConfig(q=4.0, t_max=50,
-                                                        theta0=np.full((3, 2), 1e200)))
-    assert abs(state.lam).max() > 1e154 and np.isfinite(rows.max_lambda).all()
-    assert np.isfinite(rows.disagreement).all() and rows.disagreement[1] > 1e154
+                                                        theta0=np.full((3, 2), 1e147)))
+        with pytest.raises(ConfigError, match="^theta0 must be finite"):
+            RunConfig(q=4.0, t_max=50, theta0=np.full((3, 2), 1e200))
+    assert abs(state.lam).max() > 1e140 and 7e147 < rows.max_lambda.max() < 2.0**499
+    assert np.isfinite(rows.disagreement).all() and rows.disagreement[1] > 1e147
     assert math.isclose(rows.max_lambda[-1], max(math.hypot(*agent) for agent in state.lam),
                         rel_tol=1e-15)
     assert math.isfinite(constants_from_run(prob, 1, 4.0, rows).D)

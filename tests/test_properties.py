@@ -37,10 +37,12 @@ from drdga import (
     solve_local,
 )
 from drdga.config import ALGORITHMS
+from drdga import engine
 from drdga.engine import STOP_CONVERGED, stopping_residuals
 from drdga.cli import CSV_HEADER, main
 from test_config_cli import MINIMAL_QUAD, assert_minimum_q_accepted, printed_minimum_q
 from test_engine import assert_same_run, hand_run, hand_stepper
+from analysis import multiplier_bounds
 
 settings.register_profile("drdga", max_examples=40, deadline=None, derandomize=True,
                           database=None)
@@ -200,6 +202,27 @@ def test_run_follows_transcribed_recurrence(prob, seed, window, pool, t_max, pus
     for name, got, value in pairs:
         scale = peak if name in multipliers else np.abs(value).max()
         np.testing.assert_allclose(got, value, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+@given(problems, seeds, st.integers(1, 2), st.integers(1, 5), st.integers(2, 150),
+       st.booleans(), st.sampled_from([1.0, 3.0]), st.floats(0.0, 10.0))
+def test_multiplier_bound_holds_on_every_round_property(prob, seed, window, pool, t_max,
+                                                        push_sum, scale, theta0_scale):
+    # Random instances, pools and theta0, at the least q the step rule
+    # accepts and at three times it: every round's max_lambda is at most
+    # M_t, the bound stepped on every round (CDDA's closed form), to
+    # rounding, and the run loop's bound is at least every M_t.
+    seq = generate_graph_sequence(prob.m, window, seed=seed, pool_size=pool)
+    theta0 = theta0_scale * np.random.default_rng(seed).normal(size=(prob.m, prob.p))
+    config = RunConfig(q=scale * valid_q(prob), t_max=t_max, epsilon=1e-300, theta0=theta0)
+    mixing = build_weight_matrix if push_sum else metropolis_matrix
+    checked = engine.multiplier_bound(prob, tuple(mixing(adj) for adj in seq.adj), config,
+                                      push_sum)
+    assert checked <= engine.DUAL_LIMIT
+    _, rows, _ = (run_until if push_sum else cdda_run_until)(prob, seq, config)
+    bounds = multiplier_bounds(prob, seq, config.q, t_max, theta0, push_sum)
+    assert np.all(rows.max_lambda <= bounds[: len(rows)] * (1.0 + 1e-12))
+    assert checked >= bounds.max() * (1.0 - 1e-12)
 
 
 @st.composite
