@@ -160,12 +160,12 @@ def multiplier_bound(problem: CoupledProblem, pool, config: RunConfig, push_sum:
             floor, k = np.minimum(floor, problem.m * prod.min()), max(k, n)
         for t in range(1, config.t_max):
             rho, beta = np.dot(pool[(t - 1) % P], rho), config.q / t
-            if not ((rho > 0) & (rho < math.inf)).all() or peak > DUAL_LIMIT:
+            if not ((rho > 0) & (rho < math.inf)).all() or not peak <= DUAL_LIMIT:
                 break
             if t >= k and beta * gammas.max() <= floor:
                 return max(peak, float((G / gammas).max()))
             M = float((abs(1.0 - beta * gammas / rho) * M + beta * G / rho).max())
-            peak = max(peak, M)
+            peak = max(M, peak)  # a nan M (inf * 0) becomes the peak and fails the limit
     return peak
 
 

@@ -128,7 +128,7 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
 
     The model excludes overflow and underflow. A run's multipliers stay
     within 2^499 in norm (engine.DUAL_LIMIT), so no squared distance exceeds
-    2^1001. A round whose L is below 2^-400 or nan goes through the pair
+    2^1001. A round whose L is below 2^-400, inf or nan goes through the pair
     form, unless every lam of the round is equal and finite: then every
     pair's difference is exactly 0, and so is the answer. Above 2^-400,
     gradual underflow adds at most p 2^-1075 to a squared distance (Higham,
@@ -144,7 +144,7 @@ def _disagreement(lam: np.ndarray) -> np.ndarray:
     farther = _squared_distances(lam, lam[rounds, far.argmax(axis=1)])
     L = np.sqrt(np.maximum(far.max(axis=1), farther.max(axis=1)))
     top = radius.max(axis=1)
-    screened = L >= 2.0**-400
+    screened = (L >= 2.0**-400) & (L < math.inf)
     out = np.zeros(B)
     if not screened.all():
         # Every lam equal and finite: every pair's difference is exactly 0.

@@ -896,12 +896,16 @@ def test_bundled_num_runs_never_leave_the_box_corner(name, corner):
 @pytest.mark.parametrize("loop", [run_until, cdda_run_until], ids=["drdga", "cdda"])
 def test_absurd_q_or_theta0_is_rejected_without_a_warning(loop):
     # The bound's own arithmetic overflows to inf, and the theta0 check's
-    # squares do too: neither warns.
+    # squares do too: neither warns. With gamma = 2 the first DRDGA step's
+    # beta gamma / rho overflows too, and times M_1 = 0 is nan: that bound
+    # fails the limit as well.
     prob, seq, _ = fig7_experiment()
+    doubled = make_num_problem([[1, 1, 0], [1, 1, 1]], [1.0, 1.0], [2.0, 2.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=r"^q = 1e\+308 too large: multiplier bound "):
-            loop(prob, seq, RunConfig(q=1e308))
+        for problem in (prob, doubled):
+            with pytest.raises(ConfigError, match=r"^q = 1e\+308 too large: multiplier bound "):
+                loop(problem, seq, RunConfig(q=1e308))
         for theta0 in (np.full((3, 2), 1e308), np.full((3, 2), math.inf)):
             with pytest.raises(ConfigError, match="^theta0 must be finite"):
                 RunConfig(q=4.0, theta0=theta0)

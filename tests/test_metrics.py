@@ -358,18 +358,22 @@ def ranked_rounds():
 
 
 def out_of_range_rounds():
-    # Rounds the screen hands to the pair form: squares that underflow (at
-    # random and on a line), a nan, every lam equal (0 without pairs), and
-    # every lam equal but infinite (nan, as inf - inf). Squares that overflow
-    # are outside its range too, but no run reaches them: the run loop
-    # rejects any whose multipliers could pass 2^499 (engine.DUAL_LIMIT).
+    # Rounds the screen hands to the pair form: squares that overflow (every
+    # radius, or only the pair distances), squares that underflow (at random
+    # and on a line), a nan, every lam equal (0 without pairs), and every lam
+    # equal but infinite (nan, as inf - inf). No run reaches the overflowing
+    # ones, since the run loop rejects any whose multipliers could pass 2^499
+    # (engine.DUAL_LIMIT), but a direct caller can.
     rng = np.random.default_rng(5)
-    rng.normal(size=(30, 3))  # the draw the overflowing round took, so the rest keep theirs
+    huge = 1e200 * rng.normal(size=(30, 3))
+    apart = np.zeros((30, 3))
+    apart[0, 0], apart[1, 0] = 1.2e154, -1.2e154  # radii square to 1.4e308, the pair to inf
     tiny = 1e-170 * rng.normal(size=(30, 3))
     tiny_line = collinear_rounds((1e-160, 1e-162), range(3), offset=False)
     with_nan = rng.normal(size=(30, 3))
     with_nan[7, 1] = math.nan
-    return [tiny, *tiny_line, with_nan, np.full((30, 3), 2.5), np.full((30, 3), math.inf)]
+    return [huge, apart, tiny, *tiny_line, with_nan, np.full((30, 3), 2.5),
+            np.full((30, 3), math.inf)]
 
 
 @pytest.mark.parametrize("rounds", [antipodal_rounds, offset_rounds, collinear_rounds,
